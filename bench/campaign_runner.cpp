@@ -17,6 +17,7 @@
 #include "src/exp/report.hpp"
 #include "src/exp/seeding.hpp"
 #include "src/fleet/campaign.hpp"
+#include "src/obs/chrome_trace.hpp"
 #include "src/obs/journal.hpp"
 #include "src/obs/timeline.hpp"
 #include "src/smarm/campaign.hpp"
@@ -43,9 +44,10 @@ void usage(const char* argv0) {
       "          [--threads N] [--seed S] [--out DIR] [--journal-out DIR] [--list]\n\n"
       "--journal-out DIR (network_reliability and fleet_scale): per cell,\n"
       "re-run the first misjudged trial (or trial 0) with the flight recorder\n"
-      "attached, write JOURNAL_<name>_<grid_index>.ndjson and print a\n"
-      "timeline.  The replay is seeded from the campaign coordinates, so the\n"
-      "artifacts are byte-identical for any --threads.\n\n"
+      "attached, write JOURNAL_<name>_<grid_index>.ndjson plus its Chrome\n"
+      "trace JOURNAL_<name>_<grid_index>.trace.json and print a timeline.\n"
+      "The replay is seeded from the campaign coordinates, so the artifacts\n"
+      "are byte-identical for any --threads.\n\n"
       "campaigns:\n"
       "  smarm_escape            abstract SMARM game, rounds x blocks sweep\n"
       "  smarm_escape_fullstack  device sim + verifier, blocks sweep\n"
@@ -142,13 +144,35 @@ bool check_smarm_cells(const exp::CampaignResult& result) {
   return all_ok;
 }
 
+/// Write one replay's journal as JOURNAL_<name>_<grid_index>.ndjson plus
+/// the Chrome trace derived from it (.trace.json beside it), and print
+/// the problem rounds' explain timelines.
+bool write_journal(const obs::EventJournal& journal, const std::string& dir,
+                   const std::string& name, const exp::CellResult& cell,
+                   std::size_t trial) {
+  std::string stem = dir.empty() ? std::string() : dir + "/";
+  stem += "JOURNAL_" + name + "_" + std::to_string(cell.grid_index);
+  for (const std::string& path : {stem + ".ndjson", stem + ".trace.json"}) {
+    const bool ok = path.ends_with(".ndjson") ? journal.write_ndjson(path)
+                                              : obs::write_chrome_json(journal, path);
+    if (!ok) {
+      std::fprintf(stderr, "campaign_runner: cannot write '%s'\n", path.c_str());
+      return false;
+    }
+  }
+  std::printf("\n=== journal %s.ndjson: %s, trial %zu (%zu events) ===\n%s",
+              stem.c_str(), cell.point.label().c_str(), trial, journal.size(),
+              obs::explain(journal, /*only_problem_rounds=*/true).c_str());
+  return true;
+}
+
 /// Replay one trial per cell of the network campaign with the flight
-/// recorder attached and dump JOURNAL_network_<grid_index>.ndjson +
-/// explain timelines.  Journals stay off during the campaign itself (the
-/// trials above ran bare); the replay re-derives the trial's seed from its
-/// (base_seed, grid_index, trial_index) coordinates, so the re-run is the
-/// same simulation event-for-event and the artifact does not depend on
-/// the campaign's thread count.
+/// recorder attached and dump its journal (see write_journal).  Journals
+/// stay off during the campaign itself (the trials above ran bare); the
+/// replay re-derives the trial's seed from its (base_seed, grid_index,
+/// trial_index) coordinates, so the re-run is the same simulation
+/// event-for-event and the artifact does not depend on the campaign's
+/// thread count.
 bool write_network_journals(const exp::CampaignResult& result,
                             const std::string& dir) {
   const std::size_t rounds = apps::NetworkReliabilityCampaignOptions{}.rounds;
@@ -168,27 +192,16 @@ bool write_network_journals(const exp::CampaignResult& result,
     obs::EventJournal journal;
     config.journal = &journal;
     (void)apps::run_network_scenario(config);
-
-    std::string path = dir.empty() ? std::string() : dir + "/";
-    path += "JOURNAL_network_" + std::to_string(cell.grid_index) + ".ndjson";
-    if (!journal.write_ndjson(path)) {
-      std::fprintf(stderr, "campaign_runner: cannot write '%s'\n", path.c_str());
-      ok = false;
-      continue;
-    }
-    std::printf("\n=== journal %s: %s, trial %zu (%zu events) ===\n%s",
-                path.c_str(), cell.point.label().c_str(), trial, journal.size(),
-                obs::explain(journal, /*only_problem_rounds=*/true).c_str());
+    ok = write_journal(journal, dir, "network", cell, trial) && ok;
   }
   return ok;
 }
 
 /// Fleet counterpart of write_network_journals: per cell, re-run the
 /// lowest misjudging trial's whole fleet with the flight recorder
-/// attached and dump JOURNAL_fleet_<grid_index>.ndjson.  Only the
-/// problem rounds are explained on stdout — a fleet journal holds every
-/// device's events, so the full transcript would drown the interesting
-/// ones.
+/// attached and dump its journal.  Only the problem rounds are explained
+/// on stdout — a fleet journal holds every device's events, so the full
+/// transcript would drown the interesting ones.
 bool write_fleet_journals(const exp::CampaignResult& result,
                           const std::string& dir) {
   bool ok = true;
@@ -207,17 +220,7 @@ bool write_fleet_journals(const exp::CampaignResult& result,
     config.enforce_invariants = false;
     fleet::FleetVerifier verifier(config);
     (void)verifier.run();
-
-    std::string path = dir.empty() ? std::string() : dir + "/";
-    path += "JOURNAL_fleet_" + std::to_string(cell.grid_index) + ".ndjson";
-    if (!journal.write_ndjson(path)) {
-      std::fprintf(stderr, "campaign_runner: cannot write '%s'\n", path.c_str());
-      ok = false;
-      continue;
-    }
-    std::printf("\n=== journal %s: %s, trial %zu (%zu events) ===\n%s",
-                path.c_str(), cell.point.label().c_str(), trial, journal.size(),
-                obs::explain(journal, /*only_problem_rounds=*/true).c_str());
+    ok = write_journal(journal, dir, "fleet", cell, trial) && ok;
   }
   return ok;
 }

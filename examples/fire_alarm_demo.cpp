@@ -4,35 +4,31 @@
 ///
 /// Build & run:  ./build/examples/fire_alarm_demo
 ///
-/// Pass `--trace-out FILE` to capture the SMART-style atomic run as a
-/// Chrome trace_event JSON file; open it in chrome://tracing or Perfetto
-/// to see the fire-alarm CPU segments stall behind the nested
-/// attest.session > attest.measure span while the building burns.
-///
-/// Pass `--journal-out FILE` to capture the same run in the flight
-/// recorder (deadline hits/misses, the alarm raise) as NDJSON; a short
-/// event transcript is printed too.
+/// Either flag records the SMART-style atomic run in the flight recorder.
+/// `--trace-out FILE` writes it as a Chrome trace_event JSON file; open it
+/// in chrome://tracing or Perfetto to see the fire-alarm CPU segments
+/// stall behind the nested attest.session > attest.measure span while the
+/// building burns.  `--journal-out FILE` writes the same journal as NDJSON
+/// and prints a short event transcript.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "src/apps/scenario.hpp"
+#include "src/obs/chrome_trace.hpp"
 #include "src/obs/journal.hpp"
 #include "src/obs/timeline.hpp"
-#include "src/obs/trace.hpp"
 
 using namespace rasc;
 
 namespace {
 
-void run(const char* label, attest::ExecutionMode mode, obs::TraceSink* trace,
-         obs::EventJournal* journal) {
+void run(const char* label, attest::ExecutionMode mode, obs::EventJournal* journal) {
   apps::FireAlarmScenarioConfig config;
   config.modeled_memory_bytes = 1ull << 30;  // the paper's 1 GB prover
   config.mode = mode;
   config.fire_after_mp_start = 100 * sim::kMillisecond;
-  config.trace = trace;
   config.journal = journal;
 
   const auto outcome = apps::run_fire_alarm_scenario(config);
@@ -68,13 +64,12 @@ int main(int argc, char** argv) {
   std::printf("Fire alarm on an ODROID-class prover; 1 GB attested memory;\n");
   std::printf("the fire starts 100 ms after the measurement begins.\n\n");
 
-  obs::TraceSink sink;
   obs::EventJournal journal;
+  const bool record = !trace_out.empty() || !journal_out.empty();
   run("SMART-style atomic MP (uninterruptible)", attest::ExecutionMode::kAtomic,
-      trace_out.empty() ? nullptr : &sink,
-      journal_out.empty() ? nullptr : &journal);
+      record ? &journal : nullptr);
   run("Interruptible MP (block-granular preemption)",
-      attest::ExecutionMode::kInterruptible, nullptr, nullptr);
+      attest::ExecutionMode::kInterruptible, nullptr);
 
   if (!journal_out.empty()) {
     if (journal.write_ndjson(journal_out)) {
@@ -88,7 +83,7 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_out.empty()) {
-    if (sink.write_chrome_json(trace_out)) {
+    if (obs::write_chrome_json(journal, trace_out)) {
       std::printf("Chrome trace of the atomic run written to %s\n", trace_out.c_str());
       std::printf("(load it in chrome://tracing or https://ui.perfetto.dev)\n\n");
     } else {

@@ -30,11 +30,6 @@ void FireAlarmTask::complete_sample(sim::Time scheduled_at) {
   if (delay > max_delay_) max_delay_ = delay;
   const bool missed = delay > config_.deadline;
   if (missed) ++deadline_misses_;
-  auto* sink = device_.sim().trace_sink();
-  if (sink != nullptr && missed) {
-    sink->instant(now, "app/" + device_.id(), "fire_alarm.deadline_miss",
-                  {obs::arg("delay_ms", sim::to_millis(delay))});
-  }
   if (auto* j = device_.sim().journal()) {
     j->append(now, journal_actor_.get(*j, device_.id()), 0, 0,
               missed ? obs::JournalEventKind::kDeadlineMiss
@@ -50,10 +45,6 @@ void FireAlarmTask::complete_sample(sim::Time scheduled_at) {
   // time before this sample executes is seen now.
   if (fire_time_ && now >= *fire_time_ && !alarm_at_) {
     alarm_at_ = now;
-    if (sink != nullptr) {
-      sink->instant(now, "app/" + device_.id(), "fire_alarm.alarm_raised",
-                    {obs::arg("latency_ms", sim::to_millis(now - *fire_time_))});
-    }
     if (auto* j = device_.sim().journal()) {
       j->append(now, journal_actor_.get(*j, device_.id()), 0, 0,
                 obs::JournalEventKind::kAlarmRaised, now - *fire_time_, 0);

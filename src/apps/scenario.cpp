@@ -154,7 +154,6 @@ LockScenarioOutcome run_lock_scenario(const LockScenarioConfig& config) {
 
 NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config) {
   sim::Simulator simulator;
-  simulator.set_trace_sink(config.trace);
   simulator.set_journal(config.journal);
   sim::DeviceConfig dev_config;
   dev_config.id = "prv-net";
@@ -270,7 +269,6 @@ FireAlarmScenarioOutcome run_fire_alarm_scenario(const FireAlarmScenarioConfig& 
   dev_config.block_size = real_block_size;
   dev_config.attestation_key = support::to_bytes("fire-alarm-key");
   sim::Device device(simulator, dev_config);
-  simulator.set_trace_sink(config.trace);
   simulator.set_journal(config.journal);
   provision(device, config.provision_seed.value_or(0xf12e + config.seed));
   device.model().set_hash_time_scale(static_cast<double>(config.modeled_memory_bytes) /

@@ -21,7 +21,6 @@
 #include "src/obs/health.hpp"
 #include "src/obs/journal.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/trace.hpp"
 
 namespace rasc::apps {
 
@@ -95,13 +94,12 @@ struct FireAlarmScenarioConfig {
   std::shared_ptr<const attest::GoldenMeasurement> golden;
   /// Host-side digest cache on the prover (simulated timing unchanged).
   bool use_digest_cache = true;
-  /// Optional observability (not owned): `trace` captures the full device
-  /// timeline (CPU segments, measurement spans, alarm instants); `metrics`
-  /// accumulates fire_alarm.* counters and the sample-delay histogram.
-  obs::TraceSink* trace = nullptr;
+  /// Optional observability (not owned): `metrics` accumulates
+  /// fire_alarm.* counters and the sample-delay histogram; `journal`
+  /// records the full device timeline (CPU segments and waits, the
+  /// measurement window, deadline hits/misses, the alarm raise and, with a
+  /// digest cache, cache events).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Flight recorder capturing deadline hits/misses, alarm raises and (with
-  /// a digest cache) cache events.
   obs::EventJournal* journal = nullptr;
 };
 
@@ -149,10 +147,10 @@ struct NetworkScenarioConfig {
   /// becomes a false negative and kCompromised the correct verdict.
   bool infected = false;
   std::uint64_t seed = 1;
-  obs::TraceSink* trace = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   /// Flight recorder: link fates ("vrf->prv"/"prv->vrf" actors), session
-  /// attempts/backoffs/outcomes — the raw material for explain timelines.
+  /// attempts/backoffs/outcomes, protocol rounds and the prover's CPU and
+  /// measurement timeline — the raw material for explain timelines.
   obs::EventJournal* journal = nullptr;
   /// Fleet health rollup fed by the session (one record per round).
   obs::HealthRollup* health = nullptr;

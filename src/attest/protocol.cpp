@@ -56,6 +56,13 @@ OnDemandProtocol::OnDemandProtocol(sim::Device& prover_device, Verifier& verifie
       prv_to_vrf_(prv_to_vrf),
       config_(config) {}
 
+void OnDemandProtocol::journal(obs::JournalEventKind kind, sim::Time time,
+                               std::uint64_t a, std::uint64_t b) {
+  if (auto* j = device_.sim().journal()) {
+    j->append(time, j->intern(device_.id()), 0, 0, kind, a, b);
+  }
+}
+
 void OnDemandProtocol::run(std::uint64_t counter,
                            std::function<void(OnDemandTimings)> done) {
   auto timings = std::make_shared<OnDemandTimings>();
@@ -63,13 +70,6 @@ void OnDemandProtocol::run(std::uint64_t counter,
 
   const support::Bytes challenge = verifier_.issue_challenge(config_.challenge_size);
   timings->t_challenge_sent = sim.now();
-  if (auto* sink = sim.trace_sink()) {
-    sink->begin(sim.now(), "vrf", "ra.round", {obs::arg("counter", counter)});
-    sink->instant(sim.now(), "vrf", "vrf.challenge_sent");
-    // Flow arrow from this round's span to the measurement span it starts
-    // on the prover track (finished at t_mp_started below).
-    sink->flow_start(sim.now(), "vrf", "ra.challenge", counter);
-  }
 
   support::Bytes request_wire =
       seal_challenge_request({counter, challenge}, device_.attestation_key());
@@ -80,27 +80,24 @@ void OnDemandProtocol::run(std::uint64_t counter,
         open_challenge_request(request_bytes, device_.attestation_key());
     if (!request) {
       ++rejected_auth_;
-      if (auto* sink = sim.trace_sink()) {
-        sink->instant(sim.now(), "prv", "prv.request_rejected_auth");
-      }
+      journal(obs::JournalEventKind::kRequestRejected, sim.now(),
+              static_cast<std::uint64_t>(obs::RequestRejection::kBadMac), 0);
       return;
     }
     if (prover_counter_seen_ && request->counter <= prover_last_counter_) {
       ++rejected_replay_;
-      if (auto* sink = sim.trace_sink()) {
-        sink->instant(sim.now(), "prv", "prv.request_rejected_replay",
-                      {obs::arg("counter", request->counter)});
-      }
+      journal(obs::JournalEventKind::kRequestRejected, sim.now(),
+              static_cast<std::uint64_t>(obs::RequestRejection::kReplayedCounter),
+              request->counter);
       return;
     }
     if (mp_.busy()) {
       // A measurement for an earlier request is still running; that
       // request's report will answer the verifier (or time out upstream).
       ++ignored_busy_;
-      if (auto* sink = sim.trace_sink()) {
-        sink->instant(sim.now(), "prv", "prv.request_ignored_busy",
-                      {obs::arg("counter", request->counter)});
-      }
+      journal(obs::JournalEventKind::kRequestRejected, sim.now(),
+              static_cast<std::uint64_t>(obs::RequestRejection::kMeasurementBusy),
+              request->counter);
       return;
     }
     prover_counter_seen_ = true;
@@ -114,7 +111,6 @@ void OnDemandProtocol::run(std::uint64_t counter,
                                                  done = std::move(done)]() mutable {
       --pending_events_;
       timings->t_mp_started = device_.sim().now();
-      const std::uint64_t req_counter = request.counter;
       MeasurementContext context{device_.id(), std::move(request.challenge),
                                  request.counter};
       auto on_measured = [this, timings, done = std::move(done)](
@@ -125,22 +121,11 @@ void OnDemandProtocol::run(std::uint64_t counter,
         timings->attestation = std::move(result);
 
         // Ship the report; the wire bytes are what the verifier judges.
-        // Flow arrow from the measurement span back to the verifier round
-        // (finished at vrf.report_received).
-        if (auto* sink = device_.sim().trace_sink()) {
-          sink->flow_start(device_.sim().now(), mp_.trace_track(), "ra.report",
-                           timings->attestation.report.counter);
-        }
         prv_to_vrf_.send(serialize_report_wire(timings->attestation.report),
                          [this, timings, done = std::move(done)](
                              support::Bytes report_wire) mutable {
           auto& sim = device_.sim();
           timings->t_report_received = sim.now();
-          if (auto* sink = sim.trace_sink()) {
-            sink->instant(sim.now(), "vrf", "vrf.report_received");
-            sink->flow_finish(sim.now(), "vrf", "ra.report",
-                              timings->attestation.report.counter);
-          }
           ++pending_events_;
           sim.schedule_in(config_.verify_delay,
                           [this, timings, report_wire = std::move(report_wire),
@@ -156,22 +141,14 @@ void OnDemandProtocol::run(std::uint64_t counter,
               timings->outcome.challenge_ok = false;
               timings->outcome.counter_ok = false;
             }
-            if (auto* sink = device_.sim().trace_sink()) {
-              sink->end(timings->t_verified, "vrf",
-                        {obs::arg("verdict",
-                                  std::string(timings->outcome.ok() ? "ok" : "fail"))});
-            }
+            journal(obs::JournalEventKind::kProtocolRound, timings->t_challenge_sent,
+                    timings->attestation.report.counter,
+                    timings->t_verified - timings->t_challenge_sent);
             done(*timings);
           });
         });
       };
       mp_.start(std::move(context), std::move(on_measured));
-      // The measurement span just opened on the prover track; land the
-      // challenge flow arrow on it.
-      if (auto* sink = device_.sim().trace_sink()) {
-        sink->flow_finish(timings->t_mp_started, mp_.trace_track(), "ra.challenge",
-                          req_counter);
-      }
     });
   });
 }

@@ -120,6 +120,10 @@ class OnDemandProtocol {
   }
 
  private:
+  /// Journal under the prover device's id (no-op without a journal).
+  void journal(obs::JournalEventKind kind, sim::Time time, std::uint64_t a,
+               std::uint64_t b);
+
   sim::Device& device_;
   Verifier& verifier_;
   AttestationProcess& mp_;

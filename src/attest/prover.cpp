@@ -19,8 +19,7 @@ AttestationProcess::AttestationProcess(sim::Device& device, ProverConfig config,
     : sim::Process("attest/" + execution_mode_name(config.mode), config.priority),
       device_(device),
       config_(config),
-      policy_(policy),
-      trace_track_("attest/" + device.id()) {}
+      policy_(policy) {}
 
 sim::Duration AttestationProcess::block_cost() const {
   const std::size_t block_size = device_.memory().block_size();
@@ -193,13 +192,7 @@ void AttestationProcess::start(MeasurementContext context,
   result_.order = order_;
   done_ = std::move(done);
   stage_ = Stage::kLock;
-  if (auto* sink = device_.sim().trace_sink()) {
-    sink->begin(device_.sim().now(), trace_track(), "attest.session",
-                {obs::arg("counter", measurement_->context().counter),
-                 obs::arg("mode", execution_mode_name(config_.mode)),
-                 obs::arg("order", traversal_order_name(config_.order)),
-                 obs::arg("blocks", static_cast<std::uint64_t>(order_.size()))});
-  }
+  requested_at_ = device_.sim().now();
   device_.cpu().make_ready(*this);
 }
 
@@ -240,10 +233,6 @@ std::optional<sim::Segment> AttestationProcess::next_segment() {
 
 void AttestationProcess::complete_lock() {
   result_.t_s = device_.sim().now();
-  if (auto* sink = device_.sim().trace_sink()) {
-    sink->instant(result_.t_s, trace_track(), "attest.t_s");
-    sink->begin(result_.t_s, trace_track(), "attest.measure");
-  }
   if (config_.zero_region) {
     // Zero before the lock engages (attestation code scrubbing D).
     auto& mem = device_.memory();
@@ -323,12 +312,6 @@ void AttestationProcess::complete_combine() { finish(); }
 void AttestationProcess::finish() {
   auto& mem = device_.memory();
   result_.t_e = device_.sim().now();
-  if (auto* sink = device_.sim().trace_sink()) {
-    // Close "attest.measure" (innermost), then "attest.session".
-    sink->end(result_.t_e, trace_track());
-    sink->instant(result_.t_e, trace_track(), "attest.t_e");
-    sink->end(result_.t_e, trace_track());
-  }
   if (policy_) policy_->on_end(mem, config_.coverage);
 
   Report report;
@@ -395,16 +378,14 @@ void AttestationProcess::finish() {
 
   const sim::Duration delay = policy_ ? policy_->release_delay() : 0;
   result_.t_r = result_.t_e + delay;
-  if (auto* sink = device_.sim().trace_sink()) {
-    if (delay == 0) {
-      sink->instant(result_.t_r, trace_track(), "attest.t_r");
-    } else {
-      device_.sim().schedule_in(delay, [this] {
-        if (auto* s = device_.sim().trace_sink()) {
-          s->instant(device_.sim().now(), trace_track(), "attest.t_r");
-        }
-      });
-    }
+  if (auto* j = device_.sim().journal()) {
+    // The whole window is known now: the session span (request -> t_e),
+    // then the measurement (t_s -> t_e, lock held until t_r).
+    const std::uint32_t actor = j->intern(device_.id());
+    j->append(requested_at_, actor, 0, 0, obs::JournalEventKind::kProverSession,
+              result_.report.counter, result_.t_e - requested_at_);
+    j->append(result_.t_s, actor, 0, 0, obs::JournalEventKind::kProverMeasure, delay,
+              result_.t_e - result_.t_s);
   }
   if (policy_) {
     if (delay == 0) {

@@ -171,10 +171,6 @@ class AttestationProcess final : public sim::Process {
   sim::Duration block_cost() const;
   sim::Duration finalize_cost() const;
 
-  /// Trace row for this prover's session/measure spans and the t_s, t_e,
-  /// t_r instants: "attest/<device-id>".
-  const std::string& trace_track() const noexcept { return trace_track_; }
-
   // sim::Process
   std::optional<sim::Segment> next_segment() override;
 
@@ -195,7 +191,6 @@ class AttestationProcess final : public sim::Process {
   LockPolicy* policy_;
   DigestCache digest_cache_;
   DigestCache* shared_digest_cache_ = nullptr;
-  std::string trace_track_;
   crypto::Signer* signer_ = nullptr;
   std::function<void(std::size_t, std::size_t)> observer_;
 
@@ -212,6 +207,7 @@ class AttestationProcess final : public sim::Process {
   std::vector<std::size_t> order_;
   std::vector<support::ByteView> batch_contents_;  ///< complete_atomic scratch
   std::size_t next_index_ = 0;
+  sim::Time requested_at_ = 0;  ///< start() time, opens the journaled session span
   AttestationResult result_;
   std::function<void(AttestationResult)> done_;
 };

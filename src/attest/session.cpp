@@ -75,11 +75,6 @@ void ReliableSession::start_attempt() {
   ++state_->result.attempts;
   state_->waiting_response = true;
   const std::uint64_t seq = state_->round_seq;
-  if (auto* sink = sim.trace_sink()) {
-    sink->instant(sim.now(), "session", "session.attempt",
-                  {obs::arg("attempt",
-                            static_cast<std::uint64_t>(state_->result.attempts))});
-  }
   const std::uint64_t counter = next_counter_++;
   journal(obs::JournalEventKind::kSessionAttempt, seq, state_->result.attempts,
           counter);
@@ -148,9 +143,6 @@ void ReliableSession::on_attempt_timeout(std::uint64_t round_seq) {
   journal(obs::JournalEventKind::kSessionAttemptTimeout, round_seq,
           result.attempts);
   state_->waiting_response = false;
-  if (auto* sink = device_.sim().trace_sink()) {
-    sink->instant(device_.sim().now(), "session", "session.attempt_timeout");
-  }
   if (result.attempts >= config_.max_attempts) {
     // Exhausted.  Classify by the best evidence heard this round: garbled
     // answers beat stale ones beat pure silence.
@@ -190,10 +182,6 @@ void ReliableSession::schedule_retry() {
   count("session.retries");
   journal(obs::JournalEventKind::kSessionBackoff, state_->round_seq,
           result.attempts, backoff);
-  if (auto* sink = sim.trace_sink()) {
-    sink->instant(sim.now(), "session", "session.retry_scheduled",
-                  {obs::arg("backoff_ms", sim::to_millis(backoff))});
-  }
   const std::uint64_t seq = state_->round_seq;
   state_->retry = sim.schedule_in(backoff, [this, seq] {
     if (state_ == nullptr || state_->round_seq != seq) return;
@@ -278,12 +266,6 @@ void ReliableSession::resolve(SessionOutcome outcome) {
         ->histogram("session.round_latency_ms",
                     obs::Histogram::default_latency_bounds_ms())
         .record(sim::to_millis(result.t_resolved - result.t_started));
-  }
-  if (auto* sink = sim.trace_sink()) {
-    sink->instant(result.t_resolved, "session", "session.resolved",
-                  {obs::arg("outcome", session_outcome_name(outcome)),
-                   obs::arg("attempts",
-                            static_cast<std::uint64_t>(result.attempts))});
   }
 
   // Pop the state before invoking the callback so `done` may immediately

@@ -30,6 +30,11 @@ std::size_t resolve_shards(const FleetConfig& config) noexcept {
   return std::max<std::size_t>(autos, 1);
 }
 
+ShardMap shard_map(const FleetConfig& config) noexcept {
+  const std::size_t shards = resolve_shards(config);
+  return {shards, (config.devices + shards - 1) / shards};
+}
+
 std::pair<std::size_t, std::size_t> infection_range(const FleetConfig& config) noexcept {
   const std::size_t count =
       std::min(std::max<std::size_t>(config.infection_blocks, 1), config.blocks);
@@ -99,7 +104,7 @@ constexpr std::uint64_t kRosterSalt = 0x1f3c7ed1;
 /// Estimated bytes of one DigestCache slot (the Slot layout is private;
 /// the accounting only needs a stable, order-of-magnitude figure).
 constexpr std::size_t kDigestCacheSlotBytes = sizeof(attest::Digest) + 32;
-/// Per-device label strings (device id, trace tracks, session label) —
+/// Per-device label strings (device id, link names, session label) —
 /// small and constant in N, estimated rather than introspected.
 constexpr std::size_t kPerDeviceStringBytes = 128;
 constexpr std::size_t kKeyBytes = 16;
@@ -348,8 +353,7 @@ struct DeviceStack {
 struct FleetVerifier::Impl {
   FleetConfig config;
   Roster roster;
-  std::size_t shard_count = 1;
-  std::size_t devices_per_shard = 1;
+  detail::ShardMap shard_map;
   bool hibernation = false;  ///< config.max_live_stacks != 0
   std::size_t wave = 1;      ///< resolved admission wave size
   std::size_t history = 1;   ///< resolved per-device round-history depth
@@ -401,21 +405,20 @@ struct FleetVerifier::Impl {
           "FleetConfig.max_live_stacks requires share_golden and "
           "share_digest_cache (a hibernating stack must not own them)");
     }
-    shard_count = detail::resolve_shards(config);
-    devices_per_shard = (config.devices + shard_count - 1) / shard_count;
+    shard_map = detail::shard_map(config);
     wave = config.wave_size != 0
                ? config.wave_size
                : std::min(std::max<std::size_t>(config.devices / 64, 1),
-                          devices_per_shard);
+                          shard_map.devices_per_shard);
     history = config.max_round_history == 0
                   ? config.epochs
                   : std::min(config.max_round_history, config.epochs);
 
     simulator.set_journal(config.journal);
 
-    shards.reserve(shard_count);
-    shard_key_fps.reserve(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
+    shards.reserve(shard_map.shards);
+    shard_key_fps.reserve(shard_map.shards);
+    for (std::size_t s = 0; s < shard_map.shards; ++s) {
       shards.push_back(make_shard_state(config, s));
       shard_key_fps.push_back(key_fingerprint(shards.back().key));
     }
@@ -446,7 +449,7 @@ struct FleetVerifier::Impl {
   }
 
   std::size_t shard_of(std::size_t device) const noexcept {
-    return std::min(device / devices_per_shard, shard_count - 1);
+    return shard_map.shard_of(device);
   }
 
   void journal_fleet(obs::JournalEventKind kind, std::size_t d, std::uint64_t a,
@@ -539,7 +542,7 @@ struct FleetVerifier::Impl {
       case StaggerPolicy::kUniform:
         return span_ns * device / config.devices;
       case StaggerPolicy::kShardPhased:
-        return span_ns * shard_of(device) / shard_count;
+        return span_ns * shard_of(device) / shard_map.shards;
     }
     return 0;
   }
@@ -553,7 +556,7 @@ struct FleetVerifier::Impl {
   /// shard golden and the wave admits with one batched provisioning pass.
   std::size_t wave_end(std::size_t first) const noexcept {
     return std::min({first + wave,
-                     (shard_of(first) + 1) * devices_per_shard,
+                     (shard_of(first) + 1) * shard_map.devices_per_shard,
                      static_cast<std::size_t>(config.devices)});
   }
 
@@ -566,7 +569,9 @@ struct FleetVerifier::Impl {
   void schedule_epoch(std::size_t epoch) {
     const sim::Time start = static_cast<sim::Time>(epoch) * config.epoch_period;
     auto step = std::make_shared<std::function<void(std::size_t)>>();
-    *step = [this, start, step](std::size_t next) {
+    // The pending event owns the chain; the chain only refers back to
+    // itself weakly, so it is freed once its last event has fired.
+    *step = [this, start, self = std::weak_ptr(step)](std::size_t next) {
       ++result.admission_events;
       while (next < config.devices &&
              start + stagger_offset(next) <= simulator.now()) {
@@ -576,7 +581,7 @@ struct FleetVerifier::Impl {
       }
       if (next < config.devices) {
         simulator.schedule_at(start + stagger_offset(next),
-                              [step, next] { (*step)(next); });
+                              [step = self.lock(), next] { (*step)(next); });
       }
     };
     simulator.schedule_at(start, [step] { (*step)(0); });
@@ -917,7 +922,7 @@ struct FleetVerifier::Impl {
     ran = true;
     result.devices = config.devices;
     result.epochs = config.epochs;
-    result.shards = shard_count;
+    result.shards = shard_map.shards;
     result.round_history = history;
     result.wave_size = wave;
     result.rounds.resize(config.devices * history);
@@ -938,7 +943,7 @@ FleetVerifier::FleetVerifier(FleetConfig config)
     : FleetVerifier(config,
                     Roster::with_infected_fraction(
                         config.devices, config.infected_fraction,
-                        detail::device_stream(config.seed, 0, 0x1f3c7ed1))) {}
+                        detail::device_stream(config.seed, 0, kRosterSalt))) {}
 
 FleetVerifier::FleetVerifier(FleetConfig config, Roster roster)
     : impl_(std::make_unique<Impl>(std::move(config), std::move(roster))) {}
@@ -949,7 +954,7 @@ FleetResult FleetVerifier::run() { return impl_->run(); }
 
 const Roster& FleetVerifier::roster() const noexcept { return impl_->roster; }
 std::size_t FleetVerifier::shard_count() const noexcept {
-  return impl_->shard_count;
+  return impl_->shard_map.shards;
 }
 std::size_t FleetVerifier::shard_of(std::size_t device) const noexcept {
   return impl_->shard_of(device);
@@ -964,11 +969,7 @@ std::vector<obs::RoundOutcome> replay_device(
   if (device >= config.devices) {
     throw std::out_of_range("replay_device: device index out of range");
   }
-  const std::size_t shard_count = detail::resolve_shards(config);
-  const std::size_t devices_per_shard =
-      (config.devices + shard_count - 1) / shard_count;
-  const std::size_t shard_index =
-      std::min(device / devices_per_shard, shard_count - 1);
+  const std::size_t shard_index = detail::shard_map(config).shard_of(device);
 
   sim::Simulator simulator;
   // Fresh shard state: own golden, own digest cache (shared only with

@@ -28,6 +28,7 @@
 /// and replay_device() can re-run any single device's rounds in a fresh
 /// simulator and reproduce the fleet's verdicts exactly.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -336,6 +337,16 @@ std::uint64_t shard_stream(std::uint64_t fleet_seed, std::uint64_t shard,
                            std::uint64_t salt) noexcept;
 /// Effective shard count for a config (resolves the 0 = auto rule).
 std::size_t resolve_shards(const FleetConfig& config) noexcept;
+/// Contiguous shard ranges of a config; the last shard takes the
+/// remainder.  The fleet and replay_device share this one mapping.
+struct ShardMap {
+  std::size_t shards = 1;
+  std::size_t devices_per_shard = 1;
+  std::size_t shard_of(std::size_t device) const noexcept {
+    return std::min(device / devices_per_shard, shards - 1);
+  }
+};
+ShardMap shard_map(const FleetConfig& config) noexcept;
 /// Ground-truth infected block range {first, count} for a config —
 /// exactly the blocks DeviceStack patches on infected devices (the range
 /// the chaos tests compare the verifier's localization against).

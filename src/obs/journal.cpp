@@ -33,6 +33,21 @@ std::string_view journal_event_kind_name(JournalEventKind kind) {
     case JournalEventKind::kMtreeProof: return "mtree.proof";
     case JournalEventKind::kFleetHibernate: return "fleet.hibernate";
     case JournalEventKind::kFleetWake: return "fleet.wake";
+    case JournalEventKind::kCpuSegment: return "cpu.segment";
+    case JournalEventKind::kCpuWait: return "cpu.wait";
+    case JournalEventKind::kProverSession: return "attest.session";
+    case JournalEventKind::kProverMeasure: return "attest.measure";
+    case JournalEventKind::kProtocolRound: return "ra.round";
+    case JournalEventKind::kRequestRejected: return "ra.request_rejected";
+    case JournalEventKind::kMemLockedBlocks: return "mem.locked_blocks";
+    case JournalEventKind::kMemBlockedWrite: return "mem.blocked_write";
+    case JournalEventKind::kSimQueueDepth: return "sim.queue_depth";
+    case JournalEventKind::kSeedReplayRejected: return "seed.replay_rejected";
+    case JournalEventKind::kSeedBadReport: return "seed.bad_report";
+    case JournalEventKind::kSeedMissingEpoch: return "seed.missing_epoch";
+    case JournalEventKind::kErasmusDeferral: return "erasmus.deferral";
+    case JournalEventKind::kErasmusStored: return "erasmus.stored";
+    case JournalEventKind::kSmarmRound: return "smarm.round";
   }
   return "?";
 }
@@ -50,7 +65,7 @@ void EventJournal::set_capacity(std::size_t capacity) {
 
 std::uint32_t EventJournal::intern(std::string_view name) {
   if (names_.empty()) names_.emplace_back("?");
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   auto id = static_cast<std::uint32_t>(names_.size());
   names_.emplace_back(name);

@@ -1,11 +1,11 @@
 #pragma once
 /// \file journal.hpp
 /// Flight-recorder event journal: a bounded ring buffer of fixed-size
-/// typed events keyed to simulated time.  Where the TraceSink answers
-/// "what does the timeline look like" (Chrome-trace spans for a human in
-/// Perfetto), the journal answers "what exactly happened, in order, to
-/// this device/session/round" — a structured, queryable record that a
-/// campaign misjudge can be *explained* from (see timeline.hpp).
+/// typed events keyed to simulated time — the one event recorder of the
+/// stack.  It answers "what exactly happened, in order, to this
+/// device/session/round": a structured, queryable record that a campaign
+/// misjudge can be *explained* from (see timeline.hpp) and that renders
+/// as a Chrome/Perfetto timeline (see chrome_trace.hpp).
 ///
 /// Design constraints, matching the PR-4 hot-path ethos:
 ///  - events are POD (timestamp, interned actor id, session/round ids,
@@ -13,12 +13,13 @@
 ///  - the ring is preallocated; when full the OLDEST events are
 ///    overwritten first (flight-recorder semantics) and dropped() counts;
 ///  - the disabled path is a single null-pointer branch at each event
-///    site (`if (auto* j = sim.journal()) ...`), exactly like trace_sink;
+///    site (`if (auto* j = sim.journal()) ...`);
 ///  - NDJSON export is a pure function of the recorded events, so a
 ///    journal captured from a deterministic simulation is byte-identical
 ///    across runs and thread counts like every other artifact.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -66,7 +67,31 @@ enum class JournalEventKind : std::uint8_t {
   // so existing numeric payloads keep their values).
   kFleetHibernate,  ///< a = rounds resolved so far, b = live stacks after
   kFleetWake,       ///< a = wakes of this device so far, b = live stacks after
+  // Timeline kinds (appended at the end so existing numeric payloads keep
+  // their values).  A span is ONE event, appended once its extent is
+  // known: time = span start, b = duration.
+  kCpuSegment,      ///< actor = device; a = interned process name, b = duration
+  kCpuWait,         ///< actor = device; a = interned process name, b = ready->dispatch wait
+  kProverSession,   ///< actor = device; MP request..t_e: a = protocol counter, b = duration
+  kProverMeasure,   ///< actor = device; time = t_s, a = t_r - t_e, b = t_e - t_s
+  kProtocolRound,   ///< actor = prover device; challenge..verdict: a = counter, b = duration
+  kRequestRejected, ///< actor = prover device; a = RequestRejection, b = counter
+  kMemLockedBlocks, ///< actor = device; a = blocks currently locked
+  kMemBlockedWrite, ///< actor = device; a = block, b = sim::Actor of the writer
+  kSimQueueDepth,   ///< actor = "queue"; a = pending events (every 4096th dispatch)
+  kSeedReplayRejected,  ///< actor = "vrf"; a = epoch
+  kSeedBadReport,       ///< actor = "vrf"; a = epoch
+  kSeedMissingEpoch,    ///< actor = "vrf"; a = epoch
+  kErasmusDeferral,     ///< actor = device; a = ErasmusDeferral cause
+  kErasmusStored,       ///< actor = device; a = report counter, b = history length
+  kSmarmRound,          ///< actor = device; round = SMARM round, a = detected, b = duration
 };
+
+/// Why OnDemandProtocol refused a challenge request (kRequestRejected.a).
+enum class RequestRejection : std::uint8_t { kBadMac, kReplayedCounter, kMeasurementBusy };
+
+/// Why an ERASMUS tick did not measure (kErasmusDeferral.a).
+enum class ErasmusDeferral : std::uint8_t { kMeasurementBusy, kCpuBusy };
 
 /// Stable machine name ("link.drop", "session.resolved", ...).
 std::string_view journal_event_kind_name(JournalEventKind kind);
@@ -142,7 +167,8 @@ class EventJournal {
   // -- query ------------------------------------------------------------------
   std::vector<JournalEvent> select(const JournalFilter& filter) const;
   std::size_t count(const JournalFilter& filter) const;
-  /// First retained event matching, in time order.
+  /// First retained event matching, in append order (time order, except
+  /// that a span kind is appended at its end but stamped with its start).
   std::optional<JournalEvent> first(const JournalFilter& filter) const;
 
   // -- export -----------------------------------------------------------------
@@ -160,8 +186,16 @@ class EventJournal {
   std::size_t size_ = 0;
   std::uint64_t appended_ = 0;
   std::uint64_t dropped_ = 0;
+  /// Transparent hashing: intern() looks names up without building a
+  /// std::string, so per-event interning (CPU process names) stays cheap.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
   std::vector<std::string> names_;  ///< index 0 = "?"
-  std::unordered_map<std::string, std::uint32_t> ids_;
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>> ids_;
 };
 
 /// Caches one interned actor id so instrumented hot paths pay the intern

@@ -28,9 +28,13 @@ std::string outcome_label(std::uint64_t a) {
   return "unresolved";
 }
 
+std::string span(const char* what, std::uint64_t value, TimeNs duration) {
+  return std::string(what) + std::to_string(value) + " for " + ms_fixed(duration) + " ms";
+}
+
 /// Kind-specific argument rendering; keep each line self-describing so a
 /// transcript reads without the journal schema at hand.
-std::string describe(const JournalEvent& ev) {
+std::string describe(const JournalEvent& ev, const EventJournal& journal) {
   switch (ev.kind) {
     case JournalEventKind::kLinkSend:
     case JournalEventKind::kLinkDeliver:
@@ -80,6 +84,38 @@ std::string describe(const JournalEvent& ev) {
       return "rounds=" + std::to_string(ev.a) + " pool=" + std::to_string(ev.b);
     case JournalEventKind::kFleetWake:
       return "wake #" + std::to_string(ev.a) + " pool=" + std::to_string(ev.b);
+    case JournalEventKind::kCpuSegment:
+    case JournalEventKind::kCpuWait:
+      return journal.actor_name(static_cast<std::uint32_t>(ev.a)) + " for " +
+             ms_fixed(ev.b) + " ms";
+    case JournalEventKind::kProverSession:
+    case JournalEventKind::kProtocolRound:
+      return span("counter=", ev.a, ev.b);
+    case JournalEventKind::kProverMeasure:
+      return "t_s..t_e " + ms_fixed(ev.b) + " ms, lock held " + ms_fixed(ev.a) +
+             " ms past t_e";
+    case JournalEventKind::kRequestRejected: {
+      static constexpr const char* kReasons[] = {"bad MAC", "replayed counter",
+                                                 "MP busy"};
+      return std::string(ev.a < 3 ? kReasons[ev.a] : "?") + ", counter=" +
+             std::to_string(ev.b);
+    }
+    case JournalEventKind::kMemLockedBlocks:
+      return "locked=" + std::to_string(ev.a);
+    case JournalEventKind::kMemBlockedWrite:
+      return "block=" + std::to_string(ev.a) + " writer=" + std::to_string(ev.b);
+    case JournalEventKind::kSimQueueDepth:
+      return "pending=" + std::to_string(ev.a);
+    case JournalEventKind::kSeedReplayRejected:
+    case JournalEventKind::kSeedBadReport:
+    case JournalEventKind::kSeedMissingEpoch:
+      return "epoch=" + std::to_string(ev.a);
+    case JournalEventKind::kErasmusDeferral:
+      return ev.a == 0 ? "MP busy" : "CPU busy";
+    case JournalEventKind::kErasmusStored:
+      return "counter=" + std::to_string(ev.a) + " history=" + std::to_string(ev.b);
+    case JournalEventKind::kSmarmRound:
+      return span("detected=", ev.a, ev.b);
   }
   return "";
 }
@@ -88,7 +124,7 @@ void append_event_line(std::string& out, const JournalEvent& ev, TimeNs origin,
                        const EventJournal& journal) {
   char line[160];
   std::string what(journal_event_kind_name(ev.kind));
-  std::string detail = describe(ev);
+  std::string detail = describe(ev, journal);
   std::snprintf(line, sizeof(line), "  %12s  %-24s %s [%s]\n",
                 ms_offset(ev.time, origin).c_str(), what.c_str(), detail.c_str(),
                 journal.actor_name(ev.actor).c_str());

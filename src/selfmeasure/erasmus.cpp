@@ -26,23 +26,23 @@ void ErasmusProver::start(sim::Time until) {
   }
 }
 
+void ErasmusProver::journal(obs::JournalEventKind kind, std::uint64_t a, std::uint64_t b) {
+  auto& sim = device_.sim();
+  if (auto* j = sim.journal()) j->append(sim.now(), j->intern(device_.id()), 0, 0, kind, a, b);
+}
+
 void ErasmusProver::tick() {
-  auto* sink = device_.sim().trace_sink();
   if (mp_.busy()) {
     ++deferrals_;  // previous measurement overran its slot
-    if (sink != nullptr) {
-      sink->instant(device_.sim().now(), "erasmus", "erasmus.deferral",
-                    {obs::arg("cause", std::string("mp-busy"))});
-    }
+    journal(obs::JournalEventKind::kErasmusDeferral,
+            static_cast<std::uint64_t>(obs::ErasmusDeferral::kMeasurementBusy));
     return;
   }
   if (config_.context_aware && device_.cpu().busy()) {
     // Give way to the application: retry shortly instead of contending.
     ++deferrals_;
-    if (sink != nullptr) {
-      sink->instant(device_.sim().now(), "erasmus", "erasmus.deferral",
-                    {obs::arg("cause", std::string("cpu-busy"))});
-    }
+    journal(obs::JournalEventKind::kErasmusDeferral,
+            static_cast<std::uint64_t>(obs::ErasmusDeferral::kCpuBusy));
     device_.sim().schedule_in(10 * sim::kMillisecond, [this] {
       if (device_.sim().now() < until_) tick();
     });
@@ -65,11 +65,7 @@ void ErasmusProver::measure_on_demand(support::Bytes challenge,
 
 void ErasmusProver::store(attest::Report report) {
   measurement_times_.push_back(report.t_end);
-  if (auto* sink = device_.sim().trace_sink()) {
-    sink->instant(device_.sim().now(), "erasmus", "erasmus.stored",
-                  {obs::arg("counter", report.counter),
-                   obs::arg("history", static_cast<std::uint64_t>(history_.size() + 1))});
-  }
+  journal(obs::JournalEventKind::kErasmusStored, report.counter, history_.size() + 1);
   history_.push_back(std::move(report));
   if (history_.size() > config_.history_capacity) history_.pop_front();
 }

@@ -61,6 +61,7 @@ class ErasmusProver {
  private:
   void tick();
   void store(attest::Report report);
+  void journal(obs::JournalEventKind kind, std::uint64_t a, std::uint64_t b = 0);
 
   sim::Device& device_;
   ErasmusConfig config_;

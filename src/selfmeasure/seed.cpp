@@ -43,20 +43,12 @@ void SeedProver::start(sim::Time until) {
 
 void SeedProver::attest_epoch(std::uint64_t index) {
   if (mp_.busy()) return;  // previous epoch's measurement overran
-  if (auto* sink = device_.sim().trace_sink()) {
-    sink->instant(device_.sim().now(), "seed", "seed.epoch_start",
-                  {obs::arg("epoch", index)});
-  }
   // Counter = epoch index + 1 binds the report to its slot (replay of an
   // older report carries a stale counter and fails verification).
   attest::MeasurementContext context{device_.id(), {}, index + 1};
   mp_.start(std::move(context), [this](attest::AttestationResult result) {
     measurement_times_.push_back(result.t_e);
     ++sent_;
-    if (auto* sink = device_.sim().trace_sink()) {
-      sink->instant(device_.sim().now(), "seed", "seed.report_sent",
-                    {obs::arg("counter", result.report.counter)});
-    }
     auto report = std::make_shared<attest::Report>(std::move(result.report));
     support::Bytes payload = report->serialize_body();
     support::append(payload, report->mac);
@@ -90,6 +82,10 @@ void SeedVerifier::count(const char* metric) const {
   if (metrics_ != nullptr) metrics_->counter(metric).inc();
 }
 
+void SeedVerifier::journal(obs::JournalEventKind kind, std::uint64_t epoch) {
+  if (auto* j = sim_.journal()) j->append(sim_.now(), j->intern("vrf"), 0, 0, kind, epoch);
+}
+
 void SeedVerifier::on_report(const attest::Report& report) {
   if (report.counter == 0 || report.counter > outcomes_.size()) {
     ++replays_rejected_;
@@ -100,10 +96,7 @@ void SeedVerifier::on_report(const attest::Report& report) {
   if (outcome.received) {  // duplicate/replay within the same epoch
     ++replays_rejected_;
     count("seed.replays_rejected");
-    if (auto* sink = sim_.trace_sink()) {
-      sink->instant(sim_.now(), "seed", "seed.replay_rejected",
-                    {obs::arg("epoch", outcome.epoch)});
-    }
+    journal(obs::JournalEventKind::kSeedReplayRejected, outcome.epoch);
     return;
   }
   outcome.received = true;
@@ -112,10 +105,7 @@ void SeedVerifier::on_report(const attest::Report& report) {
   outcome.verified_ok = verdict.ok();
   if (!outcome.verified_ok) {
     count("seed.bad_reports");
-    if (auto* sink = sim_.trace_sink()) {
-      sink->instant(sim_.now(), "seed", "seed.bad_report",
-                    {obs::arg("epoch", outcome.epoch)});
-    }
+    journal(obs::JournalEventKind::kSeedBadReport, outcome.epoch);
   }
 }
 
@@ -125,10 +115,7 @@ void SeedVerifier::close_epoch(std::size_t slot) {
   if (!outcome.received) {
     outcome.missing = true;
     count("seed.missing_epochs");
-    if (auto* sink = sim_.trace_sink()) {
-      sink->instant(sim_.now(), "seed", "seed.missing_epoch",
-                    {obs::arg("epoch", outcome.epoch)});
-    }
+    journal(obs::JournalEventKind::kSeedMissingEpoch, outcome.epoch);
   }
 }
 

@@ -107,6 +107,8 @@ class SeedVerifier {
  private:
   void close_epoch(std::size_t slot);
   void count(const char* metric) const;
+  /// Journal a verifier-side epoch event under the actor "vrf".
+  void journal(obs::JournalEventKind kind, std::uint64_t epoch);
 
   sim::Simulator& sim_;
   attest::Verifier& verifier_;

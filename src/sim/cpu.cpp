@@ -26,12 +26,11 @@ Duration Cpu::consumed(const std::string& name) const {
   return it == consumed_.end() ? 0 : it->second;
 }
 
-void Cpu::set_trace_capacity(std::size_t cap) {
-  trace_capacity_ = cap;
-  if (cap != 0 && trace_.size() > cap) {
-    trace_evicted_ += trace_.size() - cap;
-    trace_.erase(trace_.begin(),
-                 trace_.begin() + static_cast<std::ptrdiff_t>(trace_.size() - cap));
+void Cpu::journal_span(obs::JournalEventKind kind, Time start, const Process& p,
+                       Duration duration) {
+  if (auto* j = sim_.journal()) {
+    j->append(start, j->intern(owner_), 0, 0, kind, j->intern(p.name()),
+              duration);
   }
 }
 
@@ -55,18 +54,7 @@ void Cpu::record_segment(Time start, const Process& p, Duration duration) {
   } else {
     consumed_["(other)"] += duration;
   }
-
-  if (trace_enabled_) {
-    if (trace_capacity_ != 0 && trace_.size() >= trace_capacity_) {
-      trace_.erase(trace_.begin());
-      ++trace_evicted_;
-    }
-    trace_.push_back(ExecutionRecord{start, sim_.now(), p.name()});
-  }
-
-  if (auto* sink = sim_.trace_sink()) {
-    sink->complete(start, duration, trace_track_, p.name());
-  }
+  journal_span(obs::JournalEventKind::kCpuSegment, start, p, duration);
 }
 
 void Cpu::dispatch() {
@@ -90,10 +78,8 @@ void Cpu::dispatch() {
     // Report how long this process waited for the core (segment-boundary
     // preemption latency, the paper's interrupt-latency axis).
     if (auto waited = ready_since_.find(p); waited != ready_since_.end()) {
-      if (auto* sink = sim_.trace_sink()) {
-        sink->complete(waited->second, start - waited->second, trace_track_ + "/wait",
-                       p->name());
-      }
+      journal_span(obs::JournalEventKind::kCpuWait, waited->second, *p,
+                   start - waited->second);
       ready_since_.erase(waited);
     }
     sim_.schedule_at(busy_until_, [this, p, start, seg = std::move(*segment)]() mutable {

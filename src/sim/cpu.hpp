@@ -17,6 +17,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -52,16 +53,14 @@ class Process {
   int priority_;
 };
 
-/// Record of one executed segment (for timelines and availability stats).
-struct ExecutionRecord {
-  Time start;
-  Time end;
-  std::string process;
-};
-
 class Cpu {
  public:
-  explicit Cpu(Simulator& sim) : sim_(sim) {}
+  /// `owner` names the core in the journal (a Device passes its id); it
+  /// must outlive the Cpu.  Every executed segment and every wait for the
+  /// core is journaled as a span (kCpuSegment / kCpuWait) when a journal
+  /// is attached to the simulator.
+  explicit Cpu(Simulator& sim, std::string_view owner = "cpu")
+      : sim_(sim), owner_(owner) {}
 
   /// Add a process to the ready set (no-op if already ready) and dispatch
   /// as soon as the core is free.
@@ -82,28 +81,6 @@ class Cpu {
   /// the map without bound in long-running scenarios.
   Duration consumed(const std::string& name) const;
 
-  /// Enable recording of every executed segment (the legacy
-  /// ExecutionRecord path, kept for API compatibility — new code should
-  /// attach an obs::TraceSink to the Simulator instead, which receives a
-  /// complete span per segment regardless of this switch).
-  ///
-  /// The record log is bounded by set_trace_capacity(); unbounded by
-  /// default.  In long-running scenarios set a capacity: once full, the
-  /// OLDEST records are evicted first.
-  void enable_trace(bool on) { trace_enabled_ = on; }
-  const std::vector<ExecutionRecord>& trace() const noexcept { return trace_; }
-
-  /// Cap the ExecutionRecord log at `cap` entries (0 = unbounded), with
-  /// oldest-first eviction.  Evicted records are counted.
-  void set_trace_capacity(std::size_t cap);
-  std::size_t trace_evicted() const noexcept { return trace_evicted_; }
-
-  /// Track label used for segment spans on an attached obs::TraceSink
-  /// (default "cpu"; a Device sets "cpu/<device-id>" so multi-device
-  /// simulations keep one row per core).
-  void set_trace_track(std::string track) { trace_track_ = std::move(track); }
-  const std::string& trace_track() const noexcept { return trace_track_; }
-
   static constexpr std::size_t kMaxConsumedEntries = 4096;
 
  private:
@@ -111,7 +88,11 @@ class Cpu {
   void dispatch();
   void record_segment(Time start, const Process& p, Duration duration);
 
+  void journal_span(obs::JournalEventKind kind, Time start, const Process& p,
+                    Duration duration);
+
   Simulator& sim_;
+  std::string_view owner_;
   std::vector<Process*> ready_;
   Process* running_ = nullptr;
   Time busy_until_ = 0;
@@ -120,11 +101,6 @@ class Cpu {
   /// Processes waiting for the core while it is busy: arrival time of the
   /// make_ready that found the CPU occupied, for preemption-wait spans.
   std::unordered_map<const Process*, Time> ready_since_;
-  bool trace_enabled_ = false;
-  std::vector<ExecutionRecord> trace_;
-  std::size_t trace_capacity_ = 0;
-  std::size_t trace_evicted_ = 0;
-  std::string trace_track_ = "cpu";
 };
 
 }  // namespace rasc::sim

@@ -27,26 +27,28 @@ class Device {
       : sim_(sim),
         config_(std::move(config)),
         memory_(config_.memory_size, config_.block_size),
-        cpu_(sim) {
-    // Observability wiring: one trace row per component, labeled by
-    // device id so multi-device simulations stay readable.  All hooks are
-    // no-ops until a sink is attached to the simulator.
-    cpu_.set_trace_track("cpu/" + config_.id);
+        cpu_(sim, config_.id) {
+    // Journal the memory lock state and blocked writes under the device
+    // id; both hooks are one null check until a journal is attached.
     memory_.set_lock_observer([this](std::size_t locked) {
-      if (auto* sink = sim_.trace_sink()) {
-        sink->counter(sim_.now(), "mem/" + config_.id, "mem.locked_blocks",
-                      static_cast<double>(locked));
+      if (auto* j = sim_.journal()) {
+        j->append(sim_.now(), j->intern(config_.id), 0, 0,
+                  obs::JournalEventKind::kMemLockedBlocks, locked);
       }
     });
     memory_.set_write_observer([this](const WriteRecord& record) {
-      if (!record.blocked) return;  // admitted writes are too hot to trace
-      if (auto* sink = sim_.trace_sink()) {
-        sink->instant(record.time, "mem/" + config_.id, "mem.blocked_write",
-                      {obs::arg("block", static_cast<std::uint64_t>(record.block)),
-                       obs::arg("actor", actor_name(record.actor))});
+      if (!record.blocked) return;  // admitted writes are too hot to journal
+      if (auto* j = sim_.journal()) {
+        j->append(record.time, j->intern(config_.id), 0, 0,
+                  obs::JournalEventKind::kMemBlockedWrite, record.block,
+                  static_cast<std::uint64_t>(record.actor));
       }
     });
   }
+
+  // The memory observers and the Cpu keep pointers into this object.
+  Device(const Device&) = delete;
+  Device& operator=(const Device&) = delete;
 
   Simulator& sim() noexcept { return sim_; }
   const std::string& id() const noexcept { return config_.id; }

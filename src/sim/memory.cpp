@@ -5,16 +5,6 @@
 
 namespace rasc::sim {
 
-std::string actor_name(Actor actor) {
-  switch (actor) {
-    case Actor::kApplication: return "app";
-    case Actor::kMalware: return "malware";
-    case Actor::kMeasurement: return "mp";
-    case Actor::kSystem: return "system";
-  }
-  return "?";
-}
-
 DeviceMemory::DeviceMemory(std::size_t size, std::size_t block_size)
     : block_size_(block_size) {
   if (block_size == 0 || size == 0 || size % block_size != 0) {

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "src/sim/time.hpp"
@@ -31,9 +30,6 @@ enum class Actor : std::uint8_t {
   kMeasurement,
   kSystem,
 };
-
-/// Short label for logs and traces ("app", "malware", "mp", "system").
-std::string actor_name(Actor actor);
 
 struct WriteRecord {
   Time time;
@@ -90,10 +86,9 @@ class DeviceMemory {
 
   // -- observability -----------------------------------------------------------
   /// Invoked after every lock-state change with the new locked-block
-  /// count (per-block and bulk operations alike).  The Device wires this
-  /// to the trace sink as a "mem.locked_blocks" counter series, making
-  /// each locking policy's t_s/t_e/t_r transitions visible on the
-  /// timeline.
+  /// count (per-block and bulk operations alike).  The Device journals
+  /// it as a "mem.locked_blocks" counter series, making each locking
+  /// policy's t_s/t_e/t_r transitions visible on the timeline.
   using LockObserver = std::function<void(std::size_t locked_blocks)>;
   void set_lock_observer(LockObserver observer) { lock_observer_ = std::move(observer); }
 

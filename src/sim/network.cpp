@@ -5,14 +5,6 @@
 
 namespace rasc::sim {
 
-namespace {
-
-obs::TraceArg bytes_arg(std::size_t size) {
-  return obs::arg("bytes", static_cast<std::uint64_t>(size));
-}
-
-}  // namespace
-
 void Link::count(const char* metric) const {
   if (metrics_ != nullptr) metrics_->counter(metric).inc();
 }
@@ -90,9 +82,6 @@ Duration Link::transit_time(std::size_t bytes) {
 
 void Link::deliver_after(Duration transit, support::Bytes payload, Handler handler,
                          std::uint64_t msg_id) {
-  if (auto* sink = sim_.trace_sink()) {
-    sink->complete(sim_.now(), transit, "net", "net.transit", {bytes_arg(payload.size())});
-  }
   ++in_flight_;
   sim_.schedule_in(transit, [this, token = std::weak_ptr<bool>(alive_), msg_id,
                              payload = std::move(payload),
@@ -111,7 +100,6 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
   count("net.sent");
   const std::uint64_t msg_id = ++next_msg_id_;
   const Time sent_at = sim_.now();
-  obs::TraceSink* sink = sim_.trace_sink();
   journal(obs::JournalEventKind::kLinkSend, msg_id, payload.size());
 
   if (in_partition(sent_at)) {
@@ -119,18 +107,12 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
     ++partition_dropped_;
     count("net.dropped");
     count("net.partition_dropped");
-    if (sink != nullptr) {
-      sink->instant(sent_at, "net", "net.partition_drop", {bytes_arg(payload.size())});
-    }
     journal(obs::JournalEventKind::kLinkPartitionDrop, msg_id, payload.size());
     return;
   }
   if (rng_.chance(config_.drop_probability)) {
     ++dropped_;
     count("net.dropped");
-    if (sink != nullptr) {
-      sink->instant(sent_at, "net", "net.drop", {bytes_arg(payload.size())});
-    }
     journal(obs::JournalEventKind::kLinkDrop, msg_id, payload.size());
     return;
   }
@@ -142,10 +124,6 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
     payload[at] ^= static_cast<std::uint8_t>(1 + rng_.below(255));
     ++corrupted_;
     count("net.corrupted");
-    if (sink != nullptr) {
-      sink->instant(sent_at, "net", "net.corrupt",
-                    {obs::arg("offset", static_cast<std::uint64_t>(at))});
-    }
     journal(obs::JournalEventKind::kLinkCorrupt, msg_id, at);
   }
 
@@ -154,7 +132,6 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
     transit += config_.reorder_delay;
     ++reordered_;
     count("net.reordered");
-    if (sink != nullptr) sink->instant(sent_at, "net", "net.reorder");
     journal(obs::JournalEventKind::kLinkReorder, msg_id, config_.reorder_delay);
   }
 
@@ -163,7 +140,6 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
     const Duration copy_transit = transit + transit_time(payload.size());
     ++duplicated_;
     count("net.duplicated");
-    if (sink != nullptr) sink->instant(sent_at, "net", "net.duplicate");
     journal(obs::JournalEventKind::kLinkDuplicate, msg_id, copy_transit);
     // The copy rides behind the original with its own second transit.
     deliver_after(copy_transit, payload, on_delivery, msg_id);

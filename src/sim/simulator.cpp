@@ -32,9 +32,9 @@ bool Simulator::fire_next() {
     *ev.alive = false;
     now_ = ev.time;
     ++events_fired_;
-    if (trace_ != nullptr && events_fired_ % 4096 == 0) {
-      trace_->counter(now_, "sim", "sim.queue_depth",
-                      static_cast<double>(queue_.size()));
+    if (journal_ != nullptr && events_fired_ % 4096 == 0) {
+      journal_->append(now_, journal_->intern("queue"), 0, 0,
+                       obs::JournalEventKind::kSimQueueDepth, queue_.size());
     }
     ev.fn();
     return true;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/obs/journal.hpp"
-#include "src/obs/trace.hpp"
 #include "src/sim/time.hpp"
 
 namespace rasc::sim {
@@ -62,18 +61,13 @@ class Simulator {
   std::size_t pending_events() const noexcept { return queue_.size(); }
   std::size_t events_fired() const noexcept { return events_fired_; }
 
-  /// Attach a trace sink (not owned; may be nullptr to detach).  All
-  /// simulation components reach the sink through their Simulator, so one
-  /// call instruments the whole device: CPU segments, memory locks,
-  /// network transits, attestation phases.  The dispatcher itself samples
-  /// queue depth onto the "sim" track every few thousand events.
-  void set_trace_sink(obs::TraceSink* sink) noexcept { trace_ = sink; }
-  obs::TraceSink* trace_sink() const noexcept { return trace_; }
-
-  /// Attach a flight-recorder journal (not owned; nullptr to detach).
-  /// Same plumbing pattern as the trace sink: components query
+  /// Attach a flight-recorder journal (not owned; nullptr to detach).  All
+  /// simulation components reach it through their Simulator, so one call
+  /// instruments the whole device: CPU segments, memory locks, link
+  /// fates, attestation phases, sessions.  Components query
   /// `sim.journal()` at each event site, so the disabled path is one null
-  /// check and the simulation is bit-identical with or without it.
+  /// check and the simulation is bit-identical with or without it.  The
+  /// dispatcher itself samples queue depth every 4096 events.
   void set_journal(obs::EventJournal* journal) noexcept { journal_ = journal; }
   obs::EventJournal* journal() const noexcept { return journal_; }
 
@@ -96,7 +90,6 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t events_fired_ = 0;
-  obs::TraceSink* trace_ = nullptr;
   obs::EventJournal* journal_ = nullptr;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };

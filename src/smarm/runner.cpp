@@ -53,7 +53,7 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
     malware.on_measurement_progress(done, total);
   });
 
-  simulator.set_trace_sink(config.trace);
+  simulator.set_journal(config.journal);
   if (config.metrics != nullptr) verifier.set_metrics(config.metrics);
 
   RunnerOutcome outcome;
@@ -66,10 +66,6 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
     sim::Time t_s = 0;
     sim::Time t_e = 0;
     const sim::Time round_start = simulator.now();
-    if (config.trace != nullptr) {
-      config.trace->begin(round_start, "smarm", "smarm.round",
-                          {obs::arg("round", static_cast<std::uint64_t>(round + 1))});
-    }
     mp.start(std::move(context), [&](attest::AttestationResult result) {
       verdict = verifier.verify(result.report, /*expect_challenge=*/true);
       t_s = result.t_s;
@@ -77,9 +73,10 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
       done = true;
     });
     simulator.run();
-    if (config.trace != nullptr) {
-      config.trace->end(simulator.now(), "smarm",
-                        {obs::arg("detected", std::string(done && !verdict.ok() ? "yes" : "no"))});
+    if (config.journal != nullptr) {
+      config.journal->append(round_start, config.journal->intern(device.id()), 0, round + 1,
+                             obs::JournalEventKind::kSmarmRound, done && !verdict.ok(),
+                             simulator.now() - round_start);
     }
     if (!done) break;  // should not happen: the simulation quiesced early
     ++outcome.rounds_run;

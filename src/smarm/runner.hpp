@@ -14,8 +14,8 @@
 #include "src/attest/prover.hpp"
 #include "src/attest/verifier.hpp"
 #include "src/malware/relocating.hpp"
+#include "src/obs/journal.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/trace.hpp"
 #include "src/sim/device.hpp"
 
 namespace rasc::smarm {
@@ -39,11 +39,11 @@ struct RunnerConfig {
   std::shared_ptr<const attest::GoldenMeasurement> golden;
   /// Host-side digest cache for the prover's multi-round measurements.
   bool use_digest_cache = true;
-  /// Optional observability (not owned): `trace` receives the device
+  /// Optional observability (not owned): `journal` records the device
   /// timeline plus a "smarm.round" span per permutation round; `metrics`
   /// accumulates "smarm.rounds"/"smarm.detections" counters and a
   /// "smarm.round_duration_ms" histogram across runs.
-  obs::TraceSink* trace = nullptr;
+  obs::EventJournal* journal = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };
 

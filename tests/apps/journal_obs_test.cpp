@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/apps/campaign.hpp"
 #include "src/apps/scenario.hpp"
+#include "src/crypto/hash.hpp"
 #include "src/exp/report.hpp"
+#include "src/obs/chrome_trace.hpp"
 #include "src/obs/timeline.hpp"
+#include "src/smarm/runner.hpp"
+#include "src/support/hex.hpp"
 
 namespace rasc::apps {
 namespace {
@@ -93,6 +99,81 @@ TEST(JournalIntegration, AttachingJournalChangesNothingObservable) {
   EXPECT_EQ(with.link_dropped, without.link_dropped);
   EXPECT_EQ(with.link_duplicated, without.link_duplicated);
   EXPECT_EQ(with.wasted_measure_time, without.wasted_measure_time);
+  EXPECT_GT(journal.size(), 0u);
+
+  // The atomic fire alarm: CPU segments and waits, the measurement window
+  // and the deadline events are journaled without moving any outcome.
+  FireAlarmScenarioConfig fire;
+  fire.mode = attest::ExecutionMode::kAtomic;
+  const FireAlarmScenarioOutcome fire_without = run_fire_alarm_scenario(fire);
+  obs::EventJournal fire_journal;
+  fire.journal = &fire_journal;
+  const FireAlarmScenarioOutcome fire_with = run_fire_alarm_scenario(fire);
+  EXPECT_GT(fire_with.deadline_misses, 0u);
+  EXPECT_EQ(fire_with.alarm_latency, fire_without.alarm_latency);
+  EXPECT_EQ(fire_with.deadline_misses, fire_without.deadline_misses);
+  EXPECT_EQ(fire_with.measurement_duration, fire_without.measurement_duration);
+  EXPECT_EQ(fire_with.max_sample_delay, fire_without.max_sample_delay);
+  EXPECT_EQ(fire_with.attestation_ok, fire_without.attestation_ok);
+
+  // The SMARM runner: relocating malware against shuffled interruptible
+  // rounds, now with smarm.round spans and memory lock events journaled.
+  smarm::RunnerConfig smarm_config;
+  smarm_config.blocks = 16;
+  smarm_config.rounds = 4;
+  smarm_config.seed = 5;
+  const smarm::RunnerOutcome smarm_without = smarm::run_rounds(smarm_config);
+  obs::EventJournal smarm_journal;
+  smarm_config.journal = &smarm_journal;
+  const smarm::RunnerOutcome smarm_with = smarm::run_rounds(smarm_config);
+  EXPECT_EQ(obs::count_named(smarm_journal, "smarm.round"), smarm_config.rounds);
+  EXPECT_GT(smarm_with.detections, 0u);
+  EXPECT_EQ(smarm_with.rounds_run, smarm_without.rounds_run);
+  EXPECT_EQ(smarm_with.detections, smarm_without.detections);
+  EXPECT_EQ(smarm_with.malware_relocations, smarm_without.malware_relocations);
+  EXPECT_EQ(smarm_with.malware_blocked_relocations,
+            smarm_without.malware_blocked_relocations);
+}
+
+TEST(JournalIntegration, ParentKindsAreUnchangedByTimelineKinds) {
+  // Restricted to the 25 kinds that predate the timeline kinds (CPU,
+  // prover window, protocol, memory, queue, SeED/ERASMUS/SMARM), a lossy
+  // infected run's NDJSON must stay byte-identical to the recording made
+  // before those kinds existed: adding events may not move, drop or
+  // reorder any existing one.
+  static const std::set<std::string> kParentKinds = {
+      "link.send", "link.deliver", "link.drop", "link.partition_drop",
+      "link.duplicate", "link.corrupt", "link.reorder", "session.start",
+      "session.attempt", "session.attempt_timeout", "session.backoff",
+      "session.replay_rejected", "session.corrupt_report", "session.late_report",
+      "session.resolved", "cache.hit", "cache.miss", "cache.invalidate",
+      "app.deadline_hit", "app.deadline_miss", "app.alarm_raised", "mtree.rehash",
+      "mtree.proof", "fleet.hibernate", "fleet.wake"};
+  obs::EventJournal journal;
+  NetworkScenarioConfig config = lossy_config();
+  config.infected = true;
+  config.journal = &journal;
+  const NetworkScenarioOutcome outcome = run_network_scenario(config);
+  ASSERT_EQ(outcome.compromised, 4u);
+
+  const std::string ndjson = journal.to_ndjson();
+  std::string filtered;
+  std::size_t lines = 0;
+  for (std::size_t pos = 0; pos < ndjson.size();) {
+    const std::size_t eol = ndjson.find('\n', pos);
+    const std::string line = ndjson.substr(pos, eol + 1 - pos);
+    const std::size_t kind_at = line.find("\"kind\":\"") + 8;
+    if (kParentKinds.count(line.substr(kind_at, line.find('"', kind_at) - kind_at))) {
+      filtered += line;
+      ++lines;
+    }
+    pos = eol + 1;
+  }
+  EXPECT_GT(journal.size(), lines);  // the timeline kinds are there too
+  EXPECT_EQ(lines, 162u);
+  EXPECT_EQ(support::hex_encode(crypto::hash_oneshot(crypto::HashKind::kSha256,
+                                                     support::to_bytes(filtered))),
+            "3091288888d4bafeb588178e05c56c8254c0dcdfb59d43e74a8fc4e00c87c47c");
 }
 
 TEST(JournalIntegration, NdjsonIsByteIdenticalAcrossReruns) {
@@ -134,13 +215,13 @@ TEST(JournalIntegration, ProtocolEmitsMatchedChallengeAndReportFlows) {
   // Every clean round produces one challenge flow (vrf -> prover track)
   // and one report flow back, each a matched s/f pair in the Chrome
   // export so Perfetto draws the arrows across tracks.
-  obs::TraceSink trace;
+  obs::EventJournal journal;
   NetworkScenarioConfig config;
   config.rounds = 2;
-  config.trace = &trace;
+  config.journal = &journal;
   const NetworkScenarioOutcome outcome = run_network_scenario(config);
   ASSERT_EQ(outcome.verified, 2u);
-  const std::string json = trace.to_chrome_json();
+  const std::string json = obs::to_chrome_json(journal);
   const auto count = [&json](const std::string& needle) {
     std::size_t n = 0;
     for (std::size_t pos = json.find(needle); pos != std::string::npos;

@@ -119,7 +119,7 @@ TEST(EventJournal, ClearResetsContentsAndCounters) {
 }
 
 TEST(EventJournal, EveryKindHasAName) {
-  for (int k = 0; k <= static_cast<int>(JournalEventKind::kMtreeProof); ++k) {
+  for (int k = 0; k <= static_cast<int>(JournalEventKind::kSmarmRound); ++k) {
     const auto name = journal_event_kind_name(static_cast<JournalEventKind>(k));
     EXPECT_FALSE(name.empty());
     EXPECT_NE(name, "?") << "kind " << k;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/obs/trace.hpp"
+#include "src/obs/chrome_trace.hpp"
 
 namespace rasc::sim {
 namespace {
@@ -145,16 +145,21 @@ TEST(Cpu, BusyReflectsRunningSegment) {
 
 TEST(Cpu, TraceRecordsExecutions) {
   Simulator sim;
+  obs::EventJournal journal;
+  sim.set_journal(&journal);
   Cpu cpu(sim);
-  cpu.enable_trace(true);
   ScriptedProcess p("traced", 1, {10, 20}, sim);
   cpu.make_ready(p);
   sim.run();
-  ASSERT_EQ(cpu.trace().size(), 2u);
-  EXPECT_EQ(cpu.trace()[0].start, 0u);
-  EXPECT_EQ(cpu.trace()[0].end, 10u);
-  EXPECT_EQ(cpu.trace()[1].end, 30u);
-  EXPECT_EQ(cpu.trace()[0].process, "traced");
+  obs::JournalFilter segments;
+  segments.kind = obs::JournalEventKind::kCpuSegment;
+  const auto records = journal.select(segments);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].time, 0u);
+  EXPECT_EQ(records[0].time + records[0].b, 10u);
+  EXPECT_EQ(records[1].time + records[1].b, 30u);
+  EXPECT_EQ(journal.actor_name(static_cast<std::uint32_t>(records[0].a)), "traced");
+  EXPECT_EQ(journal.actor_name(records[0].actor), "cpu");
 }
 
 TEST(Cpu, ConsumedUnknownProcessIsZero) {
@@ -165,48 +170,44 @@ TEST(Cpu, ConsumedUnknownProcessIsZero) {
 
 TEST(Cpu, TraceCapacityEvictsOldestRecords) {
   Simulator sim;
+  obs::EventJournal journal(2);
+  sim.set_journal(&journal);
   Cpu cpu(sim);
-  cpu.enable_trace(true);
-  cpu.set_trace_capacity(2);
   ScriptedProcess p("traced", 1, {10, 10, 10, 10}, sim);
   cpu.make_ready(p);
   sim.run();
-  ASSERT_EQ(cpu.trace().size(), 2u);
-  EXPECT_EQ(cpu.trace_evicted(), 2u);
+  ASSERT_EQ(journal.size(), 2u);
+  EXPECT_EQ(journal.dropped(), 2u);
   // The two most recent segments survive.
-  EXPECT_EQ(cpu.trace()[0].start, 20u);
-  EXPECT_EQ(cpu.trace()[1].end, 40u);
+  EXPECT_EQ(journal.at(0).time, 20u);
+  EXPECT_EQ(journal.at(1).time + journal.at(1).b, 40u);
 }
 
-TEST(Cpu, ShrinkingTraceCapacityTrimsExisting) {
+TEST(Cpu, SegmentsReportToAttachedJournal) {
   Simulator sim;
-  Cpu cpu(sim);
-  cpu.enable_trace(true);
-  ScriptedProcess p("traced", 1, {10, 10, 10}, sim);
-  cpu.make_ready(p);
+  obs::EventJournal journal;
+  sim.set_journal(&journal);
+  Cpu cpu(sim, "test");
+  ScriptedProcess worker("worker", 1, {10, 20}, sim);
+  ScriptedProcess urgent("urgent", 5, {5}, sim);
+  cpu.make_ready(worker);
+  sim.schedule_at(4, [&] { cpu.make_ready(urgent); });
   sim.run();
-  ASSERT_EQ(cpu.trace().size(), 3u);
-  cpu.set_trace_capacity(1);
-  ASSERT_EQ(cpu.trace().size(), 1u);
-  EXPECT_EQ(cpu.trace_evicted(), 2u);
-  EXPECT_EQ(cpu.trace()[0].start, 20u);
-}
-
-TEST(Cpu, SegmentsReportToAttachedTraceSink) {
-  Simulator sim;
-  obs::TraceSink sink;
-  sim.set_trace_sink(&sink);
-  Cpu cpu(sim);
-  cpu.set_trace_track("cpu/test");
-  ScriptedProcess p("worker", 1, {10, 20}, sim);
-  cpu.make_ready(p);
-  sim.run();
-  const auto spans = sink.spans_named("worker");
+  const auto spans = obs::spans_named(journal, "worker");
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].track, "cpu/test");
-  EXPECT_EQ(spans[0].start, 0u);
-  EXPECT_EQ(spans[0].end, 10u);
-  EXPECT_EQ(spans[1].end, 30u);
+  EXPECT_EQ(spans[0].time, 0u);
+  EXPECT_EQ(spans[0].end(), 10u);
+  EXPECT_EQ(spans[1].end(), 35u);
+  // The urgent arrival waited out the worker's first segment: one wait
+  // span on the core's wait row, then its own segment.
+  const auto urgent_spans = obs::spans_named(journal, "urgent");
+  ASSERT_EQ(urgent_spans.size(), 2u);
+  EXPECT_EQ(urgent_spans[0].track, "cpu/test/wait");
+  EXPECT_EQ(urgent_spans[0].time, 4u);
+  EXPECT_EQ(urgent_spans[0].end(), 10u);
+  EXPECT_EQ(urgent_spans[1].track, "cpu/test");
+  EXPECT_EQ(urgent_spans[1].end(), 15u);
 }
 
 }  // namespace

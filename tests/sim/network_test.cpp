@@ -5,7 +5,7 @@
 #include <limits>
 #include <memory>
 
-#include "src/obs/trace.hpp"
+#include "src/obs/chrome_trace.hpp"
 
 namespace rasc::sim {
 namespace {
@@ -239,13 +239,14 @@ struct FaultRunArtifacts {
   std::size_t sent, delivered, dropped, duplicated, corrupted, reordered;
   std::string metrics_json;
   std::string trace_json;
+  std::size_t transits;
 };
 
 FaultRunArtifacts run_faulty_link_once() {
   Simulator sim;
-  obs::TraceSink trace;
+  obs::EventJournal journal;
   obs::MetricsRegistry metrics;
-  sim.set_trace_sink(&trace);
+  sim.set_journal(&journal);
   LinkConfig config;
   config.drop_probability = 0.2;
   config.duplicate_probability = 0.2;
@@ -263,7 +264,8 @@ FaultRunArtifacts run_faulty_link_once() {
   sim.run();
   return {link.sent(),      link.delivered(), link.dropped(),
           link.duplicated(), link.corrupted(), link.reordered(),
-          metrics.to_json(), trace.to_chrome_json()};
+          metrics.to_json(), obs::to_chrome_json(journal),
+          obs::count_named(journal, "link.transit")};
 }
 
 TEST(Link, CountersBalanceUnderAllFaults) {
@@ -276,6 +278,8 @@ TEST(Link, CountersBalanceUnderAllFaults) {
   EXPECT_GT(run.duplicated, 0u);
   EXPECT_GT(run.corrupted, 0u);
   EXPECT_GT(run.reordered, 0u);
+  // Every delivered copy pairs with its send into one in-flight slice.
+  EXPECT_EQ(run.transits, run.delivered);
 }
 
 TEST(Link, ResetCountersGivesPerTrialBalancedBooks) {
