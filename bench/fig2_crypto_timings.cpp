@@ -47,9 +47,7 @@ int main() {
   const std::vector<std::size_t> sizes = {1 << 10, 4 << 10,  16 << 10, 64 << 10,
                                           256 << 10, 1 << 20, 4 << 20,  16 << 20,
                                           64 << 20};
-  support::Xoshiro256 rng(2);
-  support::Bytes buffer(sizes.back());
-  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.below(256));
+  const support::Bytes buffer = support::random_bytes(2, sizes.back());
 
   std::vector<support::Series> series;
   support::Table hash_table({"size", "SHA-256 (s)", "SHA-512 (s)", "BLAKE2b (s)",

@@ -34,10 +34,7 @@ EpochOutcome run_epoch(locking::LockMechanism lock, char epoch) {
   sim::Simulator simulator;
   sim::Device device(simulator, sim::DeviceConfig{"prv-f4", kBlocks * kBlockSize,
                                                   kBlockSize, support::to_bytes("f4")});
-  support::Xoshiro256 rng(9);
-  support::Bytes image(device.memory().size());
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  device.memory().load(image);
+  device.memory().load(support::random_bytes(9, device.memory().size()));
 
   auto policy = locking::make_lock_policy(lock, /*release_delay=*/5 * sim::kMillisecond);
   attest::ProverConfig config;

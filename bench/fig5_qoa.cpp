@@ -29,9 +29,7 @@ struct Fig5Setup {
                                             support::to_bytes("f5-key")}),
         verifier(crypto::HashKind::kSha256, support::to_bytes("f5-key"),
                  [&] {
-                   support::Xoshiro256 rng(17);
-                   support::Bytes image(32 * 1024);
-                   for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
+                   support::Bytes image = support::random_bytes(17, 32 * 1024);
                    device.memory().load(image);
                    return image;
                  }(),

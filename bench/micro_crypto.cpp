@@ -16,16 +16,9 @@ namespace {
 
 using namespace rasc;
 
-support::Bytes random_bytes(std::size_t n, std::uint64_t seed = 1) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
-}
-
 void BM_Hash(benchmark::State& state) {
   const auto kind = static_cast<crypto::HashKind>(state.range(0));
-  const auto data = random_bytes(static_cast<std::size_t>(state.range(1)));
+  const auto data = support::random_bytes(1, static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::hash_oneshot(kind, data));
   }
@@ -42,7 +35,7 @@ BENCHMARK(BM_Hash)
 template <std::size_t N>
 void lane_rows(benchmark::State& state, crypto::HashKind kind) {
   constexpr std::size_t kMsg = 4096;
-  const auto pool = random_bytes(kMsg * N);
+  const auto pool = support::random_bytes(1, kMsg * N);
   support::Bytes sink(64 * N);
   support::ByteView views[N];
   support::MutableByteView outs[N];
@@ -89,8 +82,8 @@ void BM_BlockDigestF(benchmark::State& state) {
   const auto mac = static_cast<attest::MacKind>(state.range(0));
   const auto kind = static_cast<crypto::HashKind>(state.range(1));
   const auto block_size = static_cast<std::size_t>(state.range(2));
-  const auto key = random_bytes(16);
-  const auto block = random_bytes(block_size);
+  const auto key = support::random_bytes(1, 16);
+  const auto block = support::random_bytes(1, block_size);
   attest::BlockDigester digester(mac, kind, key);
   attest::Digest out;
   for (auto _ : state) {
@@ -108,8 +101,8 @@ BENCHMARK(BM_BlockDigestF)
     ->ArgsProduct({{0, 1}, {0, 3}, {64, 4096}});  // F x hash x block size
 
 void BM_HmacSha256(benchmark::State& state) {
-  const auto key = random_bytes(32);
-  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)));
+  const auto key = support::random_bytes(1, 32);
+  const auto data = support::random_bytes(1, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::Hmac::compute(crypto::HashKind::kSha256, key, data));
   }
@@ -119,8 +112,8 @@ void BM_HmacSha256(benchmark::State& state) {
 BENCHMARK(BM_HmacSha256)->Arg(1 << 10)->Arg(1 << 20);
 
 void BM_AesCbcMac(benchmark::State& state) {
-  const auto key = random_bytes(16);
-  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)));
+  const auto key = support::random_bytes(1, 16);
+  const auto data = support::random_bytes(1, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::CbcMac::compute(key, data));
   }
@@ -130,7 +123,7 @@ void BM_AesCbcMac(benchmark::State& state) {
 BENCHMARK(BM_AesCbcMac)->Arg(1 << 10)->Arg(64 << 10);
 
 void BM_DrbgGenerate(benchmark::State& state) {
-  crypto::HmacDrbg drbg(random_bytes(32));
+  crypto::HmacDrbg drbg(support::random_bytes(1, 32));
   support::Bytes out(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     drbg.generate(out);
@@ -143,9 +136,9 @@ BENCHMARK(BM_DrbgGenerate)->Arg(32)->Arg(4096);
 
 void BM_EcdsaSign(benchmark::State& state) {
   const auto curve = static_cast<crypto::CurveId>(state.range(0));
-  crypto::HmacDrbg drbg(random_bytes(32, 7));
+  crypto::HmacDrbg drbg(support::random_bytes(7, 32));
   const auto key = crypto::ecdsa_generate_key(curve, drbg);
-  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64));
+  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, support::random_bytes(1, 64));
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::ecdsa_sign(key, digest));
   }
@@ -155,9 +148,9 @@ BENCHMARK(BM_EcdsaSign)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_EcdsaVerify(benchmark::State& state) {
   const auto curve = static_cast<crypto::CurveId>(state.range(0));
-  crypto::HmacDrbg drbg(random_bytes(32, 8));
+  crypto::HmacDrbg drbg(support::random_bytes(8, 32));
   const auto key = crypto::ecdsa_generate_key(curve, drbg);
-  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64));
+  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, support::random_bytes(1, 64));
   const auto sig = crypto::ecdsa_sign(key, digest);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::ecdsa_verify(curve, key.public_key, digest, sig));
@@ -168,11 +161,11 @@ BENCHMARK(BM_EcdsaVerify)->Arg(0)->Arg(1)->Arg(2);
 
 const crypto::RsaKeyPair& rsa_key(std::size_t bits) {
   static const crypto::RsaKeyPair k1024 = [] {
-    crypto::HmacDrbg drbg(random_bytes(32, 1024));
+    crypto::HmacDrbg drbg(support::random_bytes(1024, 32));
     return crypto::rsa_generate_key(1024, drbg);
   }();
   static const crypto::RsaKeyPair k2048 = [] {
-    crypto::HmacDrbg drbg(random_bytes(32, 2048));
+    crypto::HmacDrbg drbg(support::random_bytes(2048, 32));
     return crypto::rsa_generate_key(2048, drbg);
   }();
   return bits == 1024 ? k1024 : k2048;
@@ -180,7 +173,7 @@ const crypto::RsaKeyPair& rsa_key(std::size_t bits) {
 
 void BM_RsaSign(benchmark::State& state) {
   const auto& key = rsa_key(static_cast<std::size_t>(state.range(0)));
-  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64));
+  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, support::random_bytes(1, 64));
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::rsa_sign_digest(key.priv, crypto::HashKind::kSha256,
                                                      digest));
@@ -190,7 +183,7 @@ BENCHMARK(BM_RsaSign)->Arg(1024)->Arg(2048);
 
 void BM_RsaVerify(benchmark::State& state) {
   const auto& key = rsa_key(static_cast<std::size_t>(state.range(0)));
-  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64));
+  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, support::random_bytes(1, 64));
   const auto sig = crypto::rsa_sign_digest(key.priv, crypto::HashKind::kSha256, digest);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -200,7 +193,7 @@ void BM_RsaVerify(benchmark::State& state) {
 BENCHMARK(BM_RsaVerify)->Arg(1024)->Arg(2048);
 
 void BM_MillerRabin256(benchmark::State& state) {
-  crypto::HmacDrbg drbg(random_bytes(32, 9));
+  crypto::HmacDrbg drbg(support::random_bytes(9, 32));
   auto source = drbg.byte_source();
   const bn::Bignum prime = bn::generate_prime(256, source, 10);
   for (auto _ : state) {

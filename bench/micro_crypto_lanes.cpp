@@ -52,13 +52,6 @@ double now_seconds() {
       .count();
 }
 
-support::Bytes random_bytes(std::size_t n, std::uint64_t seed) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
-}
-
 std::string hash_label(crypto::HashKind kind) {
   return kind == crypto::HashKind::kSha256 ? "sha256" : "blake2s";
 }
@@ -87,7 +80,7 @@ std::size_t identity_cells(crypto::HashKind kind, crypto::LaneBackend backend,
       support::MutableByteView outs[N];
       for (std::size_t l = 0; l < N; ++l) {
         const std::size_t lane_len = staggered ? (len * (l + 1)) / N : len;
-        messages[l] = random_bytes(lane_len, 0x1a5e + 977 * len + l);
+        messages[l] = support::random_bytes(0x1a5e + 977 * len + l, lane_len);
         expected[l].resize(digest_size);
         actual[l].resize(digest_size);
         crypto::hash_oneshot_into(*hasher, messages[l],
@@ -236,7 +229,7 @@ int main() {
   ok &= expect(failures == 0, line);
 
   // 2. throughput
-  const support::Bytes pool = random_bytes(kMsgBytes * kMsgCount, 0xfeed);
+  const support::Bytes pool = support::random_bytes(0xfeed, kMsgBytes * kMsgCount);
   support::Bytes sink(kMsgCount * 32);
   double sha256_portable_x4 = 0.0;
   support::Table table(
@@ -274,7 +267,7 @@ int main() {
   ok &= expect(sha256_portable_x4 >= 2.0, line);
 
   // 3. per-block MAC cost at the measurement block sizes
-  const support::Bytes key = random_bytes(16, 0x6e7);
+  const support::Bytes key = support::random_bytes(0x6e7, 16);
   support::Table mac_table({"F", "block B", "blocks/s"});
   for (const std::size_t block_size : {std::size_t{64}, std::size_t{4096}}) {
     struct Row {

@@ -150,15 +150,11 @@ int main() {
     sim::DeviceMemory uncached_mem(kBlocks * kBlockSize, kBlockSize);
     sim::DeviceMemory batch_mem(kBlocks * kBlockSize, kBlockSize);
     sim::DeviceMemory tree_mem(kBlocks * kBlockSize, kBlockSize);
-    support::Bytes image(cached_mem.size());
-    {
-      support::Xoshiro256 rng(0xbeef + dirty_pct);
-      for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-      cached_mem.load(image);
-      uncached_mem.load(image);
-      batch_mem.load(image);
-      tree_mem.load(image);
-    }
+    const support::Bytes image = support::random_bytes(0xbeef + dirty_pct, cached_mem.size());
+    cached_mem.load(image);
+    uncached_mem.load(image);
+    batch_mem.load(image);
+    tree_mem.load(image);
     attest::DigestCache cache;
     cache.resize(kBlocks);
     cache.set_metrics(&registry);
@@ -276,10 +272,7 @@ int main() {
     for (const attest::MacKind mac :
          {attest::MacKind::kHmac, attest::MacKind::kCbcMac}) {
       sim::DeviceMemory mem(kBlocks * kBlockSize, kBlockSize);
-      support::Bytes image(mem.size());
-      support::Xoshiro256 rng(0xbeef);
-      for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-      mem.load(image);
+      mem.load(support::random_bytes(0xbeef, mem.size()));
       std::vector<support::Bytes> results;
       const double seconds =
           run_rounds(mem, nullptr, key, kBlocks, 0xd127, results, mac);
@@ -334,22 +327,11 @@ int main() {
   std::printf("\n--- measurement_cache campaign ---\n");
   apps::MeasurementCacheCampaignOptions options;
   options.trials = 40;
-  const exp::CampaignResult campaign =
-      exp::run_campaign(apps::make_measurement_cache_campaign(options));
+  const exp::CampaignSpec spec = apps::make_measurement_cache_campaign(options);
+  const exp::CampaignResult campaign = exp::run_campaign(spec);
   std::printf("%s", exp::campaign_table(campaign).render().c_str());
+  ok &= exp::print_claims(spec, campaign);
   for (const auto& cell : campaign.cells) {
-    char label[96];
-    std::snprintf(label, sizeof(label),
-                  "campaign %s: cached == uncached in all %llu trials",
-                  cell.point.label().c_str(),
-                  static_cast<unsigned long long>(cell.attempts));
-    ok &= expect(cell.successes == cell.attempts, label);
-    const auto& hits = cell.values.at("cache_hits");
-    const auto& clean = cell.values.at("expected_clean");
-    std::snprintf(label, sizeof(label),
-                  "campaign %s: every clean block served from cache",
-                  cell.point.label().c_str());
-    ok &= expect(hits.mean() >= clean.mean(), label);
     registry.gauge("campaign.hit_rate_" + cell.point.label())
         .set(cell.values.at("hit_rate").mean());
     registry.gauge("campaign.identity_rate_" + cell.point.label())

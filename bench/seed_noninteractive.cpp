@@ -26,10 +26,7 @@ SeedRun run_seed(bool schedule_leaked, double drop, std::uint64_t seed_tag) {
   sim::Simulator simulator;
   sim::Device device(simulator, sim::DeviceConfig{"prv-seed", 16 * 1024, 1024,
                                                   support::to_bytes("seed-key")});
-  support::Xoshiro256 rng(41);
-  support::Bytes image(device.memory().size());
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  device.memory().load(image);
+  device.memory().load(support::random_bytes(41, device.memory().size()));
   attest::Verifier verifier(crypto::HashKind::kSha256, support::to_bytes("seed-key"),
                             device.memory().snapshot(), 1024);
 
@@ -107,10 +104,7 @@ int main() {
     sim::Simulator simulator;
     sim::Device device(simulator, sim::DeviceConfig{"prv-b", 16 * 1024, 1024,
                                                     support::to_bytes("seed-key")});
-    support::Xoshiro256 rng(43);
-    support::Bytes image(device.memory().size());
-    for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-    device.memory().load(image);
+    device.memory().load(support::random_bytes(43, device.memory().size()));
     attest::Verifier verifier(crypto::HashKind::kSha256, support::to_bytes("seed-key"),
                               device.memory().snapshot(), 1024);
     selfm::SeedConfig config;

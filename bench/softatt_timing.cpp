@@ -28,9 +28,7 @@ RunResult run_with(sim::Duration jitter, sim::Duration slack) {
     sim::Device device(simulator,
                        sim::DeviceConfig{"prv-sw", 64 * 1024, 1024,
                                          support::to_bytes("k")});
-    support::Xoshiro256 rng(6);
-    support::Bytes golden(device.memory().size());
-    for (auto& b : golden) b = static_cast<std::uint8_t>(rng.below(256));
+    const support::Bytes golden = support::random_bytes(6, device.memory().size());
     device.memory().load(golden);
 
     sim::LinkConfig lc;

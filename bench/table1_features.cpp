@@ -144,10 +144,7 @@ int main() {
     sim::Simulator simulator;
     sim::Device device(simulator, sim::DeviceConfig{"prv-er", 16 * 1024, 1024,
                                                     support::to_bytes("t1-key")});
-    support::Xoshiro256 rng(5);
-    support::Bytes image(device.memory().size());
-    for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-    device.memory().load(image);
+    device.memory().load(support::random_bytes(5, device.memory().size()));
     attest::Verifier verifier(crypto::HashKind::kSha256, support::to_bytes("t1-key"),
                               device.memory().snapshot(), 1024);
     selfm::ErasmusConfig e_config;

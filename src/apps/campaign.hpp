@@ -23,7 +23,7 @@ struct FireAlarmCampaignOptions {
   std::uint64_t seed = 1;
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   /// Prover-side digest cache (host wall-clock optimization).  Exposed so
-  /// benches can assert cached == uncached aggregates byte-for-byte.
+  /// tests can assert cached == uncached aggregates byte-for-byte.
   bool use_digest_cache = true;
 };
 
@@ -76,21 +76,6 @@ struct NetworkReliabilityCampaignOptions {
   /// Sequential attestation rounds per trial.
   std::size_t rounds = 4;
 };
-
-/// Sentinel recorded in the "first_misjudge_trial" value channel when a
-/// trial misjudged nothing; the per-cell min() is then either the lowest
-/// misjudging trial index or this (thread-count independent either way,
-/// which is what lets campaign_runner --journal-out replay the same trial
-/// regardless of -j).
-inline constexpr double kNoMisjudgeTrial = 1e18;
-
-/// Build the scenario config for one (cell, trial seed) of the network
-/// reliability campaign.  Shared by the campaign trial function and
-/// campaign_runner's --journal-out replay, so a re-run with a journal
-/// attached reproduces the selected trial event-for-event.
-NetworkScenarioConfig network_scenario_config(const exp::GridPoint& point,
-                                              std::uint64_t trial_seed,
-                                              std::size_t rounds);
 
 /// Lossy-link reliability sweep (spec name "network", so the artifact is
 /// BENCH_network.json): drop_pct x retry budget x per-attempt timeout,

@@ -2,21 +2,15 @@
 
 #include "src/apps/fire_alarm.hpp"
 #include "src/apps/writer_task.hpp"
+#include "src/attest/stack.hpp"
 #include "src/support/rng.hpp"
 
 namespace rasc::apps {
 
-support::Bytes provision_image(std::size_t size, std::uint64_t provision_seed) {
-  support::Xoshiro256 rng(provision_seed);
-  support::Bytes image(size);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
-}
-
 namespace {
 
 void provision(sim::Device& device, std::uint64_t seed) {
-  device.memory().load(provision_image(device.memory().size(), seed));
+  device.memory().load(support::random_bytes(seed, device.memory().size()));
 }
 
 /// Decorrelate the verifier's challenge stream from the scenario seed so
@@ -58,7 +52,6 @@ LockScenarioOutcome run_lock_scenario(const LockScenarioConfig& config) {
   prover_config.mode = config.mode;
   prover_config.order = config.order;
   prover_config.priority = 10;
-  prover_config.use_digest_cache = config.use_digest_cache;
   attest::AttestationProcess mp(device, prover_config, policy.get());
 
   // Adversaries.
@@ -155,62 +148,38 @@ LockScenarioOutcome run_lock_scenario(const LockScenarioConfig& config) {
 NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config) {
   sim::Simulator simulator;
   simulator.set_journal(config.journal);
-  sim::DeviceConfig dev_config;
-  dev_config.id = "prv-net";
-  dev_config.memory_size = config.blocks * config.block_size;
-  dev_config.block_size = config.block_size;
-  dev_config.attestation_key = support::to_bytes("network-scenario-key");
-  sim::Device device(simulator, dev_config);
-  provision(device, 0x4e7 + config.seed);
-
-  attest::Verifier verifier(config.hash, dev_config.attestation_key,
-                            device.memory().snapshot(), config.block_size,
-                            challenge_seed_for(config.seed));
-  verifier.set_metrics(config.metrics);
-
-  if (config.infected) {
-    // Ground truth: one malware byte in the middle of memory, planted
-    // before any round, so the correct terminal outcome is kCompromised.
-    const std::size_t addr = device.memory().size() / 2;
-    const std::size_t block = addr / device.memory().block_size();
-    const std::uint8_t original =
-        device.memory().block_view(block)[addr % device.memory().block_size()];
-    const support::Bytes patch = {static_cast<std::uint8_t>(original ^ 0xff)};
-    device.memory().write(addr, patch, 0, sim::Actor::kMalware);
-  }
-
-  attest::ProverConfig prover_config;
-  prover_config.hash = config.hash;
-  prover_config.mode = config.mode;
-  prover_config.priority = 10;
-  attest::AttestationProcess mp(device, prover_config);
-
-  // One LinkConfig per direction: same fault model, decorrelated seeds.
-  sim::LinkConfig link_config;
-  link_config.base_latency = config.link_latency;
-  link_config.jitter = config.link_jitter;
-  link_config.drop_probability = config.drop_probability;
-  link_config.duplicate_probability = config.duplicate_probability;
-  link_config.corrupt_probability = config.corrupt_probability;
-  link_config.reorder_probability = config.reorder_probability;
-  link_config.partitions = config.partitions;
+  attest::StackConfig stack_config;
+  stack_config.device = {"prv-net", config.blocks * config.block_size, config.block_size,
+                         support::to_bytes("network-scenario-key")};
+  stack_config.challenge_seed = challenge_seed_for(config.seed);
+  stack_config.prover.hash = config.hash;
+  stack_config.prover.mode = config.mode;
+  stack_config.prover.priority = 10;
+  // One fault model for both directions, decorrelated seeds.
+  sim::LinkConfig& to_prv = stack_config.to_prv;
+  to_prv.name = "vrf->prv";
+  to_prv.base_latency = config.link_latency;
+  to_prv.jitter = config.link_jitter;
+  to_prv.drop_probability = config.drop_probability;
+  to_prv.duplicate_probability = config.duplicate_probability;
+  to_prv.corrupt_probability = config.corrupt_probability;
+  to_prv.reorder_probability = config.reorder_probability;
+  to_prv.partitions = config.partitions;
   std::uint64_t link_seed_state = config.seed ^ 0x11c4;
-  link_config.name = "vrf->prv";
-  link_config.seed = support::splitmix64(link_seed_state);
-  sim::Link vrf_to_prv(simulator, link_config);
-  link_config.name = "prv->vrf";
-  link_config.seed = support::splitmix64(link_seed_state);
-  sim::Link prv_to_vrf(simulator, link_config);
-  vrf_to_prv.set_metrics(config.metrics);
-  prv_to_vrf.set_metrics(config.metrics);
-
-  attest::SessionConfig session_config = config.session;
+  to_prv.seed = support::splitmix64(link_seed_state);
+  stack_config.to_vrf = to_prv;
+  stack_config.to_vrf.name = "prv->vrf";
+  stack_config.to_vrf.seed = support::splitmix64(link_seed_state);
+  stack_config.session = config.session;
   std::uint64_t session_seed_state = config.seed ^ 0x5e5510;
-  session_config.seed = support::splitmix64(session_seed_state);
-  attest::ReliableSession session(device, verifier, mp, vrf_to_prv, prv_to_vrf,
-                                  session_config);
-  session.set_metrics(config.metrics);
-  session.set_health(config.health);
+  stack_config.session.seed = support::splitmix64(session_seed_state);
+  const support::Bytes image =
+      support::random_bytes(0x4e7 + config.seed, stack_config.device.memory_size);
+  attest::Stack stack(simulator, std::move(stack_config), image);
+  stack.attach(config.metrics, config.health);
+  // Ground truth: one malware byte planted before any round, so the
+  // correct terminal outcome is kCompromised.
+  if (config.infected) stack.infect();
 
   NetworkScenarioOutcome outcome;
   outcome.rounds_requested = config.rounds;
@@ -219,7 +188,7 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
   // the next round after a gap, so a hung round would leave the chain —
   // and rounds_resolved — visibly short.
   std::function<void()> start_round = [&] {
-    session.run([&](attest::RoundResult result) {
+    stack.session.run([&](attest::RoundResult result) {
       ++outcome.rounds_resolved;
       switch (result.outcome) {
         case attest::SessionOutcome::kVerified: ++outcome.verified; break;
@@ -245,17 +214,10 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
   simulator.run();
 
   outcome.all_resolved = outcome.rounds_resolved == config.rounds;
-  outcome.retries = session.retries();
-  outcome.late_reports = session.late_reports();
-  for (const sim::Link* link : {&vrf_to_prv, &prv_to_vrf}) {
-    outcome.link_sent += link->sent();
-    outcome.link_delivered += link->delivered();
-    outcome.link_dropped += link->dropped();
-    outcome.link_duplicated += link->duplicated();
-    outcome.link_corrupted += link->corrupted();
-    outcome.link_reordered += link->reordered();
-    outcome.link_partition_dropped += link->partition_dropped();
-  }
+  outcome.retries = stack.session.retries();
+  outcome.late_reports = stack.session.late_reports();
+  outcome.links.add(stack.vrf_to_prv.save_state());
+  outcome.links.add(stack.prv_to_vrf.save_state());
   return outcome;
 }
 

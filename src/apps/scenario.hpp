@@ -13,6 +13,7 @@
 #include "src/attest/golden.hpp"
 #include "src/attest/prover.hpp"
 #include "src/attest/session.hpp"
+#include "src/attest/stack.hpp"
 #include "src/attest/verifier.hpp"
 #include "src/locking/consistency.hpp"
 #include "src/locking/policies.hpp"
@@ -46,8 +47,6 @@ struct LockScenarioConfig {
   /// how many of its writes the locks rejected (Table 1 availability).
   bool writer_enabled = false;
   std::uint64_t seed = 1;
-  /// Host-side digest cache on the prover (simulated timing unchanged).
-  bool use_digest_cache = true;
 };
 
 struct LockScenarioOutcome {
@@ -177,22 +176,14 @@ struct NetworkScenarioOutcome {
   sim::Duration total_measure_time = 0;
   sim::Duration wasted_measure_time = 0;
   /// Link counters summed over both directions.
-  std::size_t link_sent = 0;
-  std::size_t link_delivered = 0;
-  std::size_t link_dropped = 0;
-  std::size_t link_duplicated = 0;
-  std::size_t link_corrupted = 0;
-  std::size_t link_reordered = 0;
-  std::size_t link_partition_dropped = 0;
+  attest::LinkCounters links;
 };
 
 /// Run `rounds` reliable attestation rounds over a faulty link.
 NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config);
 
-/// Deterministic provisioning image used by both scenario drivers —
-/// exposed so campaign factories can pre-digest a cell's golden image.
-/// Fire-alarm block size is fixed at kFireAlarmBlockSize.
+/// Fire-alarm block size (its scenario provisions
+/// support::random_bytes(provision_seed, real_blocks * kFireAlarmBlockSize)).
 inline constexpr std::size_t kFireAlarmBlockSize = 4096;
-support::Bytes provision_image(std::size_t size, std::uint64_t provision_seed);
 
 }  // namespace rasc::apps

@@ -19,9 +19,8 @@ TytanOutcome run_tytan_scenario(const TytanConfig& config) {
   dev_config.attestation_key = support::to_bytes("tytan-key");
   sim::Device device(simulator, dev_config);
 
-  support::Xoshiro256 rng(0x717a + config.seed);
-  support::Bytes image(device.memory().size());
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
+  const support::Bytes image =
+      support::random_bytes(0x717a + config.seed, device.memory().size());
   device.memory().load(image);
 
   // Per-process golden images and verifiers.

@@ -1,0 +1,79 @@
+#pragma once
+/// \file stack.hpp
+/// One attested session's object graph: the prover device, the verifier
+/// holding its golden, the measurement process, the two faulty links and
+/// the ReliableSession over them.  The fleet's per-device stacks,
+/// apps::run_network_scenario and the session test harness are all this
+/// one assembly, so a fleet of N devices is N of the stacks the session
+/// and protocol suites exercise.
+///
+/// Seeds belong to the caller: the challenge seed is a StackConfig field,
+/// the link and session seeds ride in their configs, and the Stack derives
+/// none.  Members are held by value in construction order; in-flight
+/// events capture references into them, so a Stack neither copies nor
+/// moves.
+
+#include <cstdint>
+#include <memory>
+
+#include "src/attest/golden.hpp"
+#include "src/attest/prover.hpp"
+#include "src/attest/session.hpp"
+#include "src/attest/verifier.hpp"
+#include "src/sim/device.hpp"
+#include "src/sim/network.hpp"
+
+namespace rasc::attest {
+
+struct StackConfig {
+  sim::DeviceConfig device;
+  /// Pre-digested golden of the image the stack loads, for callers that
+  /// share one across stacks; null = the Stack digests the image under
+  /// the prover's hash and MAC.  The verifier holds it either way.
+  std::shared_ptr<const GoldenMeasurement> golden = nullptr;
+  std::uint64_t challenge_seed = 0xc0ffee;
+  ProverConfig prover = {};
+  sim::LinkConfig to_prv;  ///< verifier -> prover direction
+  sim::LinkConfig to_vrf;  ///< prover -> verifier direction
+  SessionConfig session;
+};
+
+/// Lifetime fault counters summed over links (see sim::Link::State).
+struct LinkCounters {
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t duplicated = 0;
+  std::uint64_t corrupted = 0;
+  std::uint64_t reordered = 0;
+  std::uint64_t partition_dropped = 0;
+
+  void add(const sim::Link::State& link) noexcept;
+};
+
+struct Stack {
+  /// Build every member on `sim`, then load `image` — the golden's
+  /// content — into device memory.
+  Stack(sim::Simulator& sim, StackConfig config, support::ByteView image);
+  Stack(const Stack&) = delete;
+  Stack& operator=(const Stack&) = delete;
+
+  /// Metrics for the verifier, both links and the session, and the
+  /// session's health rollup (either may be null; not owned).
+  void attach(obs::MetricsRegistry* metrics, obs::HealthRollup* health) noexcept;
+
+  /// The canonical malware patch: flip the byte at `addr` as
+  /// sim::Actor::kMalware at t = 0, before any round.
+  void infect(std::size_t addr);
+  /// ... at the middle of attested memory.
+  void infect() { infect(device.memory().size() / 2); }
+
+  sim::Device device;
+  Verifier verifier;
+  AttestationProcess mp;
+  sim::Link vrf_to_prv;
+  sim::Link prv_to_vrf;
+  ReliableSession session;
+};
+
+}  // namespace rasc::attest

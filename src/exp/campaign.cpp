@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdarg>
+#include <cstdio>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -39,6 +41,24 @@ void ShardAggregate::merge(ShardAggregate&& other) {
 }
 
 }  // namespace detail
+
+Claim claim(bool ok, const char* format, ...) {
+  char label[160];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(label, sizeof(label), format, args);
+  va_end(args);
+  return {label, ok};
+}
+
+std::vector<Claim> claim_each_cell(const CampaignResult& result, const char* what,
+                                   const std::function<bool(const CellResult&)>& holds) {
+  std::vector<Claim> claims;
+  for (const CellResult& cell : result.cells) {
+    claims.push_back({cell.point.label() + ": " + what, holds(cell)});
+  }
+  return claims;
+}
 
 const CellResult* CampaignResult::find_cell(const std::string& label) const {
   for (const auto& cell : cells) {

@@ -30,6 +30,10 @@
 #include "src/obs/health.hpp"
 #include "src/obs/metrics.hpp"
 
+namespace rasc::obs {
+class EventJournal;
+}  // namespace rasc::obs
+
 namespace rasc::exp {
 
 /// Identity and RNG stream of one trial.  `rng` is pre-seeded from the
@@ -40,7 +44,18 @@ struct TrialContext {
   std::size_t trial_index = 0;
   std::uint64_t seed = 0;
   support::Xoshiro256 rng;
+  /// Flight recorder for a replayed trial (campaign_runner --journal-out);
+  /// run_campaign leaves it null.  Trials that can record attach it to
+  /// their simulation; the rest ignore it.
+  obs::EventJournal* journal = nullptr;
 };
+
+/// What a trial records in its "first_misjudge_trial" value channel when
+/// it misjudged nothing.  The cell's min() of that channel is then the
+/// lowest misjudging trial index or this sentinel — an exact fold, so the
+/// trial campaign_runner --journal-out replays (that one, else trial 0)
+/// is the same for every thread count.
+inline constexpr double kNoMisjudgeTrial = 1e18;
 
 /// What one trial hands back to the aggregator.
 struct TrialOutput {
@@ -77,6 +92,22 @@ struct TrialOutput {
 
 using TrialFn = std::function<TrialOutput(const GridPoint&, TrialContext&)>;
 
+struct CampaignResult;
+struct CellResult;
+
+/// One paper claim checked against a campaign's aggregates.
+struct Claim {
+  std::string label;
+  bool ok = false;
+};
+using ClaimsFn = std::function<std::vector<Claim>(const CampaignResult&)>;
+
+/// printf-style Claim constructor.
+Claim claim(bool ok, const char* format, ...) __attribute__((format(printf, 2, 3)));
+/// `holds` on every cell, labelled "<cell label>: <what>".
+std::vector<Claim> claim_each_cell(const CampaignResult& result, const char* what,
+                                   const std::function<bool(const CellResult&)>& holds);
+
 struct CampaignSpec {
   std::string name = "campaign";
   ParamGrid grid;
@@ -89,6 +120,9 @@ struct CampaignSpec {
   /// value yields the same aggregates for every thread count.
   std::size_t shard_size = 16;
   TrialFn trial;
+  /// The claims the aggregates must satisfy (empty = none).
+  /// campaign_runner prints each as [ok]/[FAIL] and exits 1 if any fails.
+  ClaimsFn claims;
 };
 
 /// Aggregate over all trials of one grid cell.

@@ -81,8 +81,7 @@ ParamGrid& ParamGrid::set_axis(const std::string& name, std::vector<ParamValue> 
       return *this;
     }
   }
-  axes_.push_back(Axis{name, std::move(values)});
-  return *this;
+  throw std::invalid_argument("ParamGrid: no axis '" + name + "' to override");
 }
 
 std::size_t ParamGrid::size() const noexcept {

@@ -61,8 +61,9 @@ class ParamGrid {
   /// Append an axis (fluent).  Throws std::invalid_argument on an empty
   /// value list or a duplicate name.
   ParamGrid& axis(std::string name, std::vector<ParamValue> values);
-  /// Replace the values of an existing axis, or append a new one — used by
-  /// the campaign runner's --grid override.
+  /// Replace the values of an existing axis — the campaign runner's --grid
+  /// override.  Throws std::invalid_argument on an empty value list or an
+  /// axis the grid does not have (a typo must not add a dead axis).
   ParamGrid& set_axis(const std::string& name, std::vector<ParamValue> values);
 
   const std::vector<Axis>& axes() const noexcept { return axes_; }

@@ -1,5 +1,6 @@
 #include "src/exp/report.hpp"
 
+#include <cstdio>
 #include <fstream>
 
 #include "src/obs/json.hpp"
@@ -121,6 +122,16 @@ support::Table campaign_table(const CampaignResult& result) {
                    values});
   }
   return table;
+}
+
+bool print_claims(const CampaignSpec& spec, const CampaignResult& result) {
+  if (!spec.claims) return true;
+  bool all = true;
+  for (const Claim& c : spec.claims(result)) {
+    std::printf("  [%s] %s\n", c.ok ? "ok" : "FAIL", c.label.c_str());
+    all = all && c.ok;
+  }
+  return all;
 }
 
 }  // namespace rasc::exp

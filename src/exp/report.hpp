@@ -24,6 +24,11 @@ std::string campaign_json(const CampaignResult& result);
 /// cwd).  Returns the path written, or "" on I/O failure.
 std::string write_campaign_json(const CampaignResult& result, const std::string& dir = "");
 
+/// Evaluate spec.claims on `result` and print each as "  [ok] label" or
+/// "  [FAIL] label".  True iff every claim holds (also when there are
+/// none); campaign_runner exits 1 on false.
+bool print_claims(const CampaignSpec& spec, const CampaignResult& result);
+
 /// Human-readable per-cell summary: one row per grid cell with the
 /// Bernoulli channel and any named value means.
 support::Table campaign_table(const CampaignResult& result);

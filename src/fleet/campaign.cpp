@@ -57,6 +57,7 @@ exp::CampaignSpec make_fleet_scale_campaign(
     FleetConfig config = fleet_config_for(point, ctx.seed);
     exp::TrialOutput out;
     config.metrics = &out.metrics;
+    config.journal = ctx.journal;
     // Collect violations instead of throwing so require() can report them
     // through the campaign's own invariant channel.
     config.enforce_invariants = false;
@@ -99,9 +100,18 @@ exp::CampaignSpec make_fleet_scale_campaign(
                         static_cast<double>(result.link_sent));
     out.value("first_misjudge_trial",
               result.misjudged_rounds > 0 ? static_cast<double>(ctx.trial_index)
-                                          : kNoMisjudgeFleetTrial);
+                                          : exp::kNoMisjudgeTrial);
     out.health.merge(result.health);
     return out;
+  };
+  // The per-trial require() already threw on a violated fleet invariant;
+  // the claim shows the aggregate in the output even when every trial
+  // passed.
+  spec.claims = [](const exp::CampaignResult& result) {
+    return exp::claim_each_cell(result, "every fleet round resolved", [](const exp::CellResult& c) {
+      const auto it = c.values.find("resolved");
+      return it != c.values.end() && it->second.mean() == 1.0;
+    });
   };
   return spec;
 }

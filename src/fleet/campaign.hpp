@@ -26,13 +26,6 @@ struct FleetScaleCampaignOptions {
   std::size_t threads = 0;  ///< 0 = hardware concurrency
 };
 
-/// Sentinel recorded in the "first_misjudge_trial" value channel when a
-/// trial misjudged no round; the per-cell min() is then either the lowest
-/// misjudging trial index or this (thread-count independent either way,
-/// which lets campaign_runner --journal-out replay the same trial
-/// regardless of -j).
-inline constexpr double kNoMisjudgeFleetTrial = 1e18;
-
 /// Cells at or above this fleet size run with stack hibernation and the
 /// bounded live pool (FleetConfig::max_live_stacks = kHibernationPool).
 /// The threshold is low enough that CI's reduced fleet-1m cell
@@ -41,10 +34,8 @@ inline constexpr double kNoMisjudgeFleetTrial = 1e18;
 inline constexpr std::size_t kHibernationDeviceThreshold = 20000;
 inline constexpr std::size_t kHibernationPool = 4096;
 
-/// Build the fleet configuration for one (cell, trial seed) coordinate.
-/// Shared by the campaign trial function and campaign_runner's
-/// --journal-out replay, so a re-run with a journal attached reproduces
-/// the selected trial event-for-event.
+/// Build the fleet configuration for one (cell, trial seed) coordinate —
+/// the campaign trial's, exposed so other drivers run the same fleet.
 FleetConfig fleet_config_for(const exp::GridPoint& point, std::uint64_t trial_seed);
 
 /// Spec name "fleet" (artifact BENCH_fleet.json; the campaign_runner CLI

@@ -5,6 +5,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "src/attest/stack.hpp"
 #include "src/exp/seeding.hpp"
 #include "src/support/rng.hpp"
 
@@ -163,61 +164,42 @@ struct ShardState {
   obs::HealthRollup health;
 };
 
-support::Bytes random_bytes(std::uint64_t seed, std::size_t n) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes bytes(n);
-  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
-  return bytes;
-}
-
 ShardState make_shard_state(const FleetConfig& config, std::size_t shard) {
   ShardState state;
-  state.image = random_bytes(shard_stream(config.seed, shard, kImageSalt),
-                             config.blocks * config.block_size);
-  state.key = random_bytes(shard_stream(config.seed, shard, kKeySalt), kKeyBytes);
+  state.image = support::random_bytes(shard_stream(config.seed, shard, kImageSalt),
+                                      config.blocks * config.block_size);
+  state.key = support::random_bytes(shard_stream(config.seed, shard, kKeySalt), kKeyBytes);
   state.golden = std::make_shared<const attest::GoldenMeasurement>(
       state.image, config.block_size, config.hash, state.key);
   return state;
 }
 
-sim::DeviceConfig make_device_config(const FleetConfig& config,
-                                     const ShardState& shard, std::size_t device) {
-  sim::DeviceConfig dev;
-  dev.id = "prv-" + std::to_string(device);
-  dev.memory_size = config.blocks * config.block_size;
-  dev.block_size = config.block_size;
-  dev.attestation_key = shard.key;
-  return dev;
-}
-
-sim::LinkConfig make_link_config(const FleetConfig& config, std::size_t device,
-                                 bool forward) {
-  sim::LinkConfig link;
-  link.name = forward ? "vrf->prv" : "prv->vrf";
-  link.base_latency = config.link_latency;
-  link.jitter = config.link_jitter;
-  link.drop_probability = config.drop_probability;
-  link.duplicate_probability = config.duplicate_probability;
-  link.corrupt_probability = config.corrupt_probability;
-  link.reorder_probability = config.reorder_probability;
-  link.seed = device_stream(config.seed, device,
-                            forward ? kLinkForwardSalt : kLinkReverseSalt);
-  return link;
-}
-
-attest::ProverConfig make_prover_config(const FleetConfig& config) {
-  attest::ProverConfig prover;
-  prover.hash = config.hash;
-  prover.mode = config.mode;
-  prover.use_merkle_tree = config.use_merkle_tree;
-  return prover;
-}
-
-attest::SessionConfig make_session_config(const FleetConfig& config,
-                                          std::size_t device) {
-  attest::SessionConfig session = config.session;
-  session.seed = device_stream(config.seed, device, kSessionSalt);
-  return session;
+/// Device `index`'s stack: the shard's key and image (and golden, when
+/// shared) and the per-device seeds.
+attest::StackConfig make_stack_config(const FleetConfig& config,
+                                      const ShardState& shard, std::size_t index) {
+  attest::StackConfig stack;
+  stack.device = {"prv-" + std::to_string(index), config.blocks * config.block_size,
+                  config.block_size, shard.key};
+  if (config.share_golden) stack.golden = shard.golden;
+  stack.challenge_seed = device_stream(config.seed, index, kChallengeSalt);
+  stack.prover.hash = config.hash;
+  stack.prover.mode = config.mode;
+  stack.prover.use_merkle_tree = config.use_merkle_tree;
+  stack.to_prv.name = "vrf->prv";
+  stack.to_prv.base_latency = config.link_latency;
+  stack.to_prv.jitter = config.link_jitter;
+  stack.to_prv.drop_probability = config.drop_probability;
+  stack.to_prv.duplicate_probability = config.duplicate_probability;
+  stack.to_prv.corrupt_probability = config.corrupt_probability;
+  stack.to_prv.reorder_probability = config.reorder_probability;
+  stack.to_prv.seed = device_stream(config.seed, index, kLinkForwardSalt);
+  stack.to_vrf = stack.to_prv;
+  stack.to_vrf.name = "prv->vrf";
+  stack.to_vrf.seed = device_stream(config.seed, index, kLinkReverseSalt);
+  stack.session = config.session;
+  stack.session.seed = device_stream(config.seed, index, kSessionSalt);
+  return stack;
 }
 
 /// One prover and everything the verifier keeps to talk to it.  CPU
@@ -229,38 +211,12 @@ attest::SessionConfig make_session_config(const FleetConfig& config,
 /// whole run; with it, idle quiescent stacks collapse to HibernatedDevice
 /// records and are rebuilt from the shard state on the next admission.
 /// The admission window bounds *concurrent sessions*, not live objects.
-struct DeviceStack {
-  std::shared_ptr<const attest::GoldenMeasurement> own_golden;  ///< iff !share_golden
-  sim::Device device;
-  attest::Verifier verifier;
-  attest::AttestationProcess mp;
-  sim::Link vrf_to_prv;
-  sim::Link prv_to_vrf;
-  attest::ReliableSession session;
-
+struct DeviceStack : attest::Stack {
   DeviceStack(sim::Simulator& sim, const FleetConfig& config, ShardState& shard,
               std::size_t index)
-      : own_golden(config.share_golden
-                       ? nullptr
-                       : std::make_shared<const attest::GoldenMeasurement>(
-                             shard.image, config.block_size, config.hash,
-                             shard.key)),
-        device(sim, make_device_config(config, shard, index)),
-        verifier(config.share_golden ? shard.golden : own_golden, shard.key,
-                 device_stream(config.seed, index, kChallengeSalt)),
-        mp(device, make_prover_config(config)),
-        vrf_to_prv(sim, make_link_config(config, index, /*forward=*/true)),
-        prv_to_vrf(sim, make_link_config(config, index, /*forward=*/false)),
-        session(device, verifier, mp, vrf_to_prv, prv_to_vrf,
-                make_session_config(config, index)) {
-    device.memory().load(shard.image);
+      : attest::Stack(sim, make_stack_config(config, shard, index), shard.image) {
     if (config.share_digest_cache) mp.set_shared_digest_cache(&shard.cache);
-    if (config.metrics != nullptr) {
-      verifier.set_metrics(config.metrics);
-      vrf_to_prv.set_metrics(config.metrics);
-      prv_to_vrf.set_metrics(config.metrics);
-      session.set_metrics(config.metrics);
-    }
+    attach(config.metrics, &shard.health);
   }
 
   /// Provisioning step two, split from construction so the fleet can build
@@ -269,17 +225,15 @@ struct DeviceStack {
   /// before the infection patch lands, so the infection is the only
   /// dirtiness the first round sees and the subtree proofs localize
   /// exactly the infected range.
-  void provision(const FleetConfig& config, ShardState& shard, bool infected) {
+  void provision(const FleetConfig& config, bool infected) {
     if (config.use_merkle_tree) {
-      // The shard golden already holds every block digest of the clean
-      // image, computed once per shard in one multi-lane batch
+      // The golden already holds every block digest of the clean image,
+      // computed once per shard in one multi-lane batch
       // (GoldenMeasurement's batched constructor).  Prime the tree from
       // those digests directly instead of re-digesting blocks * devices
       // times — the prover's (mac, hash, key) match the golden's by
       // construction (same FleetConfig, same shard key).
-      const attest::GoldenMeasurement& golden =
-          config.share_golden ? *shard.golden : *own_golden;
-      mp.prime_tree_from(golden.block_digests());
+      mp.prime_tree_from(verifier.golden().block_digests());
     }
     patch_infection(config, infected);
   }
@@ -295,10 +249,7 @@ struct DeviceStack {
     if (!infected) return;
     const auto [first, count] = detail::infection_range(config);
     for (std::size_t block = first; block < first + count; ++block) {
-      const std::size_t addr = block * device.memory().block_size();
-      const std::uint8_t original = device.memory().block_view(block)[0];
-      const support::Bytes patch = {static_cast<std::uint8_t>(original ^ 0xff)};
-      device.memory().write(addr, patch, 0, sim::Actor::kMalware);
+      infect(block * config.block_size);
     }
   }
 
@@ -432,7 +383,6 @@ struct FleetVerifier::Impl {
       for (std::size_t d = 0; d < config.devices; ++d) {
         stacks[d] = std::make_unique<DeviceStack>(simulator, config,
                                                   shards[shard_of(d)], d);
-        stacks[d]->session.set_health(&shards[shard_of(d)].health);
       }
       // Shard-wave provisioning: every device of a shard primes its tree
       // from the same pre-batched golden digests (tree mode), then takes
@@ -440,7 +390,7 @@ struct FleetVerifier::Impl {
       // (one digest_batch per shard, inside make_shard_state) amortizes
       // across the whole wave instead of repeating per device.
       for (std::size_t d = 0; d < config.devices; ++d) {
-        stacks[d]->provision(config, shards[shard_of(d)], roster.infected(d));
+        stacks[d]->provision(config, roster.infected(d));
       }
       live_stacks = config.devices;
       result.live_stacks_high_water = live_stacks;
@@ -468,7 +418,6 @@ struct FleetVerifier::Impl {
     if (stacks[d]) return *stacks[d];
     const std::size_t s = shard_of(d);
     auto stack = std::make_unique<DeviceStack>(simulator, config, shards[s], d);
-    stack->session.set_health(&shards[s].health);
     ++live_stacks;
     result.live_stacks_high_water =
         std::max(result.live_stacks_high_water, live_stacks);
@@ -488,7 +437,7 @@ struct FleetVerifier::Impl {
       ++result.wakes;
       journal_fleet(obs::JournalEventKind::kFleetWake, d, h.wakes, live_stacks);
     } else {
-      stack->provision(config, shards[s], roster.infected(d));
+      stack->provision(config, roster.infected(d));
     }
     stacks[d] = std::move(stack);
     return *stacks[d];
@@ -800,29 +749,22 @@ struct FleetVerifier::Impl {
 
     // Link counters survive hibernation inside the saved Link::State, so
     // the fleet totals cover live and hibernated devices alike.
+    attest::LinkCounters links;
     for (std::size_t d = 0; d < config.devices; ++d) {
       if (stacks[d]) {
-        for (const sim::Link* link :
-             {&stacks[d]->vrf_to_prv, &stacks[d]->prv_to_vrf}) {
-          result.link_sent += link->sent();
-          result.link_delivered += link->delivered();
-          result.link_dropped += link->dropped();
-          result.link_duplicated += link->duplicated();
-          result.link_corrupted += link->corrupted();
-          result.link_reordered += link->reordered();
-        }
+        links.add(stacks[d]->vrf_to_prv.save_state());
+        links.add(stacks[d]->prv_to_vrf.save_state());
       } else if (hibernation && hibernated[d].valid) {
-        for (const sim::Link::State* link :
-             {&hibernated[d].vrf_to_prv, &hibernated[d].prv_to_vrf}) {
-          result.link_sent += link->sent;
-          result.link_delivered += link->delivered;
-          result.link_dropped += link->dropped;
-          result.link_duplicated += link->duplicated;
-          result.link_corrupted += link->corrupted;
-          result.link_reordered += link->reordered;
-        }
+        links.add(hibernated[d].vrf_to_prv);
+        links.add(hibernated[d].prv_to_vrf);
       }
     }
+    result.link_sent = links.sent;
+    result.link_delivered = links.delivered;
+    result.link_dropped = links.dropped;
+    result.link_duplicated = links.duplicated;
+    result.link_corrupted = links.corrupted;
+    result.link_reordered = links.reordered;
     if (result.link_delivered !=
         result.link_sent - result.link_dropped + result.link_duplicated) {
       violation("link counter invariant delivered == sent - dropped + "
@@ -981,7 +923,7 @@ std::vector<obs::RoundOutcome> replay_device(
   replay_config.journal = nullptr;
   ShardState shard = make_shard_state(replay_config, shard_index);
   DeviceStack stack(simulator, replay_config, shard, device);
-  stack.provision(replay_config, shard, roster.infected(device));
+  stack.provision(replay_config, roster.infected(device));
 
   std::vector<obs::RoundOutcome> outcomes;
   outcomes.reserve(start_times.size());

@@ -35,8 +35,6 @@ struct SeedConfig {
   crypto::HashKind hash = crypto::HashKind::kSha256;
   attest::ExecutionMode mode = attest::ExecutionMode::kInterruptible;
   int priority = 5;
-  /// Host-side digest cache across epochs (simulated timing unchanged).
-  bool use_digest_cache = true;
 };
 
 class SeedProver {

@@ -1,5 +1,6 @@
 #include "src/smarm/campaign.hpp"
 
+#include <cmath>
 #include <map>
 #include <memory>
 
@@ -7,6 +8,21 @@
 #include "src/smarm/runner.hpp"
 
 namespace rasc::smarm {
+
+namespace {
+
+/// The closed-form check: `analytic` lies inside the cell's 99.9% Wilson
+/// interval (exp::kClaimZ), labelled "<what> empirical E vs analytic A".
+exp::Claim analytic_in_interval(const exp::CellResult& cell, double analytic,
+                                const std::string& what) {
+  const exp::WilsonInterval wide = exp::wilson_interval(cell.successes, cell.attempts,
+                                                        exp::kClaimZ);
+  return exp::claim(wide.contains(analytic),
+                    "%s empirical %.4g vs analytic %.4g, 99.9%% CI [%.4g, %.4g]", what.c_str(),
+                    cell.success_rate, analytic, wide.lower, wide.upper);
+}
+
+}  // namespace
 
 exp::CampaignSpec make_escape_campaign(const EscapeCampaignOptions& options) {
   exp::CampaignSpec spec;
@@ -27,6 +43,28 @@ exp::CampaignSpec make_escape_campaign(const EscapeCampaignOptions& options) {
     exp::TrialOutput out;
     out.bernoulli(play_escape_game(blocks, rounds, ctx.rng));
     return out;
+  };
+  spec.claims = [](const exp::CampaignResult& result) {
+    std::vector<exp::Claim> claims;
+    for (const auto& cell : result.cells) {
+      const auto rounds = static_cast<std::size_t>(cell.point.i64("rounds"));
+      const auto blocks = static_cast<std::size_t>(cell.point.i64("blocks"));
+      claims.push_back(analytic_in_interval(cell, multi_round_escape(blocks, rounds),
+                                            cell.point.label() + ":"));
+    }
+    // The paper's two headline points, checked when the grid has them.
+    if (const auto* one_round = result.find_cell("rounds=1 blocks=1024")) {
+      claims.push_back(analytic_in_interval(*one_round, std::exp(-1.0),
+                                            "1 round @ n=1024: escape ~ e^-1,"));
+    }
+    claims.push_back(exp::claim(multi_round_escape(8, 13) < 1e-6,
+                                "13 rounds @ n=8: closed form below 1e-6"));
+    if (const auto* thirteen = result.find_cell("rounds=13 blocks=8")) {
+      claims.push_back(exp::claim(
+          thirteen->success_rate <= 1e-6 && thirteen->ci.lower <= 1e-6,
+          "13 rounds @ n=8: empirical escape below 1e-6 within its CI"));
+    }
+    return claims;
   };
   return spec;
 }
@@ -50,8 +88,9 @@ exp::CampaignSpec make_fullstack_escape_campaign(const EscapeCampaignOptions& op
   auto goldens = std::make_shared<
       std::map<std::int64_t, std::shared_ptr<const attest::GoldenMeasurement>>>();
   for (const std::int64_t blocks : block_counts) {
-    const auto image = firmware_image(static_cast<std::size_t>(blocks) * kBlockSize,
-                                      kProvisionSeedBase + static_cast<std::uint64_t>(blocks));
+    const auto image = support::random_bytes(
+        kProvisionSeedBase + static_cast<std::uint64_t>(blocks),
+        static_cast<std::size_t>(blocks) * kBlockSize);
     (*goldens)[blocks] = std::make_shared<const attest::GoldenMeasurement>(
         image, kBlockSize, crypto::HashKind::kSha256,
         support::to_bytes("smarm-shared-key"));
@@ -74,6 +113,15 @@ exp::CampaignSpec make_fullstack_escape_campaign(const EscapeCampaignOptions& op
     out.bernoulli(outcome.rounds_run == 1 && outcome.detections == 0);
     out.value("relocations", static_cast<double>(outcome.malware_relocations));
     return out;
+  };
+  spec.claims = [](const exp::CampaignResult& result) {
+    std::vector<exp::Claim> claims;
+    for (const auto& cell : result.cells) {
+      const auto blocks = static_cast<std::size_t>(cell.point.i64("blocks"));
+      claims.push_back(analytic_in_interval(cell, single_round_escape(blocks),
+                                            "full stack n=" + std::to_string(blocks) + ":"));
+    }
+    return claims;
   };
   return spec;
 }

@@ -16,7 +16,7 @@ struct EscapeCampaignOptions {
   std::uint64_t seed = 1;
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   /// Full-stack only: prover-side digest cache (host wall-clock
-  /// optimization).  Exposed so benches can assert that cached and
+  /// optimization).  Exposed so tests can assert that cached and
   /// uncached campaigns produce byte-identical aggregates.
   bool use_digest_cache = true;
 };

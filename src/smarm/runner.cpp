@@ -4,13 +4,6 @@
 
 namespace rasc::smarm {
 
-support::Bytes firmware_image(std::size_t size, std::uint64_t provision_seed) {
-  support::Xoshiro256 rng(provision_seed);
-  support::Bytes image(size);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
-}
-
 RunnerOutcome run_rounds(const RunnerConfig& config) {
   sim::Simulator simulator;
   sim::DeviceConfig dev_config;
@@ -21,7 +14,7 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
   sim::Device device(simulator, dev_config);
   const std::uint64_t provision_seed =
       config.provision_seed.value_or(0xf1f0 + config.seed);
-  device.memory().load(firmware_image(device.memory().size(), provision_seed));
+  device.memory().load(support::random_bytes(provision_seed, device.memory().size()));
 
   // Challenge stream decorrelated from the trial seed so Monte-Carlo
   // trials exercise independent challenges, not one replayed sequence.

@@ -55,11 +55,6 @@ struct RunnerOutcome {
   std::size_t malware_blocked_relocations = 0;
 };
 
-/// Deterministic benign "firmware" image for a given provisioning seed —
-/// exactly what run_rounds loads into device memory, exposed so campaign
-/// factories can pre-digest the cell's golden image once.
-support::Bytes firmware_image(std::size_t size, std::uint64_t provision_seed);
-
 /// Run `config.rounds` back-to-back measurements on a fresh device with
 /// the malware resident throughout; returns per-round detection counts.
 RunnerOutcome run_rounds(const RunnerConfig& config);

@@ -63,4 +63,11 @@ double Xoshiro256::exponential(double mean) noexcept {
   return -mean * std::log(u);
 }
 
+Bytes random_bytes(std::uint64_t seed, std::size_t n) {
+  Xoshiro256 rng(seed);
+  Bytes bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
+  return bytes;
+}
+
 }  // namespace rasc::support

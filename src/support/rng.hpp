@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "src/support/bytes.hpp"
+
 namespace rasc::support {
 
 /// SplitMix64: used to expand a user seed into generator state.
@@ -55,5 +57,9 @@ class Xoshiro256 {
  private:
   std::uint64_t s_[4];
 };
+
+/// `n` bytes, one below(256) draw each from Xoshiro256(seed): the
+/// deterministic image every provisioning path loads.
+Bytes random_bytes(std::uint64_t seed, std::size_t n);
 
 }  // namespace rasc::support

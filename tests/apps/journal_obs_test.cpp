@@ -61,9 +61,9 @@ TEST(JournalIntegration, NetworkScenarioPopulatesJournalAndHealth) {
             outcome.total_attempts);
   // Link fates recorded per direction under the documented actor names.
   EXPECT_EQ(count_kind(journal, obs::JournalEventKind::kLinkSend),
-            outcome.link_sent);
+            outcome.links.sent);
   EXPECT_EQ(count_kind(journal, obs::JournalEventKind::kLinkDrop),
-            outcome.link_dropped);
+            outcome.links.dropped);
   obs::JournalFilter forward;
   forward.actor = journal.intern("vrf->prv");
   EXPECT_GT(journal.count(forward), 0u);
@@ -95,9 +95,9 @@ TEST(JournalIntegration, AttachingJournalChangesNothingObservable) {
   EXPECT_EQ(with.timeouts, without.timeouts);
   EXPECT_EQ(with.total_attempts, without.total_attempts);
   EXPECT_EQ(with.total_round_latency, without.total_round_latency);
-  EXPECT_EQ(with.link_sent, without.link_sent);
-  EXPECT_EQ(with.link_dropped, without.link_dropped);
-  EXPECT_EQ(with.link_duplicated, without.link_duplicated);
+  EXPECT_EQ(with.links.sent, without.links.sent);
+  EXPECT_EQ(with.links.dropped, without.links.dropped);
+  EXPECT_EQ(with.links.duplicated, without.links.duplicated);
   EXPECT_EQ(with.wasted_measure_time, without.wasted_measure_time);
   EXPECT_GT(journal.size(), 0u);
 

@@ -234,7 +234,7 @@ TEST(Scenario, NetworkScenarioCleanLinkVerifiesEveryRound) {
   EXPECT_EQ(outcome.total_attempts, 3u);
   EXPECT_EQ(outcome.retries, 0u);
   EXPECT_EQ(outcome.wasted_measure_time, 0u);
-  EXPECT_EQ(outcome.link_dropped, 0u);
+  EXPECT_EQ(outcome.links.dropped, 0u);
 }
 
 TEST(Scenario, NetworkScenarioResolvesEveryRoundOnVeryLossyLink) {
@@ -249,7 +249,7 @@ TEST(Scenario, NetworkScenarioResolvesEveryRoundOnVeryLossyLink) {
   const NetworkScenarioOutcome outcome = run_network_scenario(config);
   EXPECT_TRUE(outcome.all_resolved);
   EXPECT_EQ(outcome.rounds_resolved, 6u);
-  EXPECT_GT(outcome.link_dropped, 0u);
+  EXPECT_GT(outcome.links.dropped, 0u);
   // Every terminal outcome is accounted for exactly once.
   EXPECT_EQ(outcome.verified + outcome.compromised + outcome.timeouts +
                 outcome.corrupt_report + outcome.replay_rejected,
@@ -279,7 +279,7 @@ TEST(Scenario, NetworkScenarioIsDeterministic) {
   EXPECT_EQ(a.timeouts, b.timeouts);
   EXPECT_EQ(a.total_attempts, b.total_attempts);
   EXPECT_EQ(a.total_round_latency, b.total_round_latency);
-  EXPECT_EQ(a.link_dropped, b.link_dropped);
+  EXPECT_EQ(a.links.dropped, b.links.dropped);
   EXPECT_EQ(a.wasted_measure_time, b.wasted_measure_time);
 }
 

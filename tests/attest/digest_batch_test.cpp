@@ -21,15 +21,8 @@ namespace {
 
 using support::to_bytes;
 
-support::Bytes random_bytes(std::size_t n, std::uint64_t seed) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
-}
-
 TEST(DigestBatch, MatchesScalarDigestForEveryConfiguration) {
-  const support::Bytes key = random_bytes(16, 3);
+  const support::Bytes key = support::random_bytes(3, 16);
   for (const MacKind mac : {MacKind::kHmac, MacKind::kCbcMac}) {
     for (const auto hash : crypto::kAllHashKinds) {
       for (const std::size_t count :
@@ -40,7 +33,7 @@ TEST(DigestBatch, MatchesScalarDigestForEveryConfiguration) {
         std::vector<Digest> batch(count);
         std::vector<Digest*> outs;
         for (std::size_t i = 0; i < count; ++i) {
-          blocks.push_back(random_bytes(256, 0xb10c + 37 * i));
+          blocks.push_back(support::random_bytes(0xb10c + 37 * i, 256));
           views.push_back(blocks[i]);
           outs.push_back(&batch[i]);
         }
@@ -62,7 +55,7 @@ TEST(DigestBatch, MatchesScalarDigestForEveryConfiguration) {
 TEST(DigestBatch, RejectsMismatchedSpans) {
   BlockDigester digester(MacKind::kHmac, crypto::HashKind::kSha256,
                          to_bytes("key"));
-  const support::Bytes block = random_bytes(64, 1);
+  const support::Bytes block = support::random_bytes(1, 64);
   const support::ByteView views[] = {block, block};
   Digest out;
   Digest* outs[] = {&out};
@@ -82,7 +75,7 @@ struct VisitFixture {
   support::Bytes key = to_bytes("visit-batch-key");
 
   VisitFixture() {
-    const support::Bytes image = random_bytes(kBlocks * kBlockSize, 0x77);
+    const support::Bytes image = support::random_bytes(0x77, kBlocks * kBlockSize);
     scalar_mem.load(image);
     batch_mem.load(image);
   }
@@ -162,7 +155,7 @@ TEST(VisitBlocks, ContentOverloadMatchesScalarAndBypassesCache) {
   std::vector<support::ByteView> contents;
   std::vector<std::size_t> order;
   for (std::size_t b = 0; b < kBlocks; ++b) {
-    snapshots.push_back(random_bytes(kBlockSize, 0x5a + b));
+    snapshots.push_back(support::random_bytes(0x5a + b, kBlockSize));
     order.push_back(b);
   }
   for (std::size_t b = 0; b < kBlocks; ++b) contents.push_back(snapshots[b]);
@@ -193,7 +186,7 @@ TEST(VisitBlocks, OutOfCoverageThrows) {
 
 TEST(GoldenBatch, BatchedConstructorMatchesPerBlockDigests) {
   const support::Bytes key = to_bytes("golden-batch-key");
-  const support::Bytes image = random_bytes(kBlocks * kBlockSize, 0x601d);
+  const support::Bytes image = support::random_bytes(0x601d, kBlocks * kBlockSize);
   for (const auto hash : crypto::kAllHashKinds) {
     GoldenMeasurement golden(image, kBlockSize, hash, key);
     BlockDigester digester(MacKind::kHmac, hash, key);
@@ -211,7 +204,7 @@ TEST(GoldenBatch, BatchedConstructorMatchesPerBlockDigests) {
 TEST(PrimeTreeFrom, MatchesPrimeTree) {
   sim::Simulator simulator;
   const support::Bytes key = to_bytes("prime-key");
-  const support::Bytes image = random_bytes(kBlocks * kBlockSize, 0x41);
+  const support::Bytes image = support::random_bytes(0x41, kBlocks * kBlockSize);
   sim::Device scalar_dev(simulator, sim::DeviceConfig{"dev-a", kBlocks * kBlockSize,
                                                       kBlockSize, key});
   sim::Device batch_dev(simulator, sim::DeviceConfig{"dev-b", kBlocks * kBlockSize,

@@ -19,10 +19,7 @@ constexpr std::size_t kBlockSize = 64;
 
 sim::DeviceMemory make_memory(std::uint64_t seed = 1) {
   sim::DeviceMemory mem(kBlocks * kBlockSize, kBlockSize);
-  support::Xoshiro256 rng(seed);
-  support::Bytes image(mem.size());
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  mem.load(image);
+  mem.load(support::random_bytes(seed, mem.size()));
   return mem;
 }
 
@@ -125,12 +122,7 @@ TEST(DigestCache, MalwareRelocationForcesRehashAndDetection) {
   dev_config.memory_size = kBlocks * kBlockSize;
   dev_config.block_size = kBlockSize;
   sim::Device device(simulator, dev_config);
-  {
-    support::Xoshiro256 rng(7);
-    support::Bytes image(device.memory().size());
-    for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-    device.memory().load(image);
-  }
+  device.memory().load(support::random_bytes(7, device.memory().size()));
   const support::Bytes golden = device.memory().snapshot();
 
   DigestCache cache;

@@ -14,10 +14,7 @@ constexpr std::size_t kBlocks = 8;
 constexpr std::size_t kBlockSize = 64;
 
 support::Bytes make_image(std::uint64_t seed = 1) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes image(kBlocks * kBlockSize);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
+  return support::random_bytes(seed, kBlocks * kBlockSize);
 }
 
 MeasurementContext ctx(std::uint64_t counter = 1) {

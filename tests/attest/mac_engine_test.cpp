@@ -78,9 +78,7 @@ struct CbcFixture {
                sim::DeviceConfig{"dev-cbc", 8 * 256, 256, support::Bytes(16, 0x2a)}),
         verifier(crypto::HashKind::kSha256, support::Bytes(16, 0x2a),
                  [&] {
-                   support::Xoshiro256 rng(3);
-                   support::Bytes image(8 * 256);
-                   for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
+                   support::Bytes image = support::random_bytes(3, 8 * 256);
                    device.memory().load(image);
                    return image;
                  }(),

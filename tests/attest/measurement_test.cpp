@@ -12,10 +12,7 @@ using support::to_bytes;
 sim::DeviceMemory make_memory(std::size_t blocks = 8, std::size_t block_size = 64,
                               std::uint64_t seed = 1) {
   sim::DeviceMemory mem(blocks * block_size, block_size);
-  support::Xoshiro256 rng(seed);
-  support::Bytes image(mem.size());
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  mem.load(image);
+  mem.load(support::random_bytes(seed, mem.size()));
   return mem;
 }
 

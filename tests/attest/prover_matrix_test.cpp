@@ -51,9 +51,7 @@ struct MatrixFixture {
   MatrixFixture()
       : device(simulator,
                sim::DeviceConfig{"dev-mx", 12 * 256, 256, to_bytes("matrix-key")}) {
-    support::Xoshiro256 rng(55);
-    image.resize(device.memory().size());
-    for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
+    image = support::random_bytes(55, device.memory().size());
     device.memory().load(image);
   }
 };

@@ -23,9 +23,7 @@ struct Fixture {
                                  to_bytes("prover-test-key")}),
         verifier(crypto::HashKind::kSha256, to_bytes("prover-test-key"),
                  [&] {
-                   support::Xoshiro256 rng(11);
-                   support::Bytes image(blocks * block_size);
-                   for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
+                   support::Bytes image = support::random_bytes(11, blocks * block_size);
                    device.memory().load(image);
                    return image;
                  }(),

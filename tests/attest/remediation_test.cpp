@@ -23,9 +23,7 @@ struct RemediationFixture {
       : device(simulator,
                sim::DeviceConfig{"dev-rem", 16 * 512, 512, to_bytes("rem-key")}),
         golden([&] {
-          support::Xoshiro256 rng(8);
-          support::Bytes image(16 * 512);
-          for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
+          support::Bytes image = support::random_bytes(8, 16 * 512);
           device.memory().load(image);
           return image;
         }()),

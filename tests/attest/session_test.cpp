@@ -29,7 +29,7 @@ TEST(ReliableSession, CleanLinkVerifiesOnFirstAttempt) {
 TEST(ReliableSession, TotalLossExhaustsBudgetAndTimesOut) {
   sim::LinkConfig dead;
   dead.drop_probability = 1.0;
-  SessionHarness fx(SessionHarness::with_links(dead, {}));
+  SessionHarness fx({.to_prv = dead});
   const RoundResult result = fx.run_round();
   EXPECT_TRUE(testfx::resolved_as(result, SessionOutcome::kTimeout));
   EXPECT_EQ(result.attempts, 3u);
@@ -44,7 +44,7 @@ TEST(ReliableSession, PartitionDroppedReportIsRetriedToVerification) {
   // report vanishes; the retry lands after the partition lifts.
   sim::LinkConfig report_leg;
   report_leg.partitions.push_back({0, 10 * kMs});
-  SessionHarness fx(SessionHarness::with_links({}, report_leg));
+  SessionHarness fx({.to_vrf = report_leg});
   const RoundResult result = fx.run_round();
   EXPECT_TRUE(testfx::resolved_as(result, SessionOutcome::kVerified));
   EXPECT_EQ(result.attempts, 2u);
@@ -59,7 +59,7 @@ TEST(ReliableSession, CorruptedReportsClassifyAsCorruptReport) {
   garbling.corrupt_probability = 1.0;
   SessionConfig config = fast_session_config();
   config.max_attempts = 2;
-  SessionHarness fx(SessionHarness::with_links({}, garbling, config));
+  SessionHarness fx({.to_vrf = garbling, .session = config});
   const RoundResult result = fx.run_round();
   EXPECT_TRUE(testfx::resolved_as(result, SessionOutcome::kCorruptReport));
   EXPECT_EQ(result.attempts, 2u);
@@ -73,7 +73,7 @@ TEST(ReliableSession, CorruptedReportsClassifyAsCorruptReport) {
 TEST(ReliableSession, DuplicatedWinningReportIsRejectedAsLate) {
   sim::LinkConfig duplicating;
   duplicating.duplicate_probability = 1.0;
-  SessionHarness fx(SessionHarness::with_links({}, duplicating));
+  SessionHarness fx({.to_vrf = duplicating});
   const RoundResult result = fx.run_round();
   EXPECT_TRUE(testfx::resolved_as(result, SessionOutcome::kVerified));
   EXPECT_EQ(result.attempts, 1u);
@@ -93,7 +93,7 @@ TEST(ReliableSession, StaleReportOnlyClassifiesAsReplayRejected) {
   SessionConfig config = fast_session_config();
   config.response_timeout = 30 * kMs;
   config.max_attempts = 2;
-  SessionHarness fx(SessionHarness::with_links(challenge_leg, report_leg, config));
+  SessionHarness fx({.to_prv = challenge_leg, .to_vrf = report_leg, .session = config});
   const RoundResult result = fx.run_round();
   EXPECT_TRUE(testfx::resolved_as(result, SessionOutcome::kReplayRejected));
   EXPECT_EQ(result.attempts, 2u);
@@ -122,7 +122,7 @@ TEST(ReliableSession, EveryRoundResolvesUnderHeavyFaults) {
   lossy2.seed = 0xbad2;
   SessionConfig config = fast_session_config();
   config.max_attempts = 4;
-  SessionHarness fx(SessionHarness::with_links(lossy, lossy2, config));
+  SessionHarness fx({.to_prv = lossy, .to_vrf = lossy2, .session = config});
 
   constexpr std::size_t kRounds = 30;
   std::size_t resolved = 0;
@@ -146,7 +146,7 @@ TEST(ReliableSession, BackoffGrowsExponentiallyWithJitterBounded) {
   SessionConfig config = fast_session_config();
   config.max_attempts = 4;
   config.backoff_jitter = 0.5;
-  SessionHarness fx(SessionHarness::with_links(dead, {}, config));
+  SessionHarness fx({.to_prv = dead, .session = config});
   const RoundResult result = fx.run_round();
   EXPECT_EQ(result.attempts, 4u);
   // Three retries at 5/10/20 ms nominal, each stretched by at most 50%.
@@ -168,7 +168,7 @@ TEST(ReliableSession, BackoffSaturatesAtTheConfiguredCap) {
   config.backoff_factor = 1e12;
   config.backoff_jitter = 1.0;
   config.backoff_max = 30 * kMs;
-  SessionHarness fx(SessionHarness::with_links(dead, {}, config));
+  SessionHarness fx({.to_prv = dead, .session = config});
   const RoundResult result = fx.run_round();
   EXPECT_TRUE(testfx::resolved_as(result, SessionOutcome::kTimeout));
   EXPECT_EQ(result.attempts, 6u);
@@ -186,7 +186,7 @@ TEST(ReliableSession, ModestBackoffIsUntouchedByTheDefaultCap) {
   dead.drop_probability = 1.0;
   SessionConfig config = fast_session_config();
   config.max_attempts = 4;
-  SessionHarness fx(SessionHarness::with_links(dead, {}, config));
+  SessionHarness fx({.to_prv = dead, .session = config});
   const RoundResult result = fx.run_round();
   EXPECT_EQ(result.backoff_total, (5 + 10 + 20) * kMs);
 }
@@ -199,7 +199,7 @@ TEST(ReliableSession, MisuseThrows) {
 
   SessionConfig config;
   config.max_attempts = 0;
-  SessionHarness broken(SessionHarness::with_session(config));
+  SessionHarness broken({.session = config});
   EXPECT_THROW(broken.session.run([](RoundResult) {}), std::invalid_argument);
 }
 
@@ -212,7 +212,7 @@ TEST(ReliableSession, ReportAfterTerminalOutcomeIsLateNotFatal) {
   sim::LinkConfig straggling;
   straggling.reorder_probability = 1.0;
   straggling.reorder_delay = 100 * kMs;
-  SessionHarness fx(SessionHarness::with_links({}, straggling));
+  SessionHarness fx({.to_vrf = straggling});
   const RoundResult first = fx.run_round();  // runs sim to full quiescence
   EXPECT_TRUE(testfx::resolved_as(first, SessionOutcome::kTimeout));
   EXPECT_EQ(first.attempts, 3u);
@@ -233,7 +233,7 @@ TEST(ReliableSession, ReportAfterTerminalOutcomeIsLateNotFatal) {
 TEST(ReliableSession, MetricsAccountTerminalOutcomes) {
   sim::LinkConfig dead;
   dead.drop_probability = 1.0;
-  SessionHarness fx(SessionHarness::with_links(dead, {}));
+  SessionHarness fx({.to_prv = dead});
   obs::MetricsRegistry metrics;
   fx.session.set_metrics(&metrics);
   (void)fx.run_round();

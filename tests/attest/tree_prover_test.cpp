@@ -26,9 +26,7 @@ struct Fixture {
                                             kBlockSize, to_bytes("tree-test-key")}),
         verifier(crypto::HashKind::kSha256, to_bytes("tree-test-key"),
                  [&] {
-                   support::Xoshiro256 rng(23);
-                   support::Bytes image(kBlocks * kBlockSize);
-                   for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
+                   support::Bytes image = support::random_bytes(23, kBlocks * kBlockSize);
                    device.memory().load(image);
                    return image;
                  }(),

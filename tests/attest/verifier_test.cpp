@@ -13,13 +13,6 @@ using support::to_bytes;
 constexpr std::size_t kBlocks = 8;
 constexpr std::size_t kBlockSize = 64;
 
-Bytes golden_image(std::uint64_t seed = 3) {
-  support::Xoshiro256 rng(seed);
-  Bytes image(kBlocks * kBlockSize);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
-}
-
 /// Produce a report as an honest prover with `image` in memory would.
 Report honest_report(const Bytes& image, const Bytes& key, Bytes challenge,
                      std::uint64_t counter) {
@@ -40,7 +33,7 @@ Report honest_report(const Bytes& image, const Bytes& key, Bytes challenge,
 class VerifierTest : public ::testing::Test {
  protected:
   Bytes key_ = to_bytes("shared-key");
-  Bytes image_ = golden_image();
+  Bytes image_ = support::random_bytes(3, kBlocks * kBlockSize);
   Verifier verifier_{crypto::HashKind::kSha256, key_, image_, kBlockSize};
 };
 

@@ -22,9 +22,7 @@ TEST(CbcMac, Deterministic) {
 
 TEST(CbcMac, StreamingEqualsOneShot) {
   const Bytes key(16, 0x33);
-  support::Xoshiro256 rng(3);
-  Bytes data(1000);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+  const Bytes data = support::random_bytes(3, 1000);
 
   CbcMac mac(key);
   std::size_t off = 0;

@@ -100,9 +100,7 @@ TEST_P(AllHashes, DigestSizeMatchesInterface) {
 }
 
 TEST_P(AllHashes, StreamingEqualsOneShot) {
-  support::Xoshiro256 rng(99);
-  support::Bytes data(4096);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+  const support::Bytes data = support::random_bytes(99, 4096);
 
   const auto oneshot = hash_oneshot(GetParam(), data);
   // Feed in irregular chunks.

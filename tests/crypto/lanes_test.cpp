@@ -43,13 +43,6 @@ namespace {
 
 using namespace rasc;
 
-support::Bytes random_bytes(std::size_t n, std::uint64_t seed) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
-}
-
 std::vector<crypto::LaneBackend> backends_under_test() {
   std::vector<crypto::LaneBackend> backends = {crypto::LaneBackend::kPortable};
   if (crypto::simd_compiled()) backends.push_back(crypto::LaneBackend::kSimd);
@@ -95,9 +88,9 @@ void run_length_matrix(crypto::HashKind kind, crypto::LaneBackend backend) {
     std::vector<support::Bytes> uniform;
     std::vector<support::Bytes> staggered;
     for (std::size_t l = 0; l < N; ++l) {
-      uniform.push_back(random_bytes(len, 0xfeed0 + 131 * len + l));
+      uniform.push_back(support::random_bytes(0xfeed0 + 131 * len + l, len));
       staggered.push_back(
-          random_bytes((len * (l + 1)) / N, 0xfeed1 + 131 * len + l));
+          support::random_bytes(0xfeed1 + 131 * len + l, (len * (l + 1)) / N));
     }
     expect_lane_identity<N>(kind, backend, uniform);
     expect_lane_identity<N>(kind, backend, staggered);
@@ -121,9 +114,8 @@ TEST(LaneHasher, MatchesScalarOnRandomizedLengths) {
       for (int iter = 0; iter < 64; ++iter) {
         std::vector<support::Bytes> messages;
         for (std::size_t l = 0; l < 4; ++l) {
-          messages.push_back(
-              random_bytes(static_cast<std::size_t>(rng.below(700)),
-                           0xabc + 1000 * iter + l));
+          messages.push_back(support::random_bytes(
+              0xabc + 1000 * iter + l, static_cast<std::size_t>(rng.below(700))));
         }
         expect_lane_identity<4>(kind, backend, messages);
       }
@@ -141,7 +133,7 @@ TEST(LaneHasher, SupportedKindsAndErrors) {
   EXPECT_GE(crypto::preferred_lanes(), std::size_t{4});
 
   // Mismatched output sizes must be rejected, not truncated.
-  const support::Bytes msg = random_bytes(64, 1);
+  const support::Bytes msg = support::random_bytes(1, 64);
   support::Bytes small(16);
   support::ByteView views[2] = {msg, msg};
   support::MutableByteView outs[2] = {support::MutableByteView(small),
@@ -167,7 +159,7 @@ TEST(DigestMany, MatchesScalarForAnyCountAndKind) {
       std::vector<support::ByteView> views;
       std::vector<support::MutableByteView> outs;
       for (std::size_t i = 0; i < count; ++i) {
-        messages.push_back(random_bytes(37 * i + (i % 3), 0x9d + i));
+        messages.push_back(support::random_bytes(0x9d + i, 37 * i + (i % 3)));
         views.push_back(messages[i]);
         outs.push_back(support::MutableByteView(actual[i]));
       }
@@ -185,7 +177,7 @@ TEST(LaneHasher, HotLoopDoesNotAllocate) {
   // number of waves without a single operator-new call.  (The reusable
   // scalar overloads hash_oneshot_into / finalize_into share this bar —
   // BlockDigester builds on both.)
-  const support::Bytes msg = random_bytes(4096, 7);
+  const support::Bytes msg = support::random_bytes(7, 4096);
   support::Bytes sink(32 * 8);
   support::ByteView views[8];
   support::MutableByteView outs[8];
@@ -231,9 +223,8 @@ TEST(LaneHasher, ConcurrentBatchesFromShardPool) {
       support::MutableByteView outs[4];
       const std::size_t digest_size = crypto::hash_digest_size(kind);
       for (std::size_t l = 0; l < 4; ++l) {
-        messages.push_back(random_bytes(
-            static_cast<std::size_t>(context.rng.below(300)),
-            context.seed ^ (0x51ab + l)));
+        messages.push_back(support::random_bytes(
+            context.seed ^ (0x51ab + l), static_cast<std::size_t>(context.rng.below(300))));
         views[l] = messages[l];
         actual[l].resize(digest_size);
         outs[l] = support::MutableByteView(actual[l]);

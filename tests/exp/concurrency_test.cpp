@@ -69,16 +69,31 @@ TEST(Concurrency, ParallelFireAlarmScenariosMatchSerialReference) {
   EXPECT_EQ(campaign_json(parallel), campaign_json(serial));
 }
 
+// The prover's digest cache is a host-side optimization: a campaign rerun
+// without it must aggregate byte-identically, at the trial counts of the
+// Section 2.5 and Section 3.2 reproductions (EXPERIMENTS.md).
+TEST(Concurrency, FireAlarmAggregatesIgnoreDigestCache) {
+  const CampaignSpec cached = apps::make_fire_alarm_campaign({.trials = 40});
+  const CampaignSpec uncached =
+      apps::make_fire_alarm_campaign({.trials = 40, .use_digest_cache = false});
+  EXPECT_EQ(campaign_json(run_campaign(cached)), campaign_json(run_campaign(uncached)));
+}
+
+TEST(Concurrency, FullStackSmarmAggregatesIgnoreDigestCache) {
+  const CampaignSpec cached = smarm::make_fullstack_escape_campaign({.trials = 300});
+  const CampaignSpec uncached =
+      smarm::make_fullstack_escape_campaign({.trials = 300, .use_digest_cache = false});
+  EXPECT_EQ(campaign_json(run_campaign(cached)), campaign_json(run_campaign(uncached)));
+}
+
 TEST(Concurrency, SharedGoldenMeasurementIsSafeAcrossThreads) {
   // One immutable GoldenMeasurement shared by const reference across many
   // workers, as the campaign factories do — TSan flags any hidden mutation.
   constexpr std::size_t kBlocks = 16;
   constexpr std::size_t kBlockSize = 128;
-  support::Xoshiro256 rng(11);
-  support::Bytes image(kBlocks * kBlockSize);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
   const auto golden = std::make_shared<const attest::GoldenMeasurement>(
-      image, kBlockSize, crypto::HashKind::kSha256, support::to_bytes("k"));
+      support::random_bytes(11, kBlocks * kBlockSize), kBlockSize, crypto::HashKind::kSha256,
+      support::to_bytes("k"));
 
   const attest::MeasurementContext context{"dev", support::to_bytes("c"), 3};
   const support::Bytes reference = golden->expected(context);

@@ -50,15 +50,24 @@ TEST(Grid, InvalidAxesThrow) {
   EXPECT_THROW(grid.point(1), std::out_of_range);
 }
 
-TEST(Grid, SetAxisOverridesOrAppends) {
+TEST(Grid, SetAxisOverridesExistingAxis) {
   ParamGrid grid;
-  grid.axis("rounds", {std::int64_t{1}, std::int64_t{13}});
-  grid.set_axis("rounds", {std::int64_t{5}});
-  EXPECT_EQ(grid.size(), 1u);
-  EXPECT_EQ(grid.point(0).i64("rounds"), 5);
+  grid.axis("rounds", {std::int64_t{1}, std::int64_t{13}})
+      .axis("blocks", {std::int64_t{8}});
   grid.set_axis("blocks", {std::int64_t{16}, std::int64_t{64}});
+  grid.set_axis("rounds", {std::int64_t{5}});
   EXPECT_EQ(grid.size(), 2u);
   EXPECT_EQ(grid.point(1).label(), "rounds=5 blocks=64");
+}
+
+TEST(Grid, SetAxisRejectsUnknownAxis) {
+  // "drop=30" for a grid whose axis is drop_pct: a typo, not a new axis.
+  ParamGrid grid;
+  grid.axis("drop_pct", {std::int64_t{0}, std::int64_t{30}});
+  EXPECT_THROW(grid.set_axis("drop", {std::int64_t{30}}), std::invalid_argument);
+  EXPECT_THROW(grid.set_axis("drop_pct", {}), std::invalid_argument);
+  EXPECT_EQ(grid.axes().size(), 1u);
+  EXPECT_EQ(grid.size(), 2u);
 }
 
 TEST(Grid, ParseSpecTypesAndStructure) {

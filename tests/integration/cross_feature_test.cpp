@@ -19,13 +19,6 @@ namespace {
 
 using support::to_bytes;
 
-support::Bytes random_image(std::size_t size, std::uint64_t seed) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes image(size);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
-}
-
 TEST(CrossFeature, ErasmusWithDecLockConvictsTransientAtTs) {
   // Self-measurement + Dec-Lock: the transient adversary present at a
   // measurement's t_s cannot erase itself even between self-measurements'
@@ -33,7 +26,7 @@ TEST(CrossFeature, ErasmusWithDecLockConvictsTransientAtTs) {
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-el", 32 * 512, 512, to_bytes("el-key")});
-  device.memory().load(random_image(32 * 512, 3));
+  device.memory().load(support::random_bytes(3, 32 * 512));
   attest::Verifier verifier(crypto::HashKind::kSha256, to_bytes("el-key"),
                             device.memory().snapshot(), 512);
 
@@ -69,7 +62,7 @@ TEST(CrossFeature, SignedReportsOverProtocolProvideNonRepudiation) {
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-sg", 16 * 512, 512, to_bytes("sg-key")});
-  device.memory().load(random_image(16 * 512, 4));
+  device.memory().load(support::random_bytes(4, 16 * 512));
   attest::Verifier verifier(crypto::HashKind::kSha256, to_bytes("sg-key"),
                             device.memory().snapshot(), 512);
 
@@ -100,7 +93,7 @@ TEST(CrossFeature, ShuffledCbcMacMeasurementVerifies) {
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-sc", 16 * 512, 512, support::Bytes(16, 0x5c)});
-  device.memory().load(random_image(16 * 512, 5));
+  device.memory().load(support::random_bytes(5, 16 * 512));
   attest::Verifier verifier(crypto::HashKind::kSha256, support::Bytes(16, 0x5c),
                             device.memory().snapshot(), 512, 0xc0ffee,
                             attest::MacKind::kCbcMac);
@@ -124,7 +117,7 @@ TEST(CrossFeature, RemediationDefeatsTransientReinfectionLoop) {
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-rr", 16 * 512, 512, to_bytes("rr-key")});
-  const auto golden = random_image(16 * 512, 6);
+  const auto golden = support::random_bytes(6, 16 * 512);
   device.memory().load(golden);
   attest::Verifier verifier(crypto::HashKind::kSha256, to_bytes("rr-key"), golden, 512);
   attest::AttestationProcess mp(device, {});

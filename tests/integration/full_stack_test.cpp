@@ -18,20 +18,13 @@ namespace {
 
 using support::to_bytes;
 
-support::Bytes random_image(std::size_t size, std::uint64_t seed) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes image(size);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
-}
-
 TEST(FullStack, OnDemandProtocolWithLockingAndChaseMalware) {
   // Chase malware vs Inc-Lock over the full network protocol: blocked and
   // detected end-to-end.
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-it", 32 * 512, 512, to_bytes("it-key")});
-  device.memory().load(random_image(32 * 512, 77));
+  device.memory().load(support::random_bytes(77, 32 * 512));
   attest::Verifier verifier(crypto::HashKind::kSha256, to_bytes("it-key"),
                             device.memory().snapshot(), 512);
 
@@ -73,7 +66,7 @@ TEST(FullStack, SmarmOverProtocolDetectsWithinRounds) {
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-sm", 16 * 512, 512, to_bytes("sm-key")});
-  device.memory().load(random_image(16 * 512, 88));
+  device.memory().load(support::random_bytes(88, 16 * 512));
   attest::Verifier verifier(crypto::HashKind::kSha256, to_bytes("sm-key"),
                             device.memory().snapshot(), 512);
 
@@ -119,7 +112,7 @@ TEST(FullStack, ErasmusRunsAlongsideFireAlarmWithoutHarm) {
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-fa", 64 * 1024, 1024, to_bytes("fa-key")});
-  device.memory().load(random_image(64 * 1024, 99));
+  device.memory().load(support::random_bytes(99, 64 * 1024));
   attest::Verifier verifier(crypto::HashKind::kSha256, to_bytes("fa-key"),
                             device.memory().snapshot(), 1024);
 
@@ -150,7 +143,7 @@ TEST(FullStack, AtomicErasmusStarvesFireAlarm) {
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-fb", 64 * 1024, 1024, to_bytes("fb-key")});
-  device.memory().load(random_image(64 * 1024, 100));
+  device.memory().load(support::random_bytes(100, 64 * 1024));
   device.model().set_hash_time_scale(1000.0);  // model ~64 MB -> seconds
 
   apps::FireAlarmConfig fa;

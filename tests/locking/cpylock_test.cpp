@@ -73,9 +73,7 @@ TEST(CpyLock, BenignWritesDuringMeasurementDoNotPolluteTheReport) {
   sim::Simulator simulator;
   sim::Device device(simulator, sim::DeviceConfig{"dev-cpy", 32 * 512, 512,
                                                   support::to_bytes("cpy-key")});
-  support::Xoshiro256 rng(4);
-  support::Bytes image(device.memory().size());
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
+  const support::Bytes image = support::random_bytes(4, device.memory().size());
   device.memory().load(image);
   attest::Verifier verifier(crypto::HashKind::kSha256, support::to_bytes("cpy-key"),
                             device.memory().snapshot(), 512);

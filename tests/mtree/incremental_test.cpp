@@ -24,10 +24,7 @@ struct Fixture {
   IncrementalTree tree;
 
   Fixture() : tree(memory, crypto::HashKind::kSha256, sha_leaf()) {
-    support::Xoshiro256 rng(99);
-    support::Bytes image(memory.size());
-    for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-    memory.load(image);
+    memory.load(support::random_bytes(99, memory.size()));
   }
 
   void write_byte(std::size_t block, std::uint8_t value) {

@@ -23,9 +23,7 @@ struct ErasmusFixture {
                                             to_bytes("erasmus-key")}),
         verifier(crypto::HashKind::kSha256, to_bytes("erasmus-key"),
                  [&] {
-                   support::Xoshiro256 rng(21);
-                   support::Bytes image(16 * 256);
-                   for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
+                   support::Bytes image = support::random_bytes(21, 16 * 256);
                    device.memory().load(image);
                    return image;
                  }(),

@@ -60,9 +60,7 @@ struct SeedFixture {
                sim::DeviceConfig{"dev-s", 16 * 256, 256, to_bytes("seed-key")}),
         verifier(crypto::HashKind::kSha256, to_bytes("seed-key"),
                  [&] {
-                   support::Xoshiro256 rng(31);
-                   support::Bytes image(16 * 256);
-                   for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
+                   support::Bytes image = support::random_bytes(31, 16 * 256);
                    device.memory().load(image);
                    return image;
                  }(),

@@ -11,10 +11,7 @@ using support::Bytes;
 using support::to_bytes;
 
 Bytes test_memory(std::size_t size = 4096, std::uint64_t seed = 1) {
-  support::Xoshiro256 rng(seed);
-  Bytes out(size);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
+  return support::random_bytes(seed, size);
 }
 
 TEST(Checksum, Deterministic) {

@@ -20,9 +20,7 @@ struct SoftAttFixture {
       : device(simulator, sim::DeviceConfig{"dev-sa", 16 * 1024, 1024, to_bytes("k")}),
         down(simulator, link_config(jitter, 1)),
         up(simulator, link_config(jitter, 2)) {
-    support::Xoshiro256 rng(6);
-    golden.resize(device.memory().size());
-    for (auto& b : golden) b = static_cast<std::uint8_t>(rng.below(256));
+    golden = support::random_bytes(6, device.memory().size());
     device.memory().load(golden);
   }
 

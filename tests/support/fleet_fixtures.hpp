@@ -16,20 +16,11 @@
 #include <string>
 
 #include "src/attest/protocol.hpp"
-#include "src/attest/session.hpp"
+#include "src/attest/stack.hpp"
 #include "src/fleet/fleet.hpp"
 #include "src/support/rng.hpp"
 
 namespace rasc::testfx {
-
-/// Deterministic pseudo-random image (same generator the fleet shards
-/// use: one Xoshiro draw per byte).
-inline support::Bytes random_image(std::uint64_t seed, std::size_t bytes) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes image(bytes);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
-}
 
 /// Short, jitterless session timers so deterministic test timelines are
 /// easy to reason about: one clean round completes in ~6 ms.
@@ -66,70 +57,23 @@ struct SessionHarnessOptions {
   attest::SessionConfig session = fast_session_config();
 };
 
-/// One prover-verifier stack over two configurable links, exposing both
-/// the raw OnDemandProtocol (for wire/timeline tests) and the reliable
-/// session built on it.  The golden image is loaded into the device at
-/// construction, so a fresh harness verifies cleanly; call infect() to
-/// plant the canonical one-byte malware patch.
-struct SessionHarness {
-  SessionHarnessOptions options;
+/// Owns the simulator a SessionHarness's stack runs on (a base, so it is
+/// built before the stack).
+struct SimulatorOwner {
   sim::Simulator simulator;
-  sim::Device device;
-  attest::Verifier verifier;
-  attest::AttestationProcess mp;
-  sim::Link vrf_to_prv;
-  sim::Link prv_to_vrf;
-  attest::ReliableSession session;
+};
+
+/// One prover-verifier attest::Stack over two configurable links,
+/// exposing both the raw OnDemandProtocol (for wire/timeline tests) and
+/// the reliable session built on it.  The golden image is loaded into the
+/// device at construction, so a fresh harness verifies cleanly; call
+/// infect() to plant the canonical one-byte malware patch.
+struct SessionHarness : SimulatorOwner, attest::Stack {
   attest::OnDemandProtocol protocol;
 
-  explicit SessionHarness(SessionHarnessOptions opts = {})
-      : options(std::move(opts)),
-        device(simulator,
-               sim::DeviceConfig{options.device_id,
-                                 options.blocks * options.block_size,
-                                 options.block_size,
-                                 support::to_bytes(options.key)}),
-        verifier(crypto::HashKind::kSha256, support::to_bytes(options.key),
-                 [&] {
-                   support::Bytes image = random_image(
-                       options.image_seed, options.blocks * options.block_size);
-                   device.memory().load(image);
-                   return image;
-                 }(),
-                 options.block_size),
-        mp(device, {}),
-        vrf_to_prv(simulator, options.to_prv),
-        prv_to_vrf(simulator, options.to_vrf),
-        session(device, verifier, mp, vrf_to_prv, prv_to_vrf, options.session),
-        protocol(device, verifier, mp, vrf_to_prv, prv_to_vrf) {}
-
-  /// Convenience builders so call sites read like the old fixtures:
-  ///   SessionHarness fx(testfx::with_links(lossy, {}));
-  static SessionHarnessOptions with_links(
-      sim::LinkConfig to_prv, sim::LinkConfig to_vrf,
-      attest::SessionConfig session = fast_session_config()) {
-    SessionHarnessOptions opts;
-    opts.to_prv = std::move(to_prv);
-    opts.to_vrf = std::move(to_vrf);
-    opts.session = session;
-    return opts;
-  }
-  static SessionHarnessOptions with_session(attest::SessionConfig session) {
-    SessionHarnessOptions opts;
-    opts.session = session;
-    return opts;
-  }
-
-  /// The canonical malware patch (the same one fleet shards plant): flip
-  /// one byte in the middle of attested memory.
-  void infect() {
-    const std::size_t addr = device.memory().size() / 2;
-    const std::uint8_t original =
-        device.memory().block_view(device.memory().block_of(addr))
-            [addr % device.memory().block_size()];
-    const support::Bytes patch = {static_cast<std::uint8_t>(original ^ 0xff)};
-    (void)device.memory().write(addr, patch, 0, sim::Actor::kMalware);
-  }
+  explicit SessionHarness(SessionHarnessOptions options = {})
+      : SessionHarness(options, support::random_bytes(options.image_seed,
+                                                      options.blocks * options.block_size)) {}
 
   /// Run one reliable round to quiescence and return its result,
   /// asserting the done callback did not leak.
@@ -144,6 +88,17 @@ struct SessionHarness {
     EXPECT_TRUE(fired) << "round leaked its done callback";
     return result;
   }
+
+ private:
+  SessionHarness(const SessionHarnessOptions& options, const support::Bytes& image)
+      : attest::Stack(simulator,
+                      {.device = {options.device_id, image.size(), options.block_size,
+                                  support::to_bytes(options.key)},
+                       .to_prv = options.to_prv,
+                       .to_vrf = options.to_vrf,
+                       .session = options.session},
+                      image),
+        protocol(device, verifier, mp, vrf_to_prv, prv_to_vrf) {}
 };
 
 // -- outcome matchers ---------------------------------------------------------
