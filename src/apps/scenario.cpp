@@ -158,8 +158,6 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
   // One fault model for both directions, decorrelated seeds.
   sim::LinkConfig& to_prv = stack_config.to_prv;
   to_prv.name = "vrf->prv";
-  to_prv.base_latency = config.link_latency;
-  to_prv.jitter = config.link_jitter;
   to_prv.drop_probability = config.drop_probability;
   to_prv.duplicate_probability = config.duplicate_probability;
   to_prv.corrupt_probability = config.corrupt_probability;
@@ -216,8 +214,8 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
   outcome.all_resolved = outcome.rounds_resolved == config.rounds;
   outcome.retries = stack.session.retries();
   outcome.late_reports = stack.session.late_reports();
-  outcome.links.add(stack.vrf_to_prv.save_state());
-  outcome.links.add(stack.prv_to_vrf.save_state());
+  outcome.links += stack.vrf_to_prv.counters();
+  outcome.links += stack.prv_to_vrf.counters();
   return outcome;
 }
 

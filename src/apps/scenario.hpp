@@ -13,7 +13,6 @@
 #include "src/attest/golden.hpp"
 #include "src/attest/prover.hpp"
 #include "src/attest/session.hpp"
-#include "src/attest/stack.hpp"
 #include "src/attest/verifier.hpp"
 #include "src/locking/consistency.hpp"
 #include "src/locking/policies.hpp"
@@ -22,6 +21,7 @@
 #include "src/obs/health.hpp"
 #include "src/obs/journal.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/sim/network.hpp"
 
 namespace rasc::apps {
 
@@ -137,8 +137,6 @@ struct NetworkScenarioConfig {
   double corrupt_probability = 0.0;
   double reorder_probability = 0.0;
   std::vector<sim::PartitionWindow> partitions;
-  sim::Duration link_latency = 2 * sim::kMillisecond;
-  sim::Duration link_jitter = 500 * sim::kMicrosecond;
   /// Session knobs (timeout, retry budget, backoff); the session seed is
   /// overridden with a value derived from `seed`.
   attest::SessionConfig session;
@@ -176,7 +174,7 @@ struct NetworkScenarioOutcome {
   sim::Duration total_measure_time = 0;
   sim::Duration wasted_measure_time = 0;
   /// Link counters summed over both directions.
-  attest::LinkCounters links;
+  sim::LinkCounters links;
 };
 
 /// Run `rounds` reliable attestation rounds over a faulty link.

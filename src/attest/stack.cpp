@@ -2,16 +2,6 @@
 
 namespace rasc::attest {
 
-void LinkCounters::add(const sim::Link::State& link) noexcept {
-  sent += link.sent;
-  delivered += link.delivered;
-  dropped += link.dropped;
-  duplicated += link.duplicated;
-  corrupted += link.corrupted;
-  reordered += link.reordered;
-  partition_dropped += link.partition_dropped;
-}
-
 Stack::Stack(sim::Simulator& sim, StackConfig config, support::ByteView image)
     : device(sim, std::move(config.device)),
       verifier(config.golden != nullptr

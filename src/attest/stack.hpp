@@ -38,19 +38,6 @@ struct StackConfig {
   SessionConfig session;
 };
 
-/// Lifetime fault counters summed over links (see sim::Link::State).
-struct LinkCounters {
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t reordered = 0;
-  std::uint64_t partition_dropped = 0;
-
-  void add(const sim::Link::State& link) noexcept;
-};
-
 struct Stack {
   /// Build every member on `sim`, then load `image` — the golden's
   /// content — into device memory.

@@ -124,10 +124,4 @@ void Blake2b::finalize_into(support::MutableByteView out) {
   reset();
 }
 
-support::Bytes Blake2b::finalize() {
-  support::Bytes digest(kDigestSize);
-  finalize_into(digest);
-  return digest;
-}
-
 }  // namespace rasc::crypto

@@ -24,7 +24,6 @@ class Blake2b final : public Hash {
   explicit Blake2b(support::ByteView key);
 
   void update(support::ByteView data) override;
-  support::Bytes finalize() override;
   void finalize_into(support::MutableByteView out) override;
   std::size_t digest_size() const noexcept override { return kDigestSize; }
   std::size_t block_size() const noexcept override { return kBlockSize; }

@@ -1,44 +1,12 @@
 #include "src/crypto/blake2s.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
+#include "src/crypto/blake2s_core.hpp"
+
 namespace rasc::crypto {
-
-namespace {
-constexpr std::uint32_t kIv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                                  0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
-constexpr std::uint8_t kSigma[10][16] = {
-    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
-    {11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4},
-    {7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8},
-    {9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13},
-    {2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9},
-    {12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11},
-    {13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10},
-    {6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5},
-    {10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0}};
-
-inline std::uint32_t load_le32(const std::uint8_t* p) {
-  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) | (std::uint32_t{p[2]} << 16) |
-         (std::uint32_t{p[3]} << 24);
-}
-
-inline void g(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c, std::uint32_t& d,
-              std::uint32_t x, std::uint32_t y) {
-  a = a + b + x;
-  d = std::rotr(d ^ a, 16);
-  c = c + d;
-  b = std::rotr(b ^ c, 12);
-  a = a + b + y;
-  d = std::rotr(d ^ a, 8);
-  c = c + d;
-  b = std::rotr(b ^ c, 7);
-}
-}  // namespace
 
 Blake2s::Blake2s(support::ByteView key) : key_(key.begin(), key.end()) {
   if (key.size() > kMaxKeySize) throw std::invalid_argument("BLAKE2s key too long");
@@ -46,7 +14,7 @@ Blake2s::Blake2s(support::ByteView key) : key_(key.begin(), key.end()) {
 }
 
 void Blake2s::init(std::size_t key_len) {
-  for (int i = 0; i < 8; ++i) h_[i] = kIv[i];
+  h_ = std::to_array(detail::kBlake2sIv);
   h_[0] ^= 0x01010000u ^ (static_cast<std::uint32_t>(key_len) << 8) ^
            static_cast<std::uint32_t>(kDigestSize);
   buffered_ = 0;
@@ -63,29 +31,7 @@ void Blake2s::reset() {
 }
 
 void Blake2s::compress(bool last) {
-  std::uint32_t m[16];
-  for (int i = 0; i < 16; ++i) m[i] = load_le32(buffer_.data() + 4 * i);
-
-  std::uint32_t v[16];
-  for (int i = 0; i < 8; ++i) v[i] = h_[i];
-  for (int i = 0; i < 8; ++i) v[8 + i] = kIv[i];
-  v[12] ^= static_cast<std::uint32_t>(t_);
-  v[13] ^= static_cast<std::uint32_t>(t_ >> 32);
-  if (last) v[14] = ~v[14];
-
-  for (int round = 0; round < 10; ++round) {
-    const std::uint8_t* s = kSigma[round];
-    g(v[0], v[4], v[8], v[12], m[s[0]], m[s[1]]);
-    g(v[1], v[5], v[9], v[13], m[s[2]], m[s[3]]);
-    g(v[2], v[6], v[10], v[14], m[s[4]], m[s[5]]);
-    g(v[3], v[7], v[11], v[15], m[s[6]], m[s[7]]);
-    g(v[0], v[5], v[10], v[15], m[s[8]], m[s[9]]);
-    g(v[1], v[6], v[11], v[12], m[s[10]], m[s[11]]);
-    g(v[2], v[7], v[8], v[13], m[s[12]], m[s[13]]);
-    g(v[3], v[4], v[9], v[14], m[s[14]], m[s[15]]);
-  }
-
-  for (int i = 0; i < 8; ++i) h_[i] ^= v[i] ^ v[8 + i];
+  detail::blake2s_compress(h_.data(), buffer_.data(), t_, last);
 }
 
 void Blake2s::update(support::ByteView data) {
@@ -115,12 +61,6 @@ void Blake2s::finalize_into(support::MutableByteView out) {
     support::put_u32_le(support::MutableByteView(out.data() + 4 * i, 4), h_[i]);
   }
   reset();
-}
-
-support::Bytes Blake2s::finalize() {
-  support::Bytes digest(kDigestSize);
-  finalize_into(digest);
-  return digest;
 }
 
 }  // namespace rasc::crypto

@@ -21,7 +21,6 @@ class Blake2s final : public Hash {
   explicit Blake2s(support::ByteView key);
 
   void update(support::ByteView data) override;
-  support::Bytes finalize() override;
   void finalize_into(support::MutableByteView out) override;
   std::size_t digest_size() const noexcept override { return kDigestSize; }
   std::size_t block_size() const noexcept override { return kBlockSize; }

@@ -9,14 +9,6 @@
 
 namespace rasc::crypto {
 
-void Hash::finalize_into(support::MutableByteView out) {
-  const auto digest = finalize();
-  if (out.size() < digest.size()) {
-    throw std::invalid_argument("finalize_into: output buffer too small");
-  }
-  std::copy(digest.begin(), digest.end(), out.begin());
-}
-
 std::unique_ptr<Hash> make_hash(HashKind kind) {
   switch (kind) {
     case HashKind::kSha256: return std::make_unique<Sha256>();

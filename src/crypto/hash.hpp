@@ -30,13 +30,15 @@ class Hash {
   virtual void update(support::ByteView data) = 0;
 
   /// Produce the digest and reset to the initial state.
-  virtual support::Bytes finalize() = 0;
+  support::Bytes finalize() {
+    support::Bytes digest(digest_size());
+    finalize_into(digest);
+    return digest;
+  }
 
   /// Allocation-free finalize: write the digest into `out` (which must be
-  /// at least digest_size() bytes) and reset to the initial state.  The
-  /// base implementation falls back to finalize(); the concrete hashes
-  /// override it to write straight from their internal state.
-  virtual void finalize_into(support::MutableByteView out);
+  /// at least digest_size() bytes) and reset to the initial state.
+  virtual void finalize_into(support::MutableByteView out) = 0;
 
   /// Digest size in bytes.
   virtual std::size_t digest_size() const noexcept = 0;

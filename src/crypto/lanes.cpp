@@ -35,7 +35,7 @@ void sha256_finish_scalar(std::uint32_t state[8], const std::uint8_t* p,
   std::uint8_t tail[128];
   const std::size_t tail_blocks = rem < 56 ? 1 : 2;
   std::memset(tail, 0, tail_blocks * 64);
-  std::memcpy(tail, p, rem);
+  if (rem > 0) std::memcpy(tail, p, rem);  // p may be null when rem == 0
   tail[rem] = 0x80;
   const std::uint64_t bits = static_cast<std::uint64_t>(total) * 8;
   for (int i = 0; i < 8; ++i) {
@@ -57,7 +57,7 @@ void blake2s_finish_scalar(std::uint32_t h[8], const std::uint8_t* p, std::size_
     rem -= 64;
   }
   std::uint8_t tail[64] = {};
-  std::memcpy(tail, p, rem);
+  if (rem > 0) std::memcpy(tail, p, rem);  // p may be null when rem == 0
   detail::blake2s_compress(h, tail, total, /*last=*/true);
   for (int i = 0; i < 8; ++i) {
     support::put_u32_le(support::MutableByteView(out32 + 4 * i, 4), h[i]);

@@ -135,10 +135,4 @@ void Sha512::finalize_into(support::MutableByteView out) {
   reset();
 }
 
-support::Bytes Sha512::finalize() {
-  support::Bytes digest(kDigestSize);
-  finalize_into(digest);
-  return digest;
-}
-
 }  // namespace rasc::crypto

@@ -17,7 +17,6 @@ class Sha512 final : public Hash {
   Sha512() { reset(); }
 
   void update(support::ByteView data) override;
-  support::Bytes finalize() override;
   void finalize_into(support::MutableByteView out) override;
   std::size_t digest_size() const noexcept override { return kDigestSize; }
   std::size_t block_size() const noexcept override { return kBlockSize; }

@@ -18,7 +18,6 @@ FleetConfig fleet_config_for(const exp::GridPoint& point,
   config.infected_fraction = 0.01;
   config.epochs = 2;
   config.epoch_period = sim::kSecond;
-  config.stagger_span = 0.5;
   config.max_in_flight = 1024;
   // Tight-but-survivable reliability budget: at 20% drop most rounds
   // still resolve inside three attempts, and a budget exhaustion is a

@@ -68,19 +68,10 @@ const RoundRecord& FleetResult::round(std::size_t device, std::size_t epoch) con
   if (epoch >= epochs) {
     throw std::out_of_range("FleetResult::round: epoch out of range");
   }
-  if (epoch + round_history < epochs) {
-    throw std::out_of_range(
-        "FleetResult::round: epoch evicted by max_round_history");
-  }
-  return rounds.at(device * round_history + epoch % round_history);
+  return rounds.at(device * epochs + epoch);
 }
 
 std::vector<sim::Time> FleetResult::start_times(std::size_t device) const {
-  if (round_history < epochs) {
-    throw std::logic_error(
-        "FleetResult::start_times requires the full round history "
-        "(max_round_history >= epochs)");
-  }
   std::vector<sim::Time> times;
   times.reserve(epochs);
   for (std::size_t e = 0; e < epochs; ++e) times.push_back(round(device, e).started);
@@ -174,21 +165,19 @@ ShardState make_shard_state(const FleetConfig& config, std::size_t shard) {
   return state;
 }
 
-/// Device `index`'s stack: the shard's key and image (and golden, when
-/// shared) and the per-device seeds.
+/// Device `index`'s stack: the shard's key, image and golden and the
+/// per-device seeds.  Link latency and jitter are sim::LinkConfig's.
 attest::StackConfig make_stack_config(const FleetConfig& config,
                                       const ShardState& shard, std::size_t index) {
   attest::StackConfig stack;
   stack.device = {"prv-" + std::to_string(index), config.blocks * config.block_size,
                   config.block_size, shard.key};
-  if (config.share_golden) stack.golden = shard.golden;
+  stack.golden = shard.golden;
   stack.challenge_seed = device_stream(config.seed, index, kChallengeSalt);
   stack.prover.hash = config.hash;
   stack.prover.mode = config.mode;
   stack.prover.use_merkle_tree = config.use_merkle_tree;
   stack.to_prv.name = "vrf->prv";
-  stack.to_prv.base_latency = config.link_latency;
-  stack.to_prv.jitter = config.link_jitter;
   stack.to_prv.drop_probability = config.drop_probability;
   stack.to_prv.duplicate_probability = config.duplicate_probability;
   stack.to_prv.corrupt_probability = config.corrupt_probability;
@@ -202,29 +191,29 @@ attest::StackConfig make_stack_config(const FleetConfig& config,
   return stack;
 }
 
-/// One prover and everything the verifier keeps to talk to it.  CPU
-/// segment completions and link deliveries capture references into the
-/// stack, so it may only be torn down while quiescent() — no round in
-/// flight, no measurement running, no protocol deferral pending, nothing
-/// in flight on either link.  Without hibernation
-/// (FleetConfig::max_live_stacks == 0) every stack stays alive for the
-/// whole run; with it, idle quiescent stacks collapse to HibernatedDevice
-/// records and are rebuilt from the shard state on the next admission.
-/// The admission window bounds *concurrent sessions*, not live objects.
+/// One prover and everything the verifier keeps to talk to it; the shard
+/// lends it the golden and the prover-side digest cache.  CPU segment
+/// completions and link deliveries capture references into the stack, so
+/// it may only be torn down while quiescent() — no round in flight, no
+/// measurement running, no protocol deferral pending, nothing in flight on
+/// either link.  Built on its device's first admission, a stack stays
+/// alive until the run ends unless hibernation (max_live_stacks) collapses
+/// it, idle and quiescent, to a HibernatedDevice record that the next
+/// admission rebuilds.  The admission window bounds *concurrent
+/// sessions*, not live objects.
 struct DeviceStack : attest::Stack {
   DeviceStack(sim::Simulator& sim, const FleetConfig& config, ShardState& shard,
               std::size_t index)
       : attest::Stack(sim, make_stack_config(config, shard, index), shard.image) {
-    if (config.share_digest_cache) mp.set_shared_digest_cache(&shard.cache);
+    mp.set_shared_digest_cache(&shard.cache);
     attach(config.metrics, &shard.health);
   }
 
-  /// Provisioning step two, split from construction so the fleet can build
-  /// every stack of a shard wave first and then provision them together.
-  /// Per device the order is fixed: prime from the *clean* image strictly
-  /// before the infection patch lands, so the infection is the only
-  /// dirtiness the first round sees and the subtree proofs localize
-  /// exactly the infected range.
+  /// First-build provisioning; a stack rebuilt from a HibernatedDevice
+  /// record takes restore() instead.  The order is fixed: prime from the
+  /// *clean* image strictly before the infection patch lands, so the
+  /// infection is the only dirtiness the first round sees and the subtree
+  /// proofs localize exactly the infected range.
   void provision(const FleetConfig& config, bool infected) {
     if (config.use_merkle_tree) {
       // The golden already holds every block digest of the clean image,
@@ -299,6 +288,11 @@ struct DeviceStack : attest::Stack {
   }
 };
 
+/// Verifier-side bytes of one live stack: the object itself, its label
+/// strings and the verifier's key copy.
+constexpr std::size_t kLiveStackBytes =
+    sizeof(DeviceStack) + kPerDeviceStringBytes + kKeyBytes;
+
 }  // namespace
 
 struct FleetVerifier::Impl {
@@ -307,7 +301,6 @@ struct FleetVerifier::Impl {
   detail::ShardMap shard_map;
   bool hibernation = false;  ///< config.max_live_stacks != 0
   std::size_t wave = 1;      ///< resolved admission wave size
-  std::size_t history = 1;   ///< resolved per-device round-history depth
   bool ran = false;
 
   sim::Simulator simulator;
@@ -351,19 +344,11 @@ struct FleetVerifier::Impl {
       throw std::invalid_argument("roster size != FleetConfig.devices");
     }
     hibernation = config.max_live_stacks != 0;
-    if (hibernation && (!config.share_golden || !config.share_digest_cache)) {
-      throw std::invalid_argument(
-          "FleetConfig.max_live_stacks requires share_golden and "
-          "share_digest_cache (a hibernating stack must not own them)");
-    }
     shard_map = detail::shard_map(config);
     wave = config.wave_size != 0
                ? config.wave_size
                : std::min(std::max<std::size_t>(config.devices / 64, 1),
                           shard_map.devices_per_shard);
-    history = config.max_round_history == 0
-                  ? config.epochs
-                  : std::min(config.max_round_history, config.epochs);
 
     simulator.set_journal(config.journal);
 
@@ -374,27 +359,7 @@ struct FleetVerifier::Impl {
       shard_key_fps.push_back(key_fingerprint(shards.back().key));
     }
     stacks.resize(config.devices);
-    if (hibernation) {
-      // Lazy construction: stacks are built (and provisioned) on first
-      // admission, one shard wave at a time — building all N up front
-      // would defeat the point of bounding live stacks.
-      hibernated.resize(config.devices);
-    } else {
-      for (std::size_t d = 0; d < config.devices; ++d) {
-        stacks[d] = std::make_unique<DeviceStack>(simulator, config,
-                                                  shards[shard_of(d)], d);
-      }
-      // Shard-wave provisioning: every device of a shard primes its tree
-      // from the same pre-batched golden digests (tree mode), then takes
-      // its infection patch.  Separate pass so the batched digesting work
-      // (one digest_batch per shard, inside make_shard_state) amortizes
-      // across the whole wave instead of repeating per device.
-      for (std::size_t d = 0; d < config.devices; ++d) {
-        stacks[d]->provision(config, roster.infected(d));
-      }
-      live_stacks = config.devices;
-      result.live_stacks_high_water = live_stacks;
-    }
+    if (hibernation) hibernated.resize(config.devices);
     recs.resize(config.devices);
   }
 
@@ -411,8 +376,10 @@ struct FleetVerifier::Impl {
     }
   }
 
-  /// Live (or build) the stack for device d.  Rebuilds from the
-  /// HibernatedDevice record when one exists, verifying the rebuild
+  /// Live stack for device d — the one place a fleet builds a DeviceStack.
+  /// A device's first admission builds and provisions it; building
+  /// journals nothing, so when it happens is unobservable.  A wake
+  /// rebuilds from the HibernatedDevice record, verifying the rebuild
   /// reproduced the captured key fingerprint and generation summary.
   DeviceStack& ensure_stack(std::size_t d) {
     if (stacks[d]) return *stacks[d];
@@ -421,8 +388,8 @@ struct FleetVerifier::Impl {
     ++live_stacks;
     result.live_stacks_high_water =
         std::max(result.live_stacks_high_water, live_stacks);
-    HibernatedDevice& h = hibernated[d];
-    if (h.valid) {
+    if (hibernation && hibernated[d].valid) {
+      HibernatedDevice& h = hibernated[d];
       stack->restore(config, roster.infected(d), h);
       if (generation_summary(stack->device.memory()) != h.generation_summary) {
         violation("device " + std::to_string(d) +
@@ -481,17 +448,16 @@ struct FleetVerifier::Impl {
     }
   }
 
+  /// Issuance offset inside an epoch: the stagger smears over period/2.
   sim::Duration stagger_offset(std::size_t device) const noexcept {
-    const double span = std::clamp(config.stagger_span, 0.0, 1.0);
-    const auto span_ns = static_cast<sim::Duration>(
-        static_cast<double>(config.epoch_period) * span);
+    const sim::Duration span = config.epoch_period / 2;
     switch (config.stagger) {
       case StaggerPolicy::kBurst:
         return 0;
       case StaggerPolicy::kUniform:
-        return span_ns * device / config.devices;
+        return span * device / config.devices;
       case StaggerPolicy::kShardPhased:
-        return span_ns * shard_of(device) / shard_map.shards;
+        return span * shard_of(device) / shard_map.shards;
     }
     return 0;
   }
@@ -509,31 +475,24 @@ struct FleetVerifier::Impl {
                      static_cast<std::size_t>(config.devices)});
   }
 
-  /// One dripper event chain per epoch, advancing a whole shard wave per
-  /// firing: the wave is admitted at its *leader's* stagger offset, so the
-  /// scheduler sees devices/wave events per epoch instead of N closures.
-  /// Per-device outcomes are unchanged by the grouping — each device's
-  /// rng/session streams are seeded independently of admission time, and
-  /// wave_size=1 reproduces the legacy per-device drip exactly.
-  void schedule_epoch(std::size_t epoch) {
-    const sim::Time start = static_cast<sim::Time>(epoch) * config.epoch_period;
-    auto step = std::make_shared<std::function<void(std::size_t)>>();
-    // The pending event owns the chain; the chain only refers back to
-    // itself weakly, so it is freed once its last event has fired.
-    *step = [this, start, self = std::weak_ptr(step)](std::size_t next) {
-      ++result.admission_events;
-      while (next < config.devices &&
-             start + stagger_offset(next) <= simulator.now()) {
-        const std::size_t end = wave_end(next);
-        for (std::size_t d = next; d < end; ++d) device_ready(d);
-        next = end;
-      }
-      if (next < config.devices) {
-        simulator.schedule_at(start + stagger_offset(next),
-                              [step = self.lock(), next] { (*step)(next); });
-      }
-    };
-    simulator.schedule_at(start, [step] { (*step)(0); });
+  /// One firing of the dripper chain of the epoch starting at `start`:
+  /// admit every shard wave whose *leader's* stagger offset has passed,
+  /// then reschedule for the next wave — devices/wave scheduler events per
+  /// epoch instead of N.  Waves leave outcomes unchanged (each device's
+  /// rng/session streams are seeded independently of admission time;
+  /// wave_size=1 is the legacy per-device drip).  The simulator is a
+  /// member, so `this` outlives every event.
+  void drip(sim::Time start, std::size_t next) {
+    ++result.admission_events;
+    while (next < config.devices && start + stagger_offset(next) <= simulator.now()) {
+      const std::size_t end = wave_end(next);
+      for (std::size_t d = next; d < end; ++d) device_ready(d);
+      next = end;
+    }
+    if (next < config.devices) {
+      simulator.schedule_at(start + stagger_offset(next),
+                            [this, start, next] { drip(start, next); });
+    }
   }
 
   void device_ready(std::size_t d) {
@@ -583,10 +542,7 @@ struct FleetVerifier::Impl {
     --in_flight_count;
 
     const obs::RoundOutcome outcome = attest::session_outcome_rollup(r.outcome);
-    // Ring slot: with bounded history the slot for epoch e is reused by
-    // epoch e + history, so clear it before filling.
-    RoundRecord& record = result.rounds[d * history + epoch % history];
-    record = RoundRecord{};
+    RoundRecord& record = result.rounds[d * config.epochs + epoch];
     record.started = r.t_started;
     record.outcome = outcome;
     record.attempts =
@@ -749,14 +705,14 @@ struct FleetVerifier::Impl {
 
     // Link counters survive hibernation inside the saved Link::State, so
     // the fleet totals cover live and hibernated devices alike.
-    attest::LinkCounters links;
+    sim::LinkCounters links;
     for (std::size_t d = 0; d < config.devices; ++d) {
       if (stacks[d]) {
-        links.add(stacks[d]->vrf_to_prv.save_state());
-        links.add(stacks[d]->prv_to_vrf.save_state());
+        links += stacks[d]->vrf_to_prv.counters();
+        links += stacks[d]->prv_to_vrf.counters();
       } else if (hibernation && hibernated[d].valid) {
-        links.add(hibernated[d].vrf_to_prv);
-        links.add(hibernated[d].prv_to_vrf);
+        links += hibernated[d].vrf_to_prv.counters;
+        links += hibernated[d].prv_to_vrf.counters;
       }
     }
     result.link_sent = links.sent;
@@ -811,37 +767,22 @@ struct FleetVerifier::Impl {
   FleetMemoryStats memory_stats() const {
     FleetMemoryStats stats;
     for (const ShardState& shard : shards) {
-      stats.shared_bytes += shard.image.capacity() + shard.key.capacity();
-      if (config.share_golden) {
-        stats.shared_bytes += sizeof(attest::GoldenMeasurement) +
-                              shard.golden->block_count() * sizeof(attest::Digest) +
-                              shard.golden->tree_memory_bytes() +
-                              shard.key.capacity();
-      }
-      if (config.share_digest_cache) {
-        stats.shared_bytes += sizeof(attest::DigestCache) +
-                              config.blocks * kDigestCacheSlotBytes;
-      }
+      // Image and key, the golden (with its own key copy) and the cache.
+      stats.shared_bytes += shard.image.capacity() + shard.key.capacity() +
+                            sizeof(attest::GoldenMeasurement) +
+                            shard.golden->block_count() * sizeof(attest::Digest) +
+                            shard.golden->tree_memory_bytes() +
+                            shard.key.capacity() + sizeof(attest::DigestCache) +
+                            config.blocks * kDigestCacheSlotBytes;
     }
-    std::size_t per_device = sizeof(DeviceRec) +
-                             history * sizeof(RoundRecord);
+    std::size_t per_device = sizeof(DeviceRec) + config.epochs * sizeof(RoundRecord);
     if (hibernation) {
       // A hibernated device is its seed record (plus the heap its saved
       // session/verifier state holds); the full stack is charged to the
       // bounded pool below, not per device.
       per_device += sizeof(HibernatedDevice) + kHibernatedHeapBytes;
     } else {
-      per_device += sizeof(DeviceStack) + kPerDeviceStringBytes +
-                    /*verifier key copy*/ kKeyBytes;
-      if (!config.share_golden) {
-        per_device += sizeof(attest::GoldenMeasurement) +
-                      config.blocks * sizeof(attest::Digest) +
-                      shards.front().golden->tree_memory_bytes() + kKeyBytes;
-      }
-      if (!config.share_digest_cache) {
-        per_device += sizeof(attest::DigestCache) +
-                      config.blocks * kDigestCacheSlotBytes;
-      }
+      per_device += kLiveStackBytes;
     }
     stats.per_device_bytes = config.devices * per_device;
     if (hibernation) {
@@ -852,8 +793,7 @@ struct FleetVerifier::Impl {
           std::max({result.live_stacks_high_water, live_stacks,
                     std::min(config.max_live_stacks,
                              static_cast<std::size_t>(config.devices))});
-      stats.pool_bytes = pool_stacks * (sizeof(DeviceStack) +
-                                        kPerDeviceStringBytes + kKeyBytes);
+      stats.pool_bytes = pool_stacks * kLiveStackBytes;
     }
     stats.roster_bytes = roster.memory_bytes();
     return stats;
@@ -865,11 +805,13 @@ struct FleetVerifier::Impl {
     result.devices = config.devices;
     result.epochs = config.epochs;
     result.shards = shard_map.shards;
-    result.round_history = history;
     result.wave_size = wave;
-    result.rounds.resize(config.devices * history);
+    result.rounds.resize(config.devices * config.epochs);
     result.epoch_stats.resize(config.epochs);
-    for (std::size_t e = 0; e < config.epochs; ++e) schedule_epoch(e);
+    for (std::size_t e = 0; e < config.epochs; ++e) {
+      const sim::Time start = static_cast<sim::Time>(e) * config.epoch_period;
+      simulator.schedule_at(start, [this, start] { drip(start, 0); });
+    }
     simulator.run();
     finalize();
     if (config.enforce_invariants && !result.invariant_violations.empty()) {

@@ -9,11 +9,11 @@
 /// Architecture (DESIGN.md §11):
 ///  - devices are partitioned into contiguous *shards*; every device of a
 ///    shard is provisioned with the same image and attestation key, so
-///    the shard shares one pre-digested attest::GoldenMeasurement and
-///    (optionally) one prover-side attest::DigestCache — verifier-side
-///    memory per device therefore shrinks as the fleet grows;
+///    the shard shares one pre-digested attest::GoldenMeasurement and one
+///    prover-side attest::DigestCache — verifier-side memory per device
+///    therefore shrinks as the fleet grows;
 ///  - rounds are scheduled in *epochs*: epoch e's challenges issue from
-///    t = e * epoch_period, smeared over stagger_span * epoch_period by a
+///    t = e * epoch_period, smeared over the first half of the epoch by a
 ///    StaggerPolicy so measurement load is smoothed, not bursty;
 ///  - an *admission window* caps concurrently in-flight sessions; ready
 ///    devices beyond the cap queue FIFO and start as slots free up;
@@ -50,8 +50,8 @@ namespace rasc::fleet {
 /// How challenge issuance is spread inside an epoch.
 enum class StaggerPolicy {
   kBurst,        ///< everything at the epoch boundary (worst case)
-  kUniform,      ///< device d at stagger_span * period * d / N
-  kShardPhased,  ///< shard s at stagger_span * period * s / shards
+  kUniform,      ///< device d at (period / 2) * d / N
+  kShardPhased,  ///< shard s at (period / 2) * s / shards
 };
 
 std::string stagger_policy_name(StaggerPolicy policy);
@@ -70,23 +70,18 @@ struct FleetConfig {
   /// becomes ready for epoch e+1 once its epoch-e round resolved.
   sim::Duration epoch_period = sim::kSecond;
   StaggerPolicy stagger = StaggerPolicy::kUniform;
-  /// Fraction of epoch_period the stagger smears issuance over.
-  double stagger_span = 0.5;
   /// Admission window: max sessions concurrently in flight (0 = no cap).
   std::size_t max_in_flight = 1024;
 
   /// Stack hibernation (the 1M tier): bound the pool of live DeviceStacks
-  /// (0 = keep all N alive for the whole run, the pre-1M behavior).
-  /// Between rounds an idle, fully quiescent stack is torn down to a
-  /// compact HibernatedDevice seed record and rebuilt from the shard
-  /// state at its next admission; verdicts, journals and health rollups
-  /// are byte-identical either way (chaos-tested).  The cap is soft:
-  /// admission always wakes the device it needs, then the pool shrinks
-  /// back by hibernating least-recently-idle stacks, so liveness never
-  /// depends on the cap.  Requires share_golden and share_digest_cache —
-  /// a hibernating device must not own golden/cache state that dies with
-  /// its stack (losing cache entries would change the journaled hit/miss
-  /// sequence).
+  /// (0 = never hibernate).  Every stack is built on its device's first
+  /// admission.  Between rounds an idle, fully quiescent stack is torn
+  /// down to a compact HibernatedDevice seed record and rebuilt from the
+  /// shard state at its next admission; verdicts, journals and health
+  /// rollups are byte-identical either way (chaos-tested).  The cap is
+  /// soft: admission always wakes the device it needs, then the pool
+  /// shrinks back by hibernating least-recently-idle stacks, so liveness
+  /// never depends on the cap.
   std::size_t max_live_stacks = 0;
 
   /// Shard-wave challenge batching: devices admitted per scheduler event
@@ -98,26 +93,14 @@ struct FleetConfig {
   /// recorded start times of kUniform runs quantize to wave leaders.
   std::size_t wave_size = 0;
 
-  /// Bound on retained per-device round history (ring buffer; 0 = keep
-  /// all config.epochs records).  With history H < epochs only the last H
-  /// rounds of each device stay addressable via FleetResult::round();
-  /// every aggregate (health, epoch stats, outcome counts) still covers
-  /// all rounds.  At 1M devices the full history dominates verifier
-  /// memory, which is exactly what this bounds.
-  std::size_t max_round_history = 0;
-
   /// Prover hardware.  Deliberately tiny by default: with
-  /// max_live_stacks == 0 all N device stacks stay alive for the whole
-  /// run (in-flight events hold references into them), so the per-device
+  /// max_live_stacks == 0 every admitted stack stays alive until the run
+  /// ends (in-flight events hold references into them), so the per-device
   /// footprint bounds fleet size in host RAM.
   std::size_t blocks = 4;
   std::size_t block_size = 64;
   crypto::HashKind hash = crypto::HashKind::kSha256;
   attest::ExecutionMode mode = attest::ExecutionMode::kAtomic;
-  /// Share one GoldenMeasurement / prover DigestCache per shard (off =
-  /// per-device copies; the memory-accounting tests sweep both).
-  bool share_golden = true;
-  bool share_digest_cache = true;
   /// Merkle-tree incremental measurement (prover.use_merkle_tree): every
   /// stack primes its tree from the provisioned image *before* the
   /// infection patch lands, so an infected device's first round visits
@@ -130,15 +113,14 @@ struct FleetConfig {
   std::size_t infection_blocks = 1;
 
   /// Symmetric per-direction link fault model; per-device decorrelated
-  /// seeds.  Timed partition windows are deliberately not configurable:
-  /// they are absolute-time fault state, which replay_device() — which
-  /// re-runs rounds at recorded absolute times — could not re-interpret.
+  /// seeds; latency and jitter are sim::LinkConfig's defaults.  Timed
+  /// partition windows are deliberately not configurable: they are
+  /// absolute-time fault state, which replay_device() — which re-runs
+  /// rounds at recorded absolute times — could not re-interpret.
   double drop_probability = 0.0;
   double duplicate_probability = 0.0;
   double corrupt_probability = 0.0;
   double reorder_probability = 0.0;
-  sim::Duration link_latency = 2 * sim::kMillisecond;
-  sim::Duration link_jitter = 500 * sim::kMicrosecond;
 
   /// Session template; `session.seed` is overridden per device.
   attest::SessionConfig session;
@@ -228,11 +210,6 @@ struct FleetResult {
   std::vector<obs::HealthRollup> shard_health;
   obs::HealthRollup health;
 
-  /// Rounds each device retains in `rounds` (min(epochs, the resolved
-  /// max_round_history)); round() only addresses the last `round_history`
-  /// epochs when it is smaller than `epochs`.
-  std::size_t round_history = 0;
-
   /// Resolved admission wave size and the number of admission scheduler
   /// events that actually fired (dripper steps, summed across epochs) —
   /// the scheduler-pressure figure wave batching exists to cut.
@@ -273,17 +250,15 @@ struct FleetResult {
   /// Human-readable invariant violations (empty on a healthy run).
   std::vector<std::string> invariant_violations;
 
-  /// Record of one device's round at `epoch`.  With a bounded history
-  /// ring (round_history < epochs) only the last round_history epochs are
-  /// addressable; asking for an evicted epoch throws std::out_of_range.
+  /// Record of one device's round at `epoch` (std::out_of_range past the
+  /// last device or epoch).
   const RoundRecord& round(std::size_t device, std::size_t epoch) const;
   /// Recorded start times of one device's rounds, in epoch order — the
-  /// exact schedule replay_device() re-runs.  Requires the full history
-  /// (throws std::logic_error when round_history < epochs).
+  /// exact schedule replay_device() re-runs.
   std::vector<sim::Time> start_times(std::size_t device) const;
 };
 
-/// Owns the simulator, all N device stacks and the scheduling state.
+/// Owns the simulator, the device stacks and the scheduling state.
 /// Build, call run() once, read the FleetResult.
 class FleetVerifier {
  public:

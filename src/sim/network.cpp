@@ -15,40 +15,21 @@ void Link::journal(obs::JournalEventKind kind, std::uint64_t msg_id, std::uint64
   }
 }
 
-void Link::reset_counters() noexcept {
-  sent_ = 0;
-  delivered_ = 0;
-  dropped_ = 0;
-  duplicated_ = 0;
-  corrupted_ = 0;
-  reordered_ = 0;
-  partition_dropped_ = 0;
-}
-
-Link::State Link::save_state() const noexcept {
-  State s;
-  s.rng = rng_.state();
-  s.next_msg_id = next_msg_id_;
-  s.sent = sent_;
-  s.delivered = delivered_;
-  s.dropped = dropped_;
-  s.duplicated = duplicated_;
-  s.corrupted = corrupted_;
-  s.reordered = reordered_;
-  s.partition_dropped = partition_dropped_;
-  return s;
+LinkCounters& LinkCounters::operator+=(const LinkCounters& other) noexcept {
+  sent += other.sent;
+  delivered += other.delivered;
+  dropped += other.dropped;
+  duplicated += other.duplicated;
+  corrupted += other.corrupted;
+  reordered += other.reordered;
+  partition_dropped += other.partition_dropped;
+  return *this;
 }
 
 void Link::restore_state(const State& s) noexcept {
   rng_.set_state(s.rng);
   next_msg_id_ = s.next_msg_id;
-  sent_ = s.sent;
-  delivered_ = s.delivered;
-  dropped_ = s.dropped;
-  duplicated_ = s.duplicated;
-  corrupted_ = s.corrupted;
-  reordered_ = s.reordered;
-  partition_dropped_ = s.partition_dropped;
+  counters_ = s.counters;
 }
 
 bool Link::in_partition(Time t) const noexcept {
@@ -88,7 +69,7 @@ void Link::deliver_after(Duration transit, support::Bytes payload, Handler handl
                              handler = std::move(handler)]() mutable {
     if (token.expired()) return;  // link destroyed while in flight
     --in_flight_;
-    ++delivered_;
+    ++counters_.delivered;
     count("net.delivered");
     journal(obs::JournalEventKind::kLinkDeliver, msg_id, payload.size());
     handler(std::move(payload));
@@ -96,22 +77,22 @@ void Link::deliver_after(Duration transit, support::Bytes payload, Handler handl
 }
 
 void Link::send(support::Bytes payload, Handler on_delivery) {
-  ++sent_;
+  ++counters_.sent;
   count("net.sent");
   const std::uint64_t msg_id = ++next_msg_id_;
   const Time sent_at = sim_.now();
   journal(obs::JournalEventKind::kLinkSend, msg_id, payload.size());
 
   if (in_partition(sent_at)) {
-    ++dropped_;
-    ++partition_dropped_;
+    ++counters_.dropped;
+    ++counters_.partition_dropped;
     count("net.dropped");
     count("net.partition_dropped");
     journal(obs::JournalEventKind::kLinkPartitionDrop, msg_id, payload.size());
     return;
   }
   if (rng_.chance(config_.drop_probability)) {
-    ++dropped_;
+    ++counters_.dropped;
     count("net.dropped");
     journal(obs::JournalEventKind::kLinkDrop, msg_id, payload.size());
     return;
@@ -122,7 +103,7 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
     // from the link RNG so corruption is reproducible from the seed.
     const std::size_t at = rng_.below(payload.size());
     payload[at] ^= static_cast<std::uint8_t>(1 + rng_.below(255));
-    ++corrupted_;
+    ++counters_.corrupted;
     count("net.corrupted");
     journal(obs::JournalEventKind::kLinkCorrupt, msg_id, at);
   }
@@ -130,7 +111,7 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
   Duration transit = transit_time(payload.size());
   if (rng_.chance(config_.reorder_probability)) {
     transit += config_.reorder_delay;
-    ++reordered_;
+    ++counters_.reordered;
     count("net.reordered");
     journal(obs::JournalEventKind::kLinkReorder, msg_id, config_.reorder_delay);
   }
@@ -138,7 +119,7 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
   const bool duplicate = rng_.chance(config_.duplicate_probability);
   if (duplicate) {
     const Duration copy_transit = transit + transit_time(payload.size());
-    ++duplicated_;
+    ++counters_.duplicated;
     count("net.duplicated");
     journal(obs::JournalEventKind::kLinkDuplicate, msg_id, copy_transit);
     // The copy rides behind the original with its own second transit.

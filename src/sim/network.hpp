@@ -51,6 +51,20 @@ struct LinkConfig {
   std::vector<PartitionWindow> partitions;
 };
 
+/// Lifetime fault counters of one link, or summed over several.  After
+/// the queue drains: delivered == sent - dropped + duplicated.
+struct LinkCounters {
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t duplicated = 0;
+  std::uint64_t corrupted = 0;
+  std::uint64_t reordered = 0;
+  std::uint64_t partition_dropped = 0;  ///< subset of dropped
+
+  LinkCounters& operator+=(const LinkCounters& other) noexcept;
+};
+
 class Link {
  public:
   using Handler = std::function<void(support::Bytes)>;
@@ -68,16 +82,17 @@ class Link {
   /// exact message that was dropped/duplicated/corrupted.
   void send(support::Bytes payload, Handler on_delivery);
 
-  std::size_t sent() const noexcept { return sent_; }
+  const LinkCounters& counters() const noexcept { return counters_; }
+  std::size_t sent() const noexcept { return counters_.sent; }
   /// Delivered handler invocations; duplicates count once each, so after
   /// the queue drains: delivered() == sent() - dropped() + duplicated().
-  std::size_t delivered() const noexcept { return delivered_; }
-  std::size_t dropped() const noexcept { return dropped_; }
-  std::size_t duplicated() const noexcept { return duplicated_; }
-  std::size_t corrupted() const noexcept { return corrupted_; }
-  std::size_t reordered() const noexcept { return reordered_; }
+  std::size_t delivered() const noexcept { return counters_.delivered; }
+  std::size_t dropped() const noexcept { return counters_.dropped; }
+  std::size_t duplicated() const noexcept { return counters_.duplicated; }
+  std::size_t corrupted() const noexcept { return counters_.corrupted; }
+  std::size_t reordered() const noexcept { return counters_.reordered; }
   /// Subset of dropped(): losses caused by a partition window.
-  std::size_t partition_dropped() const noexcept { return partition_dropped_; }
+  std::size_t partition_dropped() const noexcept { return counters_.partition_dropped; }
 
   /// Zero every per-fault counter (sent/delivered/dropped/duplicated/
   /// corrupted/reordered/partition_dropped) so a harness reusing one link
@@ -85,7 +100,7 @@ class Link {
   /// invariant per trial instead of cumulatively.  Message ids keep
   /// counting up (they tag journal events, and a restart would alias
   /// fates across trials); the fault RNG is likewise not rewound.
-  void reset_counters() noexcept;
+  void reset_counters() noexcept { counters_ = {}; }
 
   /// Attach a metrics registry (not owned; nullptr to detach).  The link
   /// then accounts "net.sent", "net.delivered", "net.dropped",
@@ -107,16 +122,10 @@ class Link {
   struct State {
     support::Xoshiro256::State rng{};
     std::uint64_t next_msg_id = 0;
-    std::size_t sent = 0;
-    std::size_t delivered = 0;
-    std::size_t dropped = 0;
-    std::size_t duplicated = 0;
-    std::size_t corrupted = 0;
-    std::size_t reordered = 0;
-    std::size_t partition_dropped = 0;
+    LinkCounters counters;
   };
 
-  State save_state() const noexcept;
+  State save_state() const noexcept { return {rng_.state(), next_msg_id_, counters_}; }
   void restore_state(const State& s) noexcept;
 
  private:
@@ -134,13 +143,7 @@ class Link {
   LinkConfig config_;
   support::Xoshiro256 rng_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  std::size_t sent_ = 0;
-  std::size_t delivered_ = 0;
-  std::size_t dropped_ = 0;
-  std::size_t duplicated_ = 0;
-  std::size_t corrupted_ = 0;
-  std::size_t reordered_ = 0;
-  std::size_t partition_dropped_ = 0;
+  LinkCounters counters_;
   std::size_t in_flight_ = 0;
   std::uint64_t next_msg_id_ = 0;
   obs::ActorId journal_actor_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/crypto/blake2b.hpp"
 #include "src/crypto/blake2s.hpp"
 #include "src/support/hex.hpp"
@@ -79,6 +81,56 @@ TEST(Blake2s, Abc) {
 TEST(Blake2s, EmptyString) {
   EXPECT_EQ(digest_hex(HashKind::kBlake2s, ""),
             "69217a3079908094e11121d042354a7c1f55b6482ca1a51e1b250dfd1ed0eef9");
+}
+
+// ---- multi-block known answers ---------------------------------------------
+// The streaming classes and the lane kernels share one compression function,
+// so lane-vs-scalar identity cannot catch a multi-block bug in it.  These
+// digests come from Python's hashlib instead; each test names its one-liner.
+
+/// Bytes i % modulus for i in [0, n).
+support::Bytes counting_bytes(std::size_t n, std::size_t modulus = 256) {
+  support::Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>(i % modulus);
+  return out;
+}
+
+TEST(Blake2s, MultiBlockKnownAnswers) {
+  // python3 -c "import hashlib; print(hashlib.blake2s(bytes(range(256))).hexdigest())"
+  // python3 -c "import hashlib; print(hashlib.blake2s(
+  //     bytes(i % 251 for i in range(1000))).hexdigest())"
+  EXPECT_EQ(hex_encode(hash_oneshot(HashKind::kBlake2s, counting_bytes(256))),
+            "5fdeb59f681d975f52c8e69c5502e02a12a3afcc5836ba58f42784c439228781");
+  EXPECT_EQ(hex_encode(hash_oneshot(HashKind::kBlake2s, counting_bytes(1000, 251))),
+            "1c067a5e746fb0f6734efac9a8cdb0e11061f0077f255184365c690115392501");
+}
+
+TEST(Blake2s, KeyedMultiBlockKnownAnswer) {
+  // A 32-byte key fills the first block on its own; 65 message bytes add two.
+  // python3 -c "import hashlib; print(hashlib.blake2s(
+  //     bytes(range(65)), key=bytes(range(32))).hexdigest())"
+  Blake2s keyed(counting_bytes(32));
+  keyed.update(counting_bytes(65));
+  EXPECT_EQ(hex_encode(keyed.finalize()),
+            "21fe0ceb0052be7fb0f004187cacd7de67fa6eb0938d927677f2398c132317a8");
+}
+
+TEST(Sha256, PaddingBoundaryKnownAnswers) {
+  // 55 bytes still fit the length in one block; 56 and 64 spill the padding
+  // into a second; 65 spans two data blocks.
+  // python3 -c "import hashlib; [print(n, hashlib.sha256(bytes(range(n))).hexdigest())
+  //     for n in (55, 56, 64, 65)]"
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59"},
+      {56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562"},
+      {64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108"},
+      {65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781"},
+  };
+  for (const auto& [length, expected] : cases) {
+    EXPECT_EQ(hex_encode(hash_oneshot(HashKind::kSha256, counting_bytes(length))),
+              expected)
+        << length << " bytes";
+  }
 }
 
 // ---- generic properties over all hash kinds -------------------------------

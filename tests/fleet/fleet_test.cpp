@@ -106,13 +106,12 @@ TEST(FleetVerifier, UncappedBurstStartsEveryoneAtTheEpochBoundary) {
 TEST(FleetVerifier, UniformStaggerSpreadsStartsAcrossTheSpan) {
   FleetConfig config = fast_fleet_config(32);
   config.stagger = StaggerPolicy::kUniform;
-  config.stagger_span = 0.5;
   config.max_in_flight = 0;
   FleetVerifier fleet(config);
   const FleetResult result = fleet.run();
   EXPECT_TRUE(testfx::fleet_fully_resolved(result));
-  const auto span_ns = static_cast<sim::Duration>(
-      config.stagger_span * static_cast<double>(config.epoch_period));
+  // Issuance smears over the first half of the epoch.
+  const sim::Duration span_ns = config.epoch_period / 2;
   for (std::size_t d = 0; d < result.devices; ++d) {
     const sim::Time expected = span_ns * d / config.devices;
     EXPECT_EQ(result.round(d, 0).started, expected) << "device " << d;
@@ -184,35 +183,6 @@ TEST(FleetVerifier, VerifierMemoryPerDeviceShrinksWithFleetSize) {
     const double per_device = fleet.memory_stats().bytes_per_device(devices);
     EXPECT_LT(per_device, previous) << devices << " devices";
     previous = per_device;
-  }
-}
-
-TEST(FleetVerifier, SharingGoldenAndCacheSavesMemoryWithoutChangingVerdicts) {
-  FleetConfig shared = fast_fleet_config(48);
-  shared.infected_fraction = 0.2;
-  shared.drop_probability = 0.1;
-  FleetConfig copies = shared;
-  copies.share_golden = false;
-  copies.share_digest_cache = false;
-
-  FleetVerifier shared_fleet(shared);
-  FleetVerifier copies_fleet(copies);
-  EXPECT_LT(shared_fleet.memory_stats().total_bytes(),
-            copies_fleet.memory_stats().total_bytes());
-
-  // Cache sharing is a host-side memory optimization: the simulated
-  // timeline, and therefore every verdict, must be bit-identical.
-  const FleetResult a = shared_fleet.run();
-  const FleetResult b = copies_fleet.run();
-  EXPECT_TRUE(testfx::fleet_fully_resolved(a));
-  EXPECT_TRUE(testfx::fleet_fully_resolved(b));
-  EXPECT_EQ(a.outcome_counts, b.outcome_counts);
-  EXPECT_EQ(a.makespan, b.makespan);
-  for (std::size_t d = 0; d < a.devices; ++d) {
-    for (std::size_t e = 0; e < a.epochs; ++e) {
-      EXPECT_EQ(a.round(d, e).outcome, b.round(d, e).outcome);
-      EXPECT_EQ(a.round(d, e).started, b.round(d, e).started);
-    }
   }
 }
 
