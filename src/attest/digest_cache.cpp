@@ -1,5 +1,6 @@
 #include "src/attest/digest_cache.hpp"
 
+#include "src/crypto/sha256.hpp"
 #include "src/support/bytes.hpp"
 
 namespace rasc::attest {
@@ -61,7 +62,10 @@ void DigestCache::invalidate_all(obs::TimeNs now) {
 }
 
 std::uint64_t DigestCache::key_fingerprint(support::ByteView key) {
-  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, key);
+  crypto::Sha256 sha;
+  std::uint8_t digest[crypto::Sha256::kDigestSize];
+  sha.update(key);
+  sha.finalize_into(digest);
   return support::get_u64_be(digest);
 }
 

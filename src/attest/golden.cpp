@@ -7,7 +7,11 @@ namespace rasc::attest {
 GoldenMeasurement::GoldenMeasurement(support::ByteView image, std::size_t block_size,
                                      crypto::HashKind hash, support::ByteView key,
                                      MacKind mac)
-    : hash_(hash), mac_(mac), key_(key.begin(), key.end()), block_size_(block_size) {
+    : hash_(hash),
+      mac_(mac),
+      key_(key.begin(), key.end()),
+      key_schedule_(key),
+      block_size_(block_size) {
   if (block_size == 0 || image.size() % block_size != 0) {
     throw std::invalid_argument("golden image size must be a multiple of block_size");
   }
@@ -29,11 +33,12 @@ GoldenMeasurement::GoldenMeasurement(support::ByteView image, std::size_t block_
 }
 
 support::Bytes GoldenMeasurement::expected(const MeasurementContext& context) const {
-  return Measurement::combine(digests_, hash_, key_, context, mac_);
+  return Measurement::combine(digests_, hash_, key_, context, mac_, &key_schedule_);
 }
 
 support::Bytes GoldenMeasurement::expected_tree(const MeasurementContext& context) const {
-  return Measurement::combine_root(tree_root(), hash_, key_, context, mac_);
+  return Measurement::combine_root(tree_root(), hash_, key_, context, mac_,
+                                   &key_schedule_);
 }
 
 }  // namespace rasc::attest

@@ -10,7 +10,8 @@
 /// The object is deeply immutable after construction, so one instance can
 /// be shared by const reference across campaign trial workers (computed
 /// once per campaign *cell*, not once per trial) — concurrent expected()
-/// calls are thread-safe because each builds its own combiner MAC state.
+/// calls are thread-safe because each builds its own combiner MAC state
+/// (from the key schedule derived once at construction).
 
 #include <cstdint>
 #include <optional>
@@ -62,6 +63,7 @@ class GoldenMeasurement {
   crypto::HashKind hash_;
   MacKind mac_;
   support::Bytes key_;
+  crypto::HmacSha256Key key_schedule_;  ///< of key_, for HMAC-SHA-256 F
   std::size_t block_size_;
   std::vector<Digest> digests_;
   std::optional<mtree::MerkleTree> tree_;  ///< engaged in every constructor

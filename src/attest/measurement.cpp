@@ -78,8 +78,7 @@ Measurement::Measurement(const sim::DeviceMemory& memory, crypto::HashKind hash,
 }
 
 void Measurement::set_digest_cache(DigestCache* cache) {
-  cache_ = cache;
-  if (cache_ != nullptr) key_fp_ = DigestCache::key_fingerprint(key_);
+  set_digest_cache(cache, cache != nullptr ? DigestCache::key_fingerprint(key_) : 0);
 }
 
 void Measurement::visit_block(std::size_t block, sim::Time now) {
@@ -205,43 +204,69 @@ support::Bytes Measurement::block_digest(MacKind mac, crypto::HashKind hash,
 
 namespace {
 
-/// Context header shared by both combiners.
-support::Bytes combine_header(const MeasurementContext& context) {
-  support::Bytes header;
-  support::append(header, support::to_bytes(context.device_id));
-  support::append_u32_be(header, static_cast<std::uint32_t>(context.challenge.size()));
-  support::append(header, context.challenge);
-  support::append_u64_be(header, context.counter);
-  return header;
+/// Feed the context header shared by both combiners into `mac` (a
+/// MacEngine or a keyed SHA-256).
+template <class Mac>
+void feed_header(Mac& mac, const MeasurementContext& context) {
+  std::uint8_t word[8];
+  mac.update(support::bytes_of(context.device_id));
+  support::put_u32_be(word, static_cast<std::uint32_t>(context.challenge.size()));
+  mac.update(support::ByteView(word, 4));
+  mac.update(context.challenge);
+  support::put_u64_be(word, context.counter);
+  mac.update(word);
+}
+
+/// Run `feed` over the MAC F selects and return the tag: HMAC-SHA-256
+/// from `key_schedule` (derived from `key` when null), anything else
+/// through a MacEngine.
+template <class Feed>
+support::Bytes keyed_tag(crypto::HashKind hash, support::ByteView key, MacKind mac_kind,
+                         const crypto::HmacSha256Key* key_schedule, Feed&& feed) {
+  if (mac_kind == MacKind::kHmac && hash == crypto::HashKind::kSha256) {
+    const crypto::HmacSha256Key derived =
+        key_schedule != nullptr ? *key_schedule : crypto::HmacSha256Key(key);
+    crypto::Sha256 inner = derived.begin();
+    feed(inner);
+    support::Bytes tag(crypto::HmacSha256Key::kTagSize);
+    derived.finish(inner, tag);
+    return tag;
+  }
+  MacEngine mac(mac_kind, hash, key);
+  feed(mac);
+  return mac.finalize();
 }
 
 }  // namespace
 
 support::Bytes Measurement::combine(const std::vector<Digest>& digests,
                                     crypto::HashKind hash, support::ByteView key,
-                                    const MeasurementContext& context, MacKind mac_kind) {
-  MacEngine mac(mac_kind, hash, key);
-  support::Bytes header = combine_header(context);
-  support::append_u64_be(header, digests.size());
-  mac.update(header);
-  for (const auto& d : digests) mac.update(d.view());
-  return mac.finalize();
+                                    const MeasurementContext& context, MacKind mac_kind,
+                                    const crypto::HmacSha256Key* key_schedule) {
+  return keyed_tag(hash, key, mac_kind, key_schedule, [&](auto& mac) {
+    feed_header(mac, context);
+    std::uint8_t count[8];
+    support::put_u64_be(count, digests.size());
+    mac.update(count);
+    for (const auto& d : digests) mac.update(d.view());
+  });
 }
 
 support::Bytes Measurement::combine_root(support::ByteView tree_root,
                                          crypto::HashKind hash, support::ByteView key,
                                          const MeasurementContext& context,
-                                         MacKind mac_kind) {
-  MacEngine mac(mac_kind, hash, key);
-  mac.update(support::to_bytes("mtree-root/v1"));
-  mac.update(combine_header(context));
-  mac.update(tree_root);
-  return mac.finalize();
+                                         MacKind mac_kind,
+                                         const crypto::HmacSha256Key* key_schedule) {
+  return keyed_tag(hash, key, mac_kind, key_schedule, [&](auto& mac) {
+    mac.update(support::bytes_of("mtree-root/v1"));
+    feed_header(mac, context);
+    mac.update(tree_root);
+  });
 }
 
-support::Bytes Measurement::finalize() const {
+support::Bytes Measurement::finalize(const crypto::HmacSha256Key* key_schedule) const {
   if (!complete()) throw std::logic_error("Measurement::finalize before all blocks visited");
-  return combine(block_digests_, hash_, key_, context_, mac_);
+  return combine(block_digests_, hash_, key_, context_, mac_, key_schedule);
 }
 
 support::Bytes Measurement::expected(support::ByteView image, std::size_t block_size,

@@ -97,6 +97,13 @@ class Measurement {
   /// uncached path.
   void set_digest_cache(DigestCache* cache);
 
+  /// As above with the key's DigestCache::key_fingerprint, computed once
+  /// per key by the caller instead of once per measurement.
+  void set_digest_cache(DigestCache* cache, std::uint64_t key_fp) noexcept {
+    cache_ = cache;
+    key_fp_ = key_fp;
+  }
+
   /// Attach a flight-recorder journal (not owned; nullptr to detach):
   /// cache hits and misses are then journaled under `actor` with the
   /// visit time.  One null-check branch when detached — the measurement
@@ -151,7 +158,8 @@ class Measurement {
 
   /// Combine per-block digests into the final authenticated measurement.
   /// Requires complete(); throws std::logic_error otherwise.
-  support::Bytes finalize() const;
+  /// `key_schedule` is as for combine().
+  support::Bytes finalize(const crypto::HmacSha256Key* key_schedule = nullptr) const;
 
   const MeasurementContext& context() const noexcept { return context_; }
   const Coverage& coverage() const noexcept { return coverage_; }
@@ -174,9 +182,13 @@ class Measurement {
 
   /// Combine per-block digests (index order) into the authenticated
   /// measurement.  Shared by finalize(), expected() and GoldenMeasurement.
+  /// `key_schedule`, when given, is the held HMAC-SHA-256 schedule of
+  /// `key`: HMAC-SHA-256 F tags from it instead of deriving one (other F
+  /// ignore it).
   static support::Bytes combine(const std::vector<Digest>& digests,
                                 crypto::HashKind hash, support::ByteView key,
-                                const MeasurementContext& context, MacKind mac);
+                                const MeasurementContext& context, MacKind mac,
+                                const crypto::HmacSha256Key* key_schedule = nullptr);
 
   /// Tree-mode combiner: MAC the context header and the Merkle root
   /// instead of all n block digests — O(1) in the block count, which is
@@ -185,7 +197,8 @@ class Measurement {
   /// collide with a tree measurement over the same memory.
   static support::Bytes combine_root(support::ByteView tree_root,
                                      crypto::HashKind hash, support::ByteView key,
-                                     const MeasurementContext& context, MacKind mac);
+                                     const MeasurementContext& context, MacKind mac,
+                                     const crypto::HmacSha256Key* key_schedule = nullptr);
 
  private:
   const sim::DeviceMemory& memory_;

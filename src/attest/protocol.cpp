@@ -1,5 +1,6 @@
 #include "src/attest/protocol.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "src/crypto/hmac.hpp"
@@ -8,31 +9,41 @@ namespace rasc::attest {
 
 namespace {
 
-constexpr crypto::HashKind kRequestMacHash = crypto::HashKind::kSha256;
-constexpr std::size_t kRequestMacSize = 32;
+constexpr std::size_t kRequestMacSize = crypto::HmacSha256Key::kTagSize;
 
-support::Bytes request_mac_input(const ChallengeRequest& request) {
-  support::Bytes material = support::to_bytes("ra-challenge-request");
-  support::append_u64_be(material, request.counter);
-  support::append(material, request.challenge);
-  return material;
+/// MAC over "ra-challenge-request" || counter || challenge, fed straight
+/// into the keyed hash.
+void request_mac(const ChallengeRequest& request, const crypto::HmacSha256Key& key,
+                 support::MutableByteView out) {
+  std::uint8_t counter[8];
+  support::put_u64_be(counter, request.counter);
+  crypto::Sha256 inner = key.begin();
+  inner.update(support::bytes_of("ra-challenge-request"));
+  inner.update(counter);
+  inner.update(request.challenge);
+  key.finish(inner, out);
 }
 
 }  // namespace
 
 support::Bytes seal_challenge_request(const ChallengeRequest& request,
-                                      support::ByteView key) {
-  support::Bytes wire;
-  support::append_u64_be(wire, request.counter);
-  support::append_u32_be(wire, static_cast<std::uint32_t>(request.challenge.size()));
-  support::append(wire, request.challenge);
-  support::append(wire, crypto::Hmac::compute(kRequestMacHash, key,
-                                              request_mac_input(request)));
+                                      const crypto::HmacSha256Key& key) {
+  support::Bytes wire(8 + 4 + request.challenge.size() + kRequestMacSize);
+  const support::MutableByteView out(wire);
+  support::put_u64_be(out.subspan(0, 8), request.counter);
+  support::put_u32_be(out.subspan(8, 4), static_cast<std::uint32_t>(request.challenge.size()));
+  std::copy(request.challenge.begin(), request.challenge.end(), wire.begin() + 12);
+  request_mac(request, key, out.subspan(12 + request.challenge.size()));
   return wire;
 }
 
+support::Bytes seal_challenge_request(const ChallengeRequest& request,
+                                      support::ByteView key) {
+  return seal_challenge_request(request, crypto::HmacSha256Key(key));
+}
+
 std::optional<ChallengeRequest> open_challenge_request(support::ByteView wire,
-                                                       support::ByteView key) {
+                                                       const crypto::HmacSha256Key& key) {
   if (wire.size() < 8 + 4 + kRequestMacSize) return std::nullopt;
   ChallengeRequest request;
   request.counter = support::get_u64_be(wire.subspan(0, 8));
@@ -40,10 +51,15 @@ std::optional<ChallengeRequest> open_challenge_request(support::ByteView wire,
   if (wire.size() != 8 + 4 + challenge_len + kRequestMacSize) return std::nullopt;
   request.challenge.assign(wire.begin() + 12, wire.begin() + 12 + challenge_len);
   const support::ByteView mac = wire.subspan(12 + challenge_len, kRequestMacSize);
-  const support::Bytes expected =
-      crypto::Hmac::compute(kRequestMacHash, key, request_mac_input(request));
+  std::uint8_t expected[kRequestMacSize];
+  request_mac(request, key, expected);
   if (!support::ct_equal(mac, expected)) return std::nullopt;
   return request;
+}
+
+std::optional<ChallengeRequest> open_challenge_request(support::ByteView wire,
+                                                       support::ByteView key) {
+  return open_challenge_request(wire, crypto::HmacSha256Key(key));
 }
 
 OnDemandProtocol::OnDemandProtocol(sim::Device& prover_device, Verifier& verifier,
@@ -72,12 +88,12 @@ void OnDemandProtocol::run(std::uint64_t counter,
   timings->t_challenge_sent = sim.now();
 
   support::Bytes request_wire =
-      seal_challenge_request({counter, challenge}, device_.attestation_key());
+      seal_challenge_request({counter, challenge}, device_.attestation_key_schedule());
   vrf_to_prv_.send(std::move(request_wire), [this, timings, done = std::move(done)](
                                                 support::Bytes request_bytes) mutable {
     auto& sim = device_.sim();
     const auto request =
-        open_challenge_request(request_bytes, device_.attestation_key());
+        open_challenge_request(request_bytes, device_.attestation_key_schedule());
     if (!request) {
       ++rejected_auth_;
       journal(obs::JournalEventKind::kRequestRejected, sim.now(),

@@ -35,10 +35,16 @@ struct ChallengeRequest {
   support::Bytes challenge;
 };
 
+/// Wire = counter || challenge length || challenge || HMAC-SHA-256 tag
+/// under the held key schedule.
+support::Bytes seal_challenge_request(const ChallengeRequest& request,
+                                      const crypto::HmacSha256Key& key);
 support::Bytes seal_challenge_request(const ChallengeRequest& request,
                                       support::ByteView key);
 /// Verify and decode a request wire; std::nullopt when truncated or the
 /// MAC does not check out.
+std::optional<ChallengeRequest> open_challenge_request(support::ByteView wire,
+                                                       const crypto::HmacSha256Key& key);
 std::optional<ChallengeRequest> open_challenge_request(support::ByteView wire,
                                                        support::ByteView key);
 

@@ -19,7 +19,8 @@ AttestationProcess::AttestationProcess(sim::Device& device, ProverConfig config,
     : sim::Process("attest/" + execution_mode_name(config.mode), config.priority),
       device_(device),
       config_(config),
-      policy_(policy) {}
+      policy_(policy),
+      key_fp_(DigestCache::key_fingerprint(device.attestation_key())) {}
 
 sim::Duration AttestationProcess::block_cost() const {
   const std::size_t block_size = device_.memory().block_size();
@@ -175,7 +176,7 @@ void AttestationProcess::start(MeasurementContext context,
     DigestCache& cache =
         shared_digest_cache_ != nullptr ? *shared_digest_cache_ : digest_cache_;
     cache.resize(device_.memory().block_count());
-    measurement_->set_digest_cache(&cache);
+    measurement_->set_digest_cache(&cache, key_fp_);
     if (auto* j = device_.sim().journal()) {
       const std::uint32_t actor = j->intern(device_.id());
       measurement_->set_journal(j, actor);
@@ -330,10 +331,9 @@ void AttestationProcess::finish() {
                       stats.dirty_leaves, stats.nodes_rehashed);
     }
     report.tree_root = tree_->root_bytes();
-    report.measurement =
-        Measurement::combine_root(report.tree_root, config_.hash,
-                                  device_.attestation_key(),
-                                  measurement_->context(), config_.mac);
+    report.measurement = Measurement::combine_root(
+        report.tree_root, config_.hash, device_.attestation_key(),
+        measurement_->context(), config_.mac, &device_.attestation_key_schedule());
     // Prove the whole backlog — every block dirtied since the last
     // decisive round, not just this round's visits — one subtree proof
     // per contiguous run, split at max_proof_leaves (the verifier
@@ -368,9 +368,9 @@ void AttestationProcess::finish() {
       i = j;
     }
   } else {
-    report.measurement = measurement_->finalize();
+    report.measurement = measurement_->finalize(&device_.attestation_key_schedule());
   }
-  authenticate_report(report, device_.attestation_key());
+  authenticate_report(report, device_.attestation_key_schedule());
   if (signer_ != nullptr && config_.signature) sign_report(report, *signer_);
 
   result_.report = std::move(report);

@@ -191,6 +191,7 @@ class AttestationProcess final : public sim::Process {
   LockPolicy* policy_;
   DigestCache digest_cache_;
   DigestCache* shared_digest_cache_ = nullptr;
+  std::uint64_t key_fp_;  ///< DigestCache::key_fingerprint of the device key
   crypto::Signer* signer_ = nullptr;
   std::function<void(std::size_t, std::size_t)> observer_;
 

@@ -1,11 +1,8 @@
 #include "src/attest/report.hpp"
 
-#include "src/crypto/hmac.hpp"
-
 namespace rasc::attest {
 
 namespace {
-constexpr crypto::HashKind kReportMacHash = crypto::HashKind::kSha256;
 
 /// Tag opening the tree-mode trailer ('MTRE').  A legacy wire can never
 /// start a MAC section with it: the value is far above any real MAC
@@ -15,8 +12,12 @@ constexpr std::uint32_t kMtreeMagic = 0x4d545245;
 
 support::Bytes Report::serialize_body() const {
   support::Bytes out;
+  // Room for the flat body plus the MAC and signature sections that
+  // serialize_report_wire appends: one allocation on either path.
+  out.reserve(4 + device_id.size() + 4 + challenge.size() + 3 * 8 + 4 + 4 +
+              measurement.size() + 4 + mac.size() + 4 + signature.size());
   support::append_u32_be(out, static_cast<std::uint32_t>(device_id.size()));
-  support::append(out, support::to_bytes(device_id));
+  out.insert(out.end(), device_id.begin(), device_id.end());
   support::append_u32_be(out, static_cast<std::uint32_t>(challenge.size()));
   support::append(out, challenge);
   support::append_u64_be(out, counter);
@@ -39,20 +40,27 @@ support::Bytes Report::serialize_body() const {
   return out;
 }
 
-support::Bytes report_mac(const Report& report, support::ByteView key) {
-  return crypto::Hmac::compute(kReportMacHash, key, report.serialize_body());
+void authenticate_report(Report& report, const crypto::HmacSha256Key& key) {
+  report.mac.resize(crypto::HmacSha256Key::kTagSize);
+  key.tag(report.serialize_body(), report.mac);
 }
 
 void authenticate_report(Report& report, support::ByteView key) {
-  report.mac = report_mac(report, key);
+  authenticate_report(report, crypto::HmacSha256Key(key));
 }
 
 void sign_report(Report& report, crypto::Signer& signer) {
   report.signature = signer.sign(crypto::HashKind::kSha256, report.serialize_body());
 }
 
+bool report_mac_valid(const Report& report, const crypto::HmacSha256Key& key) {
+  std::uint8_t tag[crypto::HmacSha256Key::kTagSize];
+  key.tag(report.serialize_body(), tag);
+  return support::ct_equal(tag, report.mac);
+}
+
 bool report_mac_valid(const Report& report, support::ByteView key) {
-  return support::ct_equal(report_mac(report, key), report.mac);
+  return report_mac_valid(report, crypto::HmacSha256Key(key));
 }
 
 bool report_signature_valid(const Report& report, const crypto::Signer& signer) {

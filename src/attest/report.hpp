@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/crypto/hash.hpp"
+#include "src/crypto/hmac.hpp"
 #include "src/crypto/sig.hpp"
 #include "src/mtree/mtree.hpp"
 #include "src/sim/time.hpp"
@@ -42,16 +43,16 @@ struct Report {
   support::Bytes serialize_body() const;
 };
 
-/// Compute the report MAC with the shared attestation key.
-support::Bytes report_mac(const Report& report, support::ByteView key);
-
-/// MAC the report in place.
+/// MAC the report in place: HMAC-SHA-256 over serialize_body() under the
+/// held schedule of the shared attestation key.
+void authenticate_report(Report& report, const crypto::HmacSha256Key& key);
 void authenticate_report(Report& report, support::ByteView key);
 
 /// Attach a signature (non-repudiation mode).
 void sign_report(Report& report, crypto::Signer& signer);
 
 /// Constant-time MAC check.
+bool report_mac_valid(const Report& report, const crypto::HmacSha256Key& key);
 bool report_mac_valid(const Report& report, support::ByteView key);
 
 /// Signature check (false if the report carries no signature).

@@ -2,14 +2,28 @@
 
 namespace rasc::attest {
 
-Stack::Stack(sim::Simulator& sim, StackConfig config, support::ByteView image)
+namespace {
+
+Verifier make_verifier(std::shared_ptr<const GoldenMeasurement> golden,
+                       const support::Bytes& key, std::uint64_t challenge_seed,
+                       const Verifier::SessionState* session) {
+  if (session != nullptr) return Verifier(std::move(golden), key, *session);
+  return Verifier(std::move(golden), key, challenge_seed);
+}
+
+}  // namespace
+
+Stack::Stack(sim::Simulator& sim, StackConfig config, support::ByteView image,
+             const Verifier::SessionState* verifier_session)
     : device(sim, std::move(config.device)),
-      verifier(config.golden != nullptr
-                   ? std::move(config.golden)
-                   : std::make_shared<const GoldenMeasurement>(
-                         image, device.memory().block_size(), config.prover.hash,
-                         device.attestation_key(), config.prover.mac),
-               device.attestation_key(), config.challenge_seed),
+      verifier(make_verifier(config.golden != nullptr
+                                 ? std::move(config.golden)
+                                 : std::make_shared<const GoldenMeasurement>(
+                                       image, device.memory().block_size(),
+                                       config.prover.hash, device.attestation_key(),
+                                       config.prover.mac),
+                             device.attestation_key(), config.challenge_seed,
+                             verifier_session)),
       mp(device, config.prover),
       vrf_to_prv(sim, std::move(config.to_prv)),
       prv_to_vrf(sim, std::move(config.to_vrf)),

@@ -40,8 +40,11 @@ struct StackConfig {
 
 struct Stack {
   /// Build every member on `sim`, then load `image` — the golden's
-  /// content — into device memory.
-  Stack(sim::Simulator& sim, StackConfig config, support::ByteView image);
+  /// content — into device memory.  A non-null `verifier_session` (a
+  /// hibernated stack's saved verifier state) builds the verifier from it
+  /// instead of from config.challenge_seed.
+  Stack(sim::Simulator& sim, StackConfig config, support::ByteView image,
+        const Verifier::SessionState* verifier_session = nullptr);
   Stack(const Stack&) = delete;
   Stack& operator=(const Stack&) = delete;
 

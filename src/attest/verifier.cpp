@@ -20,6 +20,7 @@ Verifier::Verifier(crypto::HashKind hash, support::Bytes key, support::Bytes gol
     : hash_(hash),
       mac_(mac),
       key_(std::move(key)),
+      key_schedule_(key_),
       block_size_(block_size),
       challenge_drbg_(make_challenge_drbg(challenge_seed)) {
   if (block_size_ == 0 || golden_image.size() % block_size_ != 0) {
@@ -34,9 +35,23 @@ Verifier::Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::Byt
     : hash_(golden->hash_kind()),
       mac_(golden->mac_kind()),
       key_(std::move(key)),
+      key_schedule_(key_),
       golden_(std::move(golden)),
       block_size_(golden_->block_size()),
       challenge_drbg_(make_challenge_drbg(challenge_seed)) {}
+
+Verifier::Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::Bytes key,
+                   const SessionState& session)
+    : hash_(golden->hash_kind()),
+      mac_(golden->mac_kind()),
+      key_(std::move(key)),
+      key_schedule_(key_),
+      golden_(std::move(golden)),
+      block_size_(golden_->block_size()),
+      challenge_drbg_(session.drbg),
+      outstanding_challenge_(session.outstanding_challenge),
+      last_counter_seen_(session.last_counter_seen),
+      last_counter_(session.last_counter) {}
 
 support::Bytes Verifier::issue_challenge(std::size_t size) {
   outstanding_challenge_ = challenge_drbg_.generate(size);
@@ -49,7 +64,7 @@ support::Bytes Verifier::expected_measurement(const MeasurementContext& context)
 
 VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
   VerifyOutcome out;
-  out.mac_ok = report_mac_valid(report, key_);
+  out.mac_ok = report_mac_valid(report, key_schedule_);
 
   if (expect_challenge) {
     out.challenge_ok = outstanding_challenge_.has_value() &&
@@ -74,7 +89,8 @@ VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
     // steer localization.
     out.tree_root_bound = support::ct_equal(
         report.measurement,
-        Measurement::combine_root(report.tree_root, hash_, key_, context, mac_));
+        Measurement::combine_root(report.tree_root, hash_, key_, context, mac_,
+                                  &key_schedule_));
     if (out.mac_ok && out.tree_root_bound) {
       for (const auto& proof : report.proofs) {
         if (proof.total_leaves != golden_->block_count() ||

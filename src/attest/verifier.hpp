@@ -42,6 +42,18 @@ struct VerifyOutcome {
 
 class Verifier {
  public:
+  /// Per-session verifier state for hibernation: the challenge DRBG
+  /// position, the outstanding challenge (if a round is mid-flight when
+  /// captured — normally absent at quiescence), and the replay-protection
+  /// counter watermark.  Everything else (golden, key, kinds) is immutable
+  /// configuration recreated from the shard seed on wake.
+  struct SessionState {
+    crypto::HmacDrbg::State drbg;
+    std::optional<support::Bytes> outstanding_challenge;
+    bool last_counter_seen = false;
+    std::uint64_t last_counter = 0;
+  };
+
   /// `golden_image` is the expected content of the covered region
   /// (block_size * n bytes).
   Verifier(crypto::HashKind hash, support::Bytes key, support::Bytes golden_image,
@@ -53,6 +65,12 @@ class Verifier {
   /// per verify).  The golden carries hash/MAC kind and block size.
   Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::Bytes key,
            std::uint64_t challenge_seed = 0xc0ffee);
+
+  /// Resume a hibernated session over a shared golden: the challenge DRBG
+  /// continues from `session` instead of being instantiated from a seed
+  /// (the same verifier as the seeded one after restore_session_state).
+  Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::Bytes key,
+           const SessionState& session);
 
   /// Fresh random challenge (also remembered as the expected one).
   support::Bytes issue_challenge(std::size_t size = 16);
@@ -83,25 +101,13 @@ class Verifier {
   /// "verifier.fail_proof" and "verifier.localized_ranges".
   void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
 
-  /// Per-session verifier state for hibernation: the challenge DRBG
-  /// position, the outstanding challenge (if a round is mid-flight when
-  /// captured — normally absent at quiescence), and the replay-protection
-  /// counter watermark.  Everything else (golden, key, kinds) is immutable
-  /// configuration recreated from the shard seed on wake.
-  struct SessionState {
-    crypto::HmacDrbg::State drbg;
-    std::optional<support::Bytes> outstanding_challenge;
-    bool last_counter_seen = false;
-    std::uint64_t last_counter = 0;
-  };
-
   SessionState save_session_state() const {
     return {challenge_drbg_.state(), outstanding_challenge_, last_counter_seen_,
             last_counter_};
   }
 
   void restore_session_state(SessionState s) {
-    challenge_drbg_.restore(std::move(s.drbg));
+    challenge_drbg_.restore(s.drbg);
     outstanding_challenge_ = std::move(s.outstanding_challenge);
     last_counter_seen_ = s.last_counter_seen;
     last_counter_ = s.last_counter;
@@ -111,6 +117,7 @@ class Verifier {
   crypto::HashKind hash_;
   MacKind mac_;
   support::Bytes key_;
+  crypto::HmacSha256Key key_schedule_;  ///< of key_: the report MAC check
   std::shared_ptr<const GoldenMeasurement> golden_;
   std::size_t block_size_;
   crypto::HmacDrbg challenge_drbg_;

@@ -28,6 +28,7 @@ class Blake2b final : public Hash {
   std::size_t digest_size() const noexcept override { return kDigestSize; }
   std::size_t block_size() const noexcept override { return kBlockSize; }
   std::unique_ptr<Hash> clone() const override { return std::make_unique<Blake2b>(*this); }
+  void assign(const Hash& other) override { *this = dynamic_cast<const Blake2b&>(other); }
   void reset() override;
 
  private:

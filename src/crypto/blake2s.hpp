@@ -25,6 +25,7 @@ class Blake2s final : public Hash {
   std::size_t digest_size() const noexcept override { return kDigestSize; }
   std::size_t block_size() const noexcept override { return kBlockSize; }
   std::unique_ptr<Hash> clone() const override { return std::make_unique<Blake2s>(*this); }
+  void assign(const Hash& other) override { *this = dynamic_cast<const Blake2s&>(other); }
   void reset() override;
 
  private:

@@ -1,45 +1,57 @@
 #include "src/crypto/drbg.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace rasc::crypto {
 
 namespace {
-constexpr HashKind kKind = HashKind::kSha256;
-constexpr std::size_t kOutLen = 32;
+
+std::array<std::uint8_t, HmacSha256Key::kTagSize> state_word(const support::Bytes& b) {
+  std::array<std::uint8_t, HmacSha256Key::kTagSize> out{};
+  if (b.size() != out.size()) {
+    throw std::invalid_argument("HmacDrbg: K and V must be 32 bytes");
+  }
+  std::copy(b.begin(), b.end(), out.begin());
+  return out;
+}
+
 }  // namespace
 
-HmacDrbg::HmacDrbg(support::ByteView seed) : key_(kOutLen, 0x00), v_(kOutLen, 0x01) {
+HmacDrbg::HmacDrbg(support::ByteView seed) : k_(key_) {
+  v_.fill(0x01);
   update(seed);
 }
 
+HmacDrbg::HmacDrbg(const State& s) : key_(state_word(s.key)), v_(state_word(s.v)), k_(key_) {}
+
+HmacDrbg::State HmacDrbg::state() const {
+  return {support::Bytes(key_.begin(), key_.end()), support::Bytes(v_.begin(), v_.end())};
+}
+
+void HmacDrbg::restore(const State& s) { *this = HmacDrbg(s); }
+
 void HmacDrbg::update(support::ByteView provided) {
-  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  Hmac mac(kKind, key_);
-  mac.update(v_);
-  const std::uint8_t zero = 0x00;
-  mac.update(support::ByteView(&zero, 1));
-  mac.update(provided);
-  key_ = mac.finalize();
-  v_ = Hmac::compute(kKind, key_, v_);
-  if (provided.empty()) return;
-  // K = HMAC(K, V || 0x01 || provided); V = HMAC(K, V)
-  Hmac mac2(kKind, key_);
-  mac2.update(v_);
-  const std::uint8_t one = 0x01;
-  mac2.update(support::ByteView(&one, 1));
-  mac2.update(provided);
-  key_ = mac2.finalize();
-  v_ = Hmac::compute(kKind, key_, v_);
+  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V), then — with
+  // provided data only — the same again with 0x01.
+  for (const std::uint8_t round : {std::uint8_t{0x00}, std::uint8_t{0x01}}) {
+    if (round == 0x01 && provided.empty()) return;
+    Sha256 inner = k_.begin();
+    inner.update(v_);
+    inner.update(support::ByteView(&round, 1));
+    inner.update(provided);
+    k_.finish(inner, key_);
+    k_ = HmacSha256Key(key_);
+    k_.tag(v_, v_);
+  }
 }
 
 void HmacDrbg::generate(support::MutableByteView out) {
   std::size_t produced = 0;
   while (produced < out.size()) {
-    v_ = Hmac::compute(kKind, key_, v_);
+    k_.tag(v_, v_);
     const std::size_t take = std::min(kOutLen, out.size() - produced);
-    std::copy(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(take),
-              out.begin() + static_cast<std::ptrdiff_t>(produced));
+    std::copy_n(v_.begin(), take, out.begin() + static_cast<std::ptrdiff_t>(produced));
     produced += take;
   }
   update({});

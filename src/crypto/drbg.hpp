@@ -5,6 +5,8 @@
 /// which makes every protocol run reproducible from its seed — the SMARM
 /// secret permutation, ECDSA nonces, RSA prime search, and Vrf challenges.
 
+#include <array>
+
 #include "src/bignum/bignum.hpp"
 #include "src/crypto/hmac.hpp"
 #include "src/support/bytes.hpp"
@@ -13,10 +15,22 @@ namespace rasc::crypto {
 
 class HmacDrbg {
  public:
+  /// Internal (K, V) working state, for checkpoint/restore.  Restoring a
+  /// snapshot resumes the output stream exactly where it was captured.
+  struct State {
+    support::Bytes key;
+    support::Bytes v;
+  };
+
   /// Instantiate from seed material (entropy || nonce || personalization).
   explicit HmacDrbg(support::ByteView seed);
 
-  /// Fill `out` with pseudo-random bytes.
+  /// Resume from a state() snapshot without instantiating: the stream
+  /// continues exactly as after restore().  Throws std::invalid_argument
+  /// unless K and V are 32 bytes each.
+  explicit HmacDrbg(const State& s);
+
+  /// Fill `out` with pseudo-random bytes; allocates nothing.
   void generate(support::MutableByteView out);
 
   /// Convenience: n fresh bytes.
@@ -31,25 +45,17 @@ class HmacDrbg {
   /// Adapter for Bignum::random_below / prime generation.
   bn::Bignum::ByteSource byte_source();
 
-  /// Internal (K, V) working state, for checkpoint/restore.  Restoring a
-  /// snapshot resumes the output stream exactly where it was captured.
-  struct State {
-    support::Bytes key;
-    support::Bytes v;
-  };
-
-  State state() const { return {key_, v_}; }
-
-  void restore(State s) {
-    key_ = std::move(s.key);
-    v_ = std::move(s.v);
-  }
+  State state() const;
+  void restore(const State& s);
 
  private:
+  static constexpr std::size_t kOutLen = HmacSha256Key::kTagSize;
+
   void update(support::ByteView provided);
 
-  support::Bytes key_;  // K
-  support::Bytes v_;    // V
+  std::array<std::uint8_t, kOutLen> key_{};  // K, kept for state()
+  std::array<std::uint8_t, kOutLen> v_{};    // V
+  HmacSha256Key k_;                          // K's schedule
 };
 
 }  // namespace rasc::crypto

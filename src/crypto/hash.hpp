@@ -49,6 +49,11 @@ class Hash {
   /// Deep copy of the current streaming state.
   virtual std::unique_ptr<Hash> clone() const = 0;
 
+  /// Take over `other`'s streaming state without allocating (HMAC restarts
+  /// from its keyed midstates this way).  `other` must be the same
+  /// algorithm; std::bad_cast otherwise.
+  virtual void assign(const Hash& other) = 0;
+
   /// Reset to the initial (keyless) state.
   virtual void reset() = 0;
 };

@@ -21,6 +21,7 @@ class Sha512 final : public Hash {
   std::size_t digest_size() const noexcept override { return kDigestSize; }
   std::size_t block_size() const noexcept override { return kBlockSize; }
   std::unique_ptr<Hash> clone() const override { return std::make_unique<Sha512>(*this); }
+  void assign(const Hash& other) override { *this = dynamic_cast<const Sha512&>(other); }
   void reset() override;
 
  private:

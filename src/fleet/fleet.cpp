@@ -131,8 +131,6 @@ std::uint64_t key_fingerprint(support::ByteView key) {
 /// what makes the 1M tier fit in host RAM.
 struct HibernatedDevice {
   bool valid = false;
-  std::uint32_t device = 0;
-  std::uint32_t shard = 0;
   std::uint32_t wakes = 0;              ///< rebuilds consumed so far
   std::uint64_t key_fingerprint = 0;    ///< shard key stamp (sanity check)
   std::uint64_t generation_summary = 0; ///< memory generations at capture
@@ -202,9 +200,12 @@ attest::StackConfig make_stack_config(const FleetConfig& config,
 /// admission rebuilds.  The admission window bounds *concurrent
 /// sessions*, not live objects.
 struct DeviceStack : attest::Stack {
+  /// A wake passes the device's record: the verifier is then built from
+  /// its saved session instead of from the challenge seed.
   DeviceStack(sim::Simulator& sim, const FleetConfig& config, ShardState& shard,
-              std::size_t index)
-      : attest::Stack(sim, make_stack_config(config, shard, index), shard.image) {
+              std::size_t index, const HibernatedDevice* woken = nullptr)
+      : attest::Stack(sim, make_stack_config(config, shard, index), shard.image,
+                      woken != nullptr ? &woken->verifier : nullptr) {
     mp.set_shared_digest_cache(&shard.cache);
     attach(config.metrics, &shard.health);
   }
@@ -252,12 +253,9 @@ struct DeviceStack : attest::Stack {
   }
 
   /// Collapse to the seed record.  Caller guarantees quiescent().
-  HibernatedDevice hibernate(std::size_t index, std::size_t shard_index,
-                             std::uint64_t key_fp, std::uint32_t wakes) const {
+  HibernatedDevice hibernate(std::uint64_t key_fp, std::uint32_t wakes) const {
     HibernatedDevice h;
     h.valid = true;
-    h.device = static_cast<std::uint32_t>(index);
-    h.shard = static_cast<std::uint32_t>(shard_index);
     h.wakes = wakes;
     h.key_fingerprint = key_fp;
     h.generation_summary = generation_summary(device.memory());
@@ -270,18 +268,19 @@ struct DeviceStack : attest::Stack {
   }
 
   /// Rebuild-from-seed path (the constructor already loaded the clean
-  /// shard image): replay the infection patch, then — tree mode only —
-  /// re-prime the tree from the *current* (patched) content.  The
-  /// persistent stack's tree was already consistent with that content, so
-  /// re-priming from the golden digests here would spuriously re-dirty
-  /// the infected blocks and change the next round's visit set.  Finally
-  /// restore every captured protocol position.
+  /// shard image and resumed the verifier): replay the infection patch,
+  /// then — tree mode only — re-prime the tree from the *current*
+  /// (patched) content.  The persistent stack's tree was already
+  /// consistent with that content, so re-priming from the golden digests
+  /// here would spuriously re-dirty the infected blocks and change the
+  /// next round's visit set.  Finally restore the remaining protocol
+  /// positions; their objects seed only a xoshiro256 on construction, so
+  /// overwriting it costs nothing worth a second constructor.
   void restore(const FleetConfig& config, bool infected,
                const HibernatedDevice& h) {
     patch_infection(config, infected);
     if (config.use_merkle_tree) mp.prime_tree();
     session.restore_state(h.session);
-    verifier.restore_session_state(h.verifier);
     mp.restore_process_state(h.process);
     vrf_to_prv.restore_state(h.vrf_to_prv);
     prv_to_vrf.restore_state(h.prv_to_vrf);
@@ -384,12 +383,14 @@ struct FleetVerifier::Impl {
   DeviceStack& ensure_stack(std::size_t d) {
     if (stacks[d]) return *stacks[d];
     const std::size_t s = shard_of(d);
-    auto stack = std::make_unique<DeviceStack>(simulator, config, shards[s], d);
+    HibernatedDevice* woken =
+        hibernation && hibernated[d].valid ? &hibernated[d] : nullptr;
+    auto stack = std::make_unique<DeviceStack>(simulator, config, shards[s], d, woken);
     ++live_stacks;
     result.live_stacks_high_water =
         std::max(result.live_stacks_high_water, live_stacks);
-    if (hibernation && hibernated[d].valid) {
-      HibernatedDevice& h = hibernated[d];
+    if (woken != nullptr) {
+      HibernatedDevice& h = *woken;
       stack->restore(config, roster.infected(d), h);
       if (generation_summary(stack->device.memory()) != h.generation_summary) {
         violation("device " + std::to_string(d) +
@@ -412,8 +413,7 @@ struct FleetVerifier::Impl {
 
   void hibernate_stack(std::size_t d) {
     const std::size_t s = shard_of(d);
-    hibernated[d] = stacks[d]->hibernate(d, s, shard_key_fps[s],
-                                         hibernated[d].wakes);
+    hibernated[d] = stacks[d]->hibernate(shard_key_fps[s], hibernated[d].wakes);
     journal_fleet(obs::JournalEventKind::kFleetHibernate, d,
                   stacks[d]->session.rounds_resolved(), live_stacks - 1);
     stacks[d].reset();

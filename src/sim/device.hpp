@@ -2,11 +2,13 @@
 /// \file device.hpp
 /// The simulated prover: memory + CPU + timing model + the ROM-protected
 /// attestation key (SMART's hard-wired access rule is modeled by the key
-/// simply not being reachable from application/malware code).
+/// simply not being reachable from application/malware code), with the
+/// key's HMAC-SHA-256 schedule derived once next to it.
 
 #include <memory>
 #include <string>
 
+#include "src/crypto/hmac.hpp"
 #include "src/sim/cpu.hpp"
 #include "src/sim/cpu_model.hpp"
 #include "src/sim/memory.hpp"
@@ -26,6 +28,7 @@ class Device {
   Device(Simulator& sim, DeviceConfig config)
       : sim_(sim),
         config_(std::move(config)),
+        key_schedule_(config_.attestation_key),
         memory_(config_.memory_size, config_.block_size),
         cpu_(sim, config_.id) {
     // Journal the memory lock state and blocked writes under the device
@@ -58,10 +61,16 @@ class Device {
   CpuModel& model() noexcept { return model_; }
   const CpuModel& model() const noexcept { return model_; }
   const support::Bytes& attestation_key() const noexcept { return config_.attestation_key; }
+  /// HMAC-SHA-256 schedule of attestation_key(): the prover's request,
+  /// report and combine MACs start from it instead of re-deriving pads.
+  const crypto::HmacSha256Key& attestation_key_schedule() const noexcept {
+    return key_schedule_;
+  }
 
  private:
   Simulator& sim_;
   DeviceConfig config_;
+  crypto::HmacSha256Key key_schedule_;
   DeviceMemory memory_;
   CpuModel model_;
   Cpu cpu_;

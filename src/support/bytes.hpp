@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rasc::support {
@@ -19,6 +20,11 @@ using MutableByteView = std::span<std::uint8_t>;
 
 /// Build a byte buffer from a string literal / std::string payload.
 Bytes to_bytes(std::string_view s);
+
+/// View the characters of `s` as bytes, without copying.
+inline ByteView bytes_of(std::string_view s) noexcept {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
 
 /// Interpret a byte buffer as text (for tests and diagnostics).
 std::string to_string(ByteView b);

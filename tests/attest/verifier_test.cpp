@@ -129,5 +129,29 @@ TEST_F(VerifierTest, DeterministicChallengesPerSeed) {
   EXPECT_EQ(a.issue_challenge(), b.issue_challenge());
 }
 
+// The wake path: a verifier built from a saved session continues exactly
+// like the original, and like a seeded verifier that restored the session.
+TEST_F(VerifierTest, ResumedFromSessionStateMatchesOriginalAndRestore) {
+  const auto golden = std::make_shared<const GoldenMeasurement>(
+      image_, kBlockSize, crypto::HashKind::kSha256, key_);
+  Verifier original(golden, key_, 7);
+  const Bytes first = original.issue_challenge();
+  ASSERT_TRUE(original.verify(honest_report(image_, key_, first, 3)).ok());
+  (void)original.issue_challenge();  // outstanding when captured
+  const Verifier::SessionState saved = original.save_session_state();
+
+  Verifier resumed(golden, key_, saved);
+  Verifier restored(golden, key_, 8);
+  restored.restore_session_state(saved);
+  EXPECT_EQ(resumed.last_counter(), 3u);
+  for (Verifier* v : {&original, &resumed, &restored}) {
+    // The captured outstanding challenge is still the expected one.
+    EXPECT_TRUE(v->verify(honest_report(image_, key_, *saved.outstanding_challenge, 4)).ok());
+  }
+  const Bytes next = original.issue_challenge();
+  EXPECT_EQ(resumed.issue_challenge(), next);
+  EXPECT_EQ(restored.issue_challenge(), next);
+}
+
 }  // namespace
 }  // namespace rasc::attest

@@ -5,11 +5,64 @@
 #include <bit>
 
 #include "src/support/bytes.hpp"
+#include "src/support/hex.hpp"
 
 namespace rasc::crypto {
 namespace {
 
+using support::hex_decode_or_throw;
+using support::hex_encode;
 using support::to_bytes;
+
+// NIST CAVP HMAC_DRBG.rsp [SHA-256], PredictionResistance = False,
+// EntropyInputLen = 256, NonceLen = 128, no personalization string, no
+// additional input, COUNT = 0: instantiate from entropy || nonce, generate
+// 1024 bits twice, and the second output is ReturnedBits.  Cross-checked
+// against an SP 800-90A reference over Python's hmac:
+//   python3 -c "import hmac,hashlib;H=lambda k,m:hmac.new(k,m,hashlib.sha256).digest()
+//   def u(K,V,p=b''):K=H(K,V+b'\0'+p);V=H(K,V);return(H(K,V+b'\1'+p),H(H(K,V+b'\1'+p),V))if p else(K,V)
+//   def g(K,V):
+//    o=b''
+//    while len(o)<128:V=H(K,V);o+=V
+//    return u(K,V)+(o,)
+//   K,V=u(bytes(32),b'\1'*32,bytes.fromhex(E+N));K,V,_=g(K,V);print(g(K,V)[2].hex())"
+// with E and N the entropy and nonce hex strings below.
+TEST(Drbg, NistCavpSha256NoReseed) {
+  HmacDrbg drbg(hex_decode_or_throw(
+      "ca851911349384bffe89de1cbdc46e6831e44d34a4fb935ee285dd14b71a7488"
+      "659ba96c601dc69fc902940805ec0ca8"));
+  (void)drbg.generate(128);
+  EXPECT_EQ(hex_encode(drbg.generate(128)),
+            "e528e9abf2dece54d47c7e75e5fe302149f817ea9fb4bee6f4199697d04d5b89"
+            "d54fbb978a15b5c443c9ec21036d2460b6f73ebad0dc2aba6e624abf07745bc1"
+            "07694bb7547bb0995f70de25d6b29e2d3011bb19d27676c07162c8b5ccde0668"
+            "961df86803482cb37ed6d5c0bb8d50cf1f50d476aa0458bdaba806f48be9dcb8");
+}
+
+TEST(Drbg, ResumedFromStateMatchesOriginalAndRestore) {
+  HmacDrbg original(to_bytes("resume-seed"));
+  (void)original.generate(40);
+  const HmacDrbg::State snapshot = original.state();
+
+  HmacDrbg resumed(snapshot);
+  HmacDrbg restored(to_bytes("some other seed"));
+  restored.restore(snapshot);
+  for (std::size_t n : {16u, 1u, 33u, 64u}) {
+    const support::Bytes expected = original.generate(n);
+    EXPECT_EQ(resumed.generate(n), expected);
+    EXPECT_EQ(restored.generate(n), expected);
+  }
+  EXPECT_EQ(resumed.state().key, original.state().key);
+  EXPECT_EQ(resumed.state().v, original.state().v);
+}
+
+TEST(Drbg, ResumeRejectsMisSizedState) {
+  HmacDrbg::State bad = HmacDrbg(to_bytes("s")).state();
+  bad.v.pop_back();
+  EXPECT_THROW(HmacDrbg{bad}, std::invalid_argument);
+  HmacDrbg d(to_bytes("s"));
+  EXPECT_THROW(d.restore(bad), std::invalid_argument);
+}
 
 TEST(Drbg, DeterministicForSeed) {
   HmacDrbg a(to_bytes("seed"));
