@@ -35,6 +35,7 @@
 #include "src/attest/digest_cache.hpp"
 #include "src/attest/golden.hpp"
 #include "src/attest/measurement.hpp"
+#include "src/attest/stack.hpp"
 #include "src/exp/report.hpp"
 #include "src/mtree/incremental.hpp"
 #include "src/obs/bench_io.hpp"
@@ -157,7 +158,6 @@ int main() {
     tree_mem.load(image);
     attest::DigestCache cache;
     cache.resize(kBlocks);
-    cache.set_metrics(&registry);
 
     std::vector<support::Bytes> cached_results, uncached_results, batch_results,
         tree_results;
@@ -230,6 +230,7 @@ int main() {
     if (dirty_pct == 100) batch_speedup_at_100pct = batch_speedup;
     const double tree_speedup = tree_s > 0.0 ? uncached_s / tree_s : 0.0;
     if (dirty_pct == 1) tree_speedup_at_1pct = tree_speedup;
+    attest::export_metrics(registry, cache);
     const double hit_rate =
         static_cast<double>(cache.hits()) /
         static_cast<double>(cache.hits() + cache.misses());

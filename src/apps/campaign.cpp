@@ -5,6 +5,7 @@
 
 #include "src/attest/digest_cache.hpp"
 #include "src/attest/prover.hpp"
+#include "src/attest/stack.hpp"
 #include "src/attest/verifier.hpp"
 #include "src/locking/policies.hpp"
 
@@ -184,7 +185,6 @@ exp::CampaignSpec make_measurement_cache_campaign(
     attest::DigestCache cache;
     cache.resize(kBlocks);
     exp::TrialOutput out;
-    cache.set_metrics(&out.metrics);
 
     const auto measure = [&](attest::DigestCache* c, std::uint64_t counter) {
       attest::Measurement m(memory, crypto::HashKind::kSha256, key,
@@ -212,6 +212,7 @@ exp::CampaignSpec make_measurement_cache_campaign(
     const support::Bytes cached = measure(&cache, /*counter=*/2);
     const support::Bytes uncached = measure(nullptr, /*counter=*/2);
     const std::uint64_t round_hits = cache.hits() - hits_before;
+    attest::export_metrics(out.metrics, cache);
 
     // The whole point: cache hits change nothing observable.
     out.bernoulli(cached == uncached);
@@ -363,9 +364,9 @@ exp::CampaignSpec make_network_reliability_campaign(
     config.seed = ctx.seed;
     exp::TrialOutput out;
     config.metrics = &out.metrics;
-    config.health = &out.health;
     config.journal = ctx.journal;
     const NetworkScenarioOutcome outcome = run_network_scenario(config);
+    out.health.merge(outcome.health);
     // The acceptance invariant: zero leaked done callbacks, asserted per
     // trial so a hang fails the whole campaign.
     out.require(outcome.all_resolved,

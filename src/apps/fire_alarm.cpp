@@ -25,9 +25,9 @@ std::optional<sim::Segment> FireAlarmTask::next_segment() {
 
 void FireAlarmTask::complete_sample(sim::Time scheduled_at) {
   const sim::Time now = device_.sim().now();
-  ++samples_taken_;
   const sim::Duration delay = now - scheduled_at;
   if (delay > max_delay_) max_delay_ = delay;
+  sample_delays_ms_.record(sim::to_millis(delay));
   const bool missed = delay > config_.deadline;
   if (missed) ++deadline_misses_;
   if (auto* j = device_.sim().journal()) {
@@ -35,11 +35,6 @@ void FireAlarmTask::complete_sample(sim::Time scheduled_at) {
               missed ? obs::JournalEventKind::kDeadlineMiss
                      : obs::JournalEventKind::kDeadlineHit,
               delay, config_.deadline);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter("fire_alarm.samples").inc();
-    metrics_->histogram("fire_alarm.sample_delay_ms").record(sim::to_millis(delay));
-    if (missed) metrics_->counter("fire_alarm.deadline_miss").inc();
   }
   // The sensor reads the *current* ambient state: a fire that started any
   // time before this sample executes is seen now.

@@ -40,7 +40,7 @@ class FireAlarmTask final : public sim::Process {
   /// Time from fire outbreak to alarm; nullopt if no alarm yet.
   std::optional<sim::Duration> alarm_latency() const;
 
-  std::size_t samples_taken() const noexcept { return samples_taken_; }
+  std::size_t samples_taken() const noexcept { return sample_delays_ms_.count(); }
 
   /// Worst observed delay between a sample's scheduled arrival and its
   /// completion (availability of the critical task under attestation).
@@ -49,11 +49,9 @@ class FireAlarmTask final : public sim::Process {
   /// Samples whose delay exceeded config.deadline.
   std::size_t deadline_misses() const noexcept { return deadline_misses_; }
 
-  /// Attach a metrics registry (not owned).  Each executed sample records
-  /// its delay into the "fire_alarm.sample_delay_ms" histogram (p50/p95/
-  /// p99 response latency) and bumps "fire_alarm.samples"; misses bump
-  /// "fire_alarm.deadline_miss".
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
+  /// Every executed sample's delay in milliseconds (p50/p95/p99 response
+  /// latency), on Histogram::default_latency_bounds_ms().
+  const obs::Histogram& sample_delays_ms() const noexcept { return sample_delays_ms_; }
 
   // sim::Process
   std::optional<sim::Segment> next_segment() override;
@@ -67,10 +65,9 @@ class FireAlarmTask final : public sim::Process {
   std::vector<sim::Time> pending_;  ///< FIFO of arrival times awaiting CPU
   std::optional<sim::Time> fire_time_;
   std::optional<sim::Time> alarm_at_;
-  std::size_t samples_taken_ = 0;
   sim::Duration max_delay_ = 0;
   std::size_t deadline_misses_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Histogram sample_delays_ms_{obs::Histogram::default_latency_bounds_ms()};
 };
 
 }  // namespace rasc::apps

@@ -174,13 +174,12 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
   const support::Bytes image =
       support::random_bytes(0x4e7 + config.seed, stack_config.device.memory_size);
   attest::Stack stack(simulator, std::move(stack_config), image);
-  stack.attach(config.metrics, config.health);
+  NetworkScenarioOutcome outcome;
+  outcome.rounds_requested = config.rounds;
+  stack.session.set_health(&outcome.health);
   // Ground truth: one malware byte planted before any round, so the
   // correct terminal outcome is kCompromised.
   if (config.infected) stack.infect();
-
-  NetworkScenarioOutcome outcome;
-  outcome.rounds_requested = config.rounds;
 
   // Chain rounds through the done callback: each terminal result starts
   // the next round after a gap, so a hung round would leave the chain —
@@ -212,10 +211,13 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
   simulator.run();
 
   outcome.all_resolved = outcome.rounds_resolved == config.rounds;
-  outcome.retries = stack.session.retries();
-  outcome.late_reports = stack.session.late_reports();
-  outcome.links += stack.vrf_to_prv.counters();
-  outcome.links += stack.prv_to_vrf.counters();
+  const attest::StackCounters counters = stack.counters();
+  outcome.retries = counters.session.retries;
+  outcome.late_reports = counters.session.late_reports;
+  outcome.links = counters.links;
+  if (config.metrics != nullptr) {
+    attest::export_metrics(*config.metrics, counters, outcome.health);
+  }
   return outcome;
 }
 
@@ -253,7 +255,6 @@ FireAlarmScenarioOutcome run_fire_alarm_scenario(const FireAlarmScenarioConfig& 
   fa_config.period = config.sensor_period;
   fa_config.deadline = config.sample_deadline;
   FireAlarmTask alarm(device, fa_config);
-  alarm.set_metrics(config.metrics);
 
   FireAlarmScenarioOutcome outcome;
   const sim::Time t_mp = 2 * sim::kSecond;
@@ -279,6 +280,11 @@ FireAlarmScenarioOutcome run_fire_alarm_scenario(const FireAlarmScenarioConfig& 
   outcome.max_sample_delay = alarm.max_sample_delay();
   outcome.samples_taken = alarm.samples_taken();
   outcome.deadline_misses = alarm.deadline_misses();
+  if (config.metrics != nullptr) {
+    config.metrics->add("fire_alarm.samples", alarm.samples_taken());
+    config.metrics->add("fire_alarm.deadline_miss", alarm.deadline_misses());
+    config.metrics->add("fire_alarm.sample_delay_ms", alarm.sample_delays_ms());
+  }
   return outcome;
 }
 

@@ -93,8 +93,8 @@ struct FireAlarmScenarioConfig {
   std::shared_ptr<const attest::GoldenMeasurement> golden;
   /// Host-side digest cache on the prover (simulated timing unchanged).
   bool use_digest_cache = true;
-  /// Optional observability (not owned): `metrics` accumulates
-  /// fire_alarm.* counters and the sample-delay histogram; `journal`
+  /// Optional observability (not owned): `metrics` receives the
+  /// fire_alarm.* counts and sample-delay histogram at the end; `journal`
   /// records the full device timeline (CPU segments and waits, the
   /// measurement window, deadline hits/misses, the alarm raise and, with a
   /// digest cache, cache events).
@@ -144,13 +144,11 @@ struct NetworkScenarioConfig {
   /// becomes a false negative and kCompromised the correct verdict.
   bool infected = false;
   std::uint64_t seed = 1;
-  obs::MetricsRegistry* metrics = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;  ///< gets the counts at the end
   /// Flight recorder: link fates ("vrf->prv"/"prv->vrf" actors), session
   /// attempts/backoffs/outcomes, protocol rounds and the prover's CPU and
   /// measurement timeline — the raw material for explain timelines.
   obs::EventJournal* journal = nullptr;
-  /// Fleet health rollup fed by the session (one record per round).
-  obs::HealthRollup* health = nullptr;
 };
 
 struct NetworkScenarioOutcome {
@@ -175,6 +173,8 @@ struct NetworkScenarioOutcome {
   sim::Duration wasted_measure_time = 0;
   /// Link counters summed over both directions.
   sim::LinkCounters links;
+  /// Health rollup the session fed (one record per round).
+  obs::HealthRollup health;
 };
 
 /// Run `rounds` reliable attestation rounds over a faulty link.

@@ -36,11 +36,6 @@ class WriterTask final : public sim::Process {
                           : 1.0 - static_cast<double>(blocked_) /
                                       static_cast<double>(attempts_);
   }
-  void reset_counters() noexcept {
-    attempts_ = 0;
-    blocked_ = 0;
-  }
-
   // sim::Process
   std::optional<sim::Segment> next_segment() override;
 

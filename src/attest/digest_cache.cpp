@@ -16,11 +16,9 @@ const Digest* DigestCache::lookup(std::size_t block, std::uint64_t generation,
   if (slot != nullptr && slot->valid && slot->generation == generation &&
       slot->hash == hash && slot->mac == mac && slot->key_fp == key_fp) {
     ++hits_;
-    if (metrics_ != nullptr) metrics_->counter("digest_cache.hit").inc();
     return &slot->digest;
   }
   ++misses_;
-  if (metrics_ != nullptr) metrics_->counter("digest_cache.miss").inc();
   return nullptr;
 }
 
@@ -36,7 +34,6 @@ void DigestCache::store(std::size_t block, std::uint64_t generation,
   slot.key_fp = key_fp;
   slot.digest = digest;
   ++stores_;
-  if (metrics_ != nullptr) metrics_->counter("digest_cache.store").inc();
 }
 
 void DigestCache::invalidate_block(std::size_t block, obs::TimeNs now) {

@@ -17,9 +17,9 @@
 /// MPU-rejected writes never bump a generation, so they (correctly) do
 /// not invalidate.
 ///
-/// Hit/miss/store counters are kept locally and, when a MetricsRegistry
-/// is attached, mirrored as "digest_cache.hit" / "digest_cache.miss" /
-/// "digest_cache.store" counters.
+/// Hit/miss/store counters are kept locally; attest::export_metrics
+/// publishes them as "digest_cache.hit" / "digest_cache.miss" /
+/// "digest_cache.store".
 
 #include <cstdint>
 #include <vector>
@@ -28,7 +28,6 @@
 #include "src/attest/mac_engine.hpp"
 #include "src/crypto/hash.hpp"
 #include "src/obs/journal.hpp"
-#include "src/obs/metrics.hpp"
 
 namespace rasc::attest {
 
@@ -63,11 +62,6 @@ class DigestCache {
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t stores() const noexcept { return stores_; }
-  void reset_counters() noexcept { hits_ = misses_ = stores_ = 0; }
-
-  /// Attach a metrics registry (not owned; nullptr to detach): hit/miss/
-  /// store counters are then also accumulated there.
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
 
   /// Attach a flight-recorder journal (not owned; nullptr to detach):
   /// explicit invalidations are then journaled under `actor`.  Hits and
@@ -95,7 +89,6 @@ class DigestCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stores_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::EventJournal* journal_ = nullptr;
   std::uint32_t journal_actor_ = 0;
 };

@@ -95,7 +95,6 @@ void OnDemandProtocol::run(std::uint64_t counter,
     const auto request =
         open_challenge_request(request_bytes, device_.attestation_key_schedule());
     if (!request) {
-      ++rejected_auth_;
       journal(obs::JournalEventKind::kRequestRejected, sim.now(),
               static_cast<std::uint64_t>(obs::RequestRejection::kBadMac), 0);
       return;

@@ -91,7 +91,6 @@ class OnDemandProtocol {
   void run(std::uint64_t counter, std::function<void(OnDemandTimings)> done);
 
   /// Prover-side request rejections (diagnostics for the session layer).
-  std::size_t requests_rejected_auth() const noexcept { return rejected_auth_; }
   std::size_t requests_rejected_replay() const noexcept { return rejected_replay_; }
   std::size_t requests_ignored_busy() const noexcept { return ignored_busy_; }
 
@@ -101,28 +100,19 @@ class OnDemandProtocol {
   /// only hibernates a stack when this is zero.
   std::size_t pending_events() const noexcept { return pending_events_; }
 
-  /// Prover-side replay-protection state plus rejection counters, for
-  /// hibernation.  The wiring (device/verifier/mp/links) is reconstructed
-  /// from the shard seed; only this survives across the teardown.
+  /// Prover-side replay-protection state, for hibernation.  The wiring
+  /// (device/verifier/mp/links) is reconstructed from the shard seed; only
+  /// this survives across the teardown.  The rejection counters restart.
   struct State {
     bool prover_counter_seen = false;
     std::uint64_t prover_last_counter = 0;
-    std::size_t rejected_auth = 0;
-    std::size_t rejected_replay = 0;
-    std::size_t ignored_busy = 0;
   };
 
-  State save_state() const noexcept {
-    return {prover_counter_seen_, prover_last_counter_, rejected_auth_,
-            rejected_replay_, ignored_busy_};
-  }
+  State save_state() const noexcept { return {prover_counter_seen_, prover_last_counter_}; }
 
   void restore_state(const State& s) noexcept {
     prover_counter_seen_ = s.prover_counter_seen;
     prover_last_counter_ = s.prover_last_counter;
-    rejected_auth_ = s.rejected_auth;
-    rejected_replay_ = s.rejected_replay;
-    ignored_busy_ = s.ignored_busy;
   }
 
  private:
@@ -138,7 +128,6 @@ class OnDemandProtocol {
   Config config_;
   bool prover_counter_seen_ = false;
   std::uint64_t prover_last_counter_ = 0;
-  std::size_t rejected_auth_ = 0;
   std::size_t rejected_replay_ = 0;
   std::size_t ignored_busy_ = 0;
   std::size_t pending_events_ = 0;

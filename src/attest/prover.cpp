@@ -82,15 +82,13 @@ AttestationProcess::ProcessState AttestationProcess::save_process_state() const 
   if (busy()) {
     throw std::logic_error("save_process_state while a measurement is in flight");
   }
-  return {measurements_completed_, total_measure_time_, proof_backlog_};
+  return {proof_backlog_};
 }
 
 void AttestationProcess::restore_process_state(const ProcessState& s) {
   if (busy()) {
     throw std::logic_error("restore_process_state while a measurement is in flight");
   }
-  measurements_completed_ = s.measurements_completed;
-  total_measure_time_ = s.total_measure_time;
   proof_backlog_flag_.assign(device_.memory().block_count(), false);
   proof_backlog_.clear();
   for (std::uint32_t block : s.proof_backlog) {
@@ -398,7 +396,6 @@ void AttestationProcess::finish() {
   }
 
   stage_ = Stage::kIdle;
-  ++measurements_completed_;
   total_measure_time_ += result_.t_e - result_.t_s;
   measurement_.reset();
   if (done_) {

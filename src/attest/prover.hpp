@@ -97,7 +97,7 @@ class AttestationProcess final : public sim::Process {
 
   /// The process-owned digest cache (persists across measurements, so a
   /// second ERASMUS round only rehashes blocks written since the first).
-  /// Attach a MetricsRegistry via cache.set_metrics() for hit/miss export.
+  /// attest::export_metrics publishes its hit/miss/store counts.
   DigestCache& digest_cache() noexcept { return digest_cache_; }
 
   /// Use an externally owned digest cache instead of the process-owned
@@ -145,21 +145,18 @@ class AttestationProcess final : public sim::Process {
 
   bool busy() const noexcept { return stage_ != Stage::kIdle; }
 
-  /// Lifetime totals across all measurements this process completed —
-  /// the session layer diffs these around a round to price retries
-  /// (prover CPU time spent on measurements whose reports never decided
-  /// anything).
-  std::size_t measurements_completed() const noexcept { return measurements_completed_; }
+  /// Measurement time summed over every measurement this process
+  /// completed — the session layer diffs it around a round to price
+  /// retries (prover CPU time spent on measurements whose reports never
+  /// decided anything).
   sim::Duration total_measure_time() const noexcept { return total_measure_time_; }
 
-  /// Cross-round process state for hibernation: the lifetime totals the
-  /// session layer diffs, plus the unacknowledged proof backlog (tree
-  /// mode).  Capture only while idle; restore into a freshly constructed
-  /// process after re-provisioning (and, in tree mode, after the tree is
-  /// re-primed from the rebuilt memory).
+  /// Cross-round process state for hibernation: the unacknowledged proof
+  /// backlog (tree mode), not total_measure_time().  Capture only while
+  /// idle; restore into a freshly constructed process after re-provisioning
+  /// (and, in tree mode, after the tree is re-primed from the rebuilt
+  /// memory).
   struct ProcessState {
-    std::size_t measurements_completed = 0;
-    sim::Duration total_measure_time = 0;
     std::vector<std::uint32_t> proof_backlog;
   };
 
@@ -196,7 +193,6 @@ class AttestationProcess final : public sim::Process {
   std::function<void(std::size_t, std::size_t)> observer_;
 
   Stage stage_ = Stage::kIdle;
-  std::size_t measurements_completed_ = 0;
   sim::Duration total_measure_time_ = 0;
   std::optional<Measurement> measurement_;
   std::optional<mtree::IncrementalTree> tree_;     ///< persists across rounds

@@ -5,17 +5,6 @@
 
 namespace rasc::attest {
 
-std::string session_outcome_name(SessionOutcome outcome) {
-  switch (outcome) {
-    case SessionOutcome::kVerified: return "verified";
-    case SessionOutcome::kCompromised: return "compromised";
-    case SessionOutcome::kTimeout: return "timeout";
-    case SessionOutcome::kCorruptReport: return "corrupt_report";
-    case SessionOutcome::kReplayRejected: return "replay_rejected";
-  }
-  return "?";
-}
-
 obs::RoundOutcome session_outcome_rollup(SessionOutcome outcome) {
   // The obs mirror must track this enum one-to-one.
   static_assert(obs::kRoundOutcomeCount == 5);
@@ -29,6 +18,16 @@ obs::RoundOutcome session_outcome_rollup(SessionOutcome outcome) {
   return obs::RoundOutcome::kTimeout;
 }
 
+SessionCounters& SessionCounters::operator+=(const SessionCounters& other) noexcept {
+  rounds_resolved += other.rounds_resolved;
+  retries += other.retries;
+  attempt_timeouts += other.attempt_timeouts;
+  replays_rejected += other.replays_rejected;
+  corrupt_reports += other.corrupt_reports;
+  late_reports += other.late_reports;
+  return *this;
+}
+
 ReliableSession::ReliableSession(sim::Device& prover_device, Verifier& verifier,
                                  AttestationProcess& mp, sim::Link& vrf_to_prv,
                                  sim::Link& prv_to_vrf, SessionConfig config)
@@ -39,10 +38,6 @@ ReliableSession::ReliableSession(sim::Device& prover_device, Verifier& verifier,
                 config_.protocol),
       rng_(config_.seed),
       journal_label_("session/" + prover_device.id()) {}
-
-void ReliableSession::count(const char* metric) const {
-  if (metrics_ != nullptr) metrics_->counter(metric).inc();
-}
 
 void ReliableSession::journal(obs::JournalEventKind kind, std::uint64_t round,
                               std::uint64_t a, std::uint64_t b) {
@@ -91,8 +86,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
     // The round already resolved (e.g. a duplicated copy of the winning
     // report, or an answer that outlived its whole round): reject without
     // touching verifier state again.
-    ++late_reports_;
-    count("session.late_reports");
+    ++counters_.late_reports;
     journal(obs::JournalEventKind::kSessionLateReport, round_seq);
     return;
   }
@@ -102,8 +96,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
     // Garbled in transit (or forged): the attempt's answer is consumed,
     // so retry immediately instead of waiting out the timer.
     ++result.corrupt_reports;
-    ++corrupt_reports_;
-    count("session.corrupt_reports");
+    ++counters_.corrupt_reports;
     journal(obs::JournalEventKind::kSessionCorruptReport, round_seq,
             result.attempts);
     state_->saw_corrupt = true;
@@ -121,8 +114,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
     // Authentic but stale: an answer to a superseded challenge or an
     // old counter.  Keep waiting — the genuine response may still come.
     ++result.replays_rejected;
-    ++replays_rejected_;
-    count("session.replays_rejected");
+    ++counters_.replays_rejected;
     journal(obs::JournalEventKind::kSessionReplayRejected, round_seq,
             result.attempts);
     state_->saw_replay = true;
@@ -139,7 +131,7 @@ void ReliableSession::on_attempt_timeout(std::uint64_t round_seq) {
   if (!state_->waiting_response) return;  // superseded by a corrupt-retry
   RoundResult& result = state_->result;
   ++result.attempt_timeouts;
-  count("session.attempt_timeouts");
+  ++counters_.attempt_timeouts;
   journal(obs::JournalEventKind::kSessionAttemptTimeout, round_seq,
           result.attempts);
   state_->waiting_response = false;
@@ -178,8 +170,7 @@ void ReliableSession::schedule_retry() {
     backoff = static_cast<sim::Duration>(raw);
   }
   result.backoff_total += backoff;
-  ++retries_;
-  count("session.retries");
+  ++counters_.retries;
   journal(obs::JournalEventKind::kSessionBackoff, state_->round_seq,
           result.attempts, backoff);
   const std::uint64_t seq = state_->round_seq;
@@ -197,11 +188,6 @@ ReliableSession::State ReliableSession::save_state() const {
   s.rng = rng_.state();
   s.next_counter = next_counter_;
   s.next_round_seq = next_round_seq_;
-  s.rounds_resolved = rounds_resolved_;
-  s.retries = retries_;
-  s.replays_rejected = replays_rejected_;
-  s.corrupt_reports = corrupt_reports_;
-  s.late_reports = late_reports_;
   s.protocol = protocol_.save_state();
   return s;
 }
@@ -213,11 +199,6 @@ void ReliableSession::restore_state(const State& s) {
   rng_.set_state(s.rng);
   next_counter_ = s.next_counter;
   next_round_seq_ = s.next_round_seq;
-  rounds_resolved_ = s.rounds_resolved;
-  retries_ = s.retries;
-  replays_rejected_ = s.replays_rejected;
-  corrupt_reports_ = s.corrupt_reports;
-  late_reports_ = s.late_reports;
   protocol_.restore_state(s.protocol);
 }
 
@@ -240,8 +221,7 @@ void ReliableSession::resolve(SessionOutcome outcome) {
   result.wasted_measure_time =
       result.measure_time > useful ? result.measure_time - useful : 0;
 
-  ++rounds_resolved_;
-  count("session.rounds");
+  ++counters_.rounds_resolved;
   journal(obs::JournalEventKind::kSessionResolved, state.round_seq,
           static_cast<std::uint64_t>(session_outcome_rollup(outcome)),
           result.wasted_measure_time);
@@ -259,13 +239,6 @@ void ReliableSession::resolve(SessionOutcome outcome) {
         }
       }
     }
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter("session." + session_outcome_name(outcome)).inc();
-    metrics_
-        ->histogram("session.round_latency_ms",
-                    obs::Histogram::default_latency_bounds_ms())
-        .record(sim::to_millis(result.t_resolved - result.t_started));
   }
 
   // Pop the state before invoking the callback so `done` may immediately

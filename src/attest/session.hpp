@@ -31,7 +31,6 @@
 #include "src/attest/protocol.hpp"
 #include "src/obs/health.hpp"
 #include "src/obs/journal.hpp"
-#include "src/obs/metrics.hpp"
 
 namespace rasc::attest {
 
@@ -42,8 +41,6 @@ enum class SessionOutcome {
   kCorruptReport,   ///< budget exhausted; answers arrived but were garbled
   kReplayRejected,  ///< budget exhausted; only stale/duplicate reports heard
 };
-
-std::string session_outcome_name(SessionOutcome outcome);
 
 /// Map a terminal outcome to its obs-layer mirror (health rollups and the
 /// journal cannot depend on attest, so they carry obs::RoundOutcome).
@@ -89,6 +86,21 @@ struct RoundResult {
   OnDemandTimings timings;          ///< decisive attempt's Figure 1 timeline
 };
 
+/// Counters of one session, or summed over several.  Round outcomes and
+/// latencies go to the session's HealthRollup instead (set_health).
+struct SessionCounters {
+  std::uint64_t rounds_resolved = 0;
+  std::uint64_t retries = 0;           ///< backoffs scheduled
+  std::uint64_t attempt_timeouts = 0;  ///< attempts that expired unanswered
+  std::uint64_t replays_rejected = 0;  ///< stale reports discarded mid-round
+  std::uint64_t corrupt_reports = 0;   ///< unparseable or MAC-failing reports
+  /// Reports that arrived after their round resolved (e.g. a duplicated
+  /// copy of the winning report) — rejected without re-judging.
+  std::uint64_t late_reports = 0;
+
+  SessionCounters& operator+=(const SessionCounters& other) noexcept;
+};
+
 class ReliableSession {
  public:
   /// All references must outlive the session; the session must outlive
@@ -114,42 +126,22 @@ class ReliableSession {
   }
 
   /// Session-and-protocol state that must survive hibernation: the jitter
-  /// RNG position, the monotonic counter/round sequences, the lifetime
-  /// counters, and the prover's replay-protection watermark.  Capture only
-  /// while quiescent(); restore into a freshly constructed session with
-  /// the same config before its next run().
+  /// RNG position, the monotonic counter/round sequences and the prover's
+  /// replay-protection watermark (not counters()).  Capture only while
+  /// quiescent(); restore into a freshly constructed session with the same
+  /// config before its next run().
   struct State {
     support::Xoshiro256::State rng{};
     std::uint64_t next_counter = 1;
     std::uint64_t next_round_seq = 1;
-    std::size_t rounds_resolved = 0;
-    std::size_t retries = 0;
-    std::size_t replays_rejected = 0;
-    std::size_t corrupt_reports = 0;
-    std::size_t late_reports = 0;
     OnDemandProtocol::State protocol;
   };
 
   State save_state() const;
   void restore_state(const State& s);
 
-  /// Lifetime counters across rounds (also exported via set_metrics).
-  std::size_t rounds_resolved() const noexcept { return rounds_resolved_; }
-  std::size_t retries() const noexcept { return retries_; }
-  std::size_t replays_rejected() const noexcept { return replays_rejected_; }
-  std::size_t corrupt_reports() const noexcept { return corrupt_reports_; }
-  /// Reports that arrived after their round resolved (e.g. a duplicated
-  /// copy of the winning report) — rejected without re-judging.
-  std::size_t late_reports() const noexcept { return late_reports_; }
-
-  /// Attach a metrics registry (not owned; nullptr to detach).  Rounds
-  /// then account "session.rounds", per-outcome counters
-  /// ("session.verified", "session.compromised", "session.timeout",
-  /// "session.corrupt_report", "session.replay_rejected"),
-  /// "session.retries", "session.attempt_timeouts",
-  /// "session.replays_rejected", "session.corrupt_reports",
-  /// "session.late_reports" and the "session.round_latency_ms" histogram.
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
+  /// Counters since construction.
+  const SessionCounters& counters() const noexcept { return counters_; }
 
   /// Attach a fleet health rollup (not owned; nullptr to detach).  Every
   /// resolved round records outcome, retry depth, latency and wasted
@@ -175,7 +167,6 @@ class ReliableSession {
   void on_attempt_timeout(std::uint64_t round_seq);
   void schedule_retry();
   void resolve(SessionOutcome outcome);
-  void count(const char* metric) const;
   /// Journal one session event (round = round_seq of the affected round).
   void journal(obs::JournalEventKind kind, std::uint64_t round, std::uint64_t a = 0,
                std::uint64_t b = 0);
@@ -185,7 +176,6 @@ class ReliableSession {
   SessionConfig config_;
   OnDemandProtocol protocol_;
   support::Xoshiro256 rng_;
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::HealthRollup* health_ = nullptr;
   std::string journal_label_;      ///< journal session name, "session/<device>"
   obs::ActorId journal_actor_;     ///< prover device id
@@ -193,12 +183,7 @@ class ReliableSession {
   std::uint64_t next_counter_ = 1;
   std::uint64_t next_round_seq_ = 1;
   std::unique_ptr<RoundState> state_;  ///< null when idle
-
-  std::size_t rounds_resolved_ = 0;
-  std::size_t retries_ = 0;
-  std::size_t replays_rejected_ = 0;
-  std::size_t corrupt_reports_ = 0;
-  std::size_t late_reports_ = 0;
+  SessionCounters counters_;
 };
 
 }  // namespace rasc::attest

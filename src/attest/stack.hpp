@@ -12,6 +12,11 @@
 /// none.  Members are held by value in construction order; in-flight
 /// events capture references into them, so a Stack neither copies nor
 /// moves.
+///
+/// The members count into plain structs and know nothing of
+/// obs::MetricsRegistry.  A driver publishes the counts once, after the
+/// simulator has run, through export_metrics — the one place the "net.*",
+/// "session.*", "verifier.*" and "digest_cache.*" names are spelled.
 
 #include <cstdint>
 #include <memory>
@@ -20,6 +25,8 @@
 #include "src/attest/prover.hpp"
 #include "src/attest/session.hpp"
 #include "src/attest/verifier.hpp"
+#include "src/obs/health.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/device.hpp"
 #include "src/sim/network.hpp"
 
@@ -38,6 +45,16 @@ struct StackConfig {
   SessionConfig session;
 };
 
+/// Everything one stack counts (both links summed), summable so a caller
+/// that tears stacks down can fold each into a running total first.
+struct StackCounters {
+  sim::LinkCounters links;
+  SessionCounters session;
+  VerifierCounters verifier;
+
+  StackCounters& operator+=(const StackCounters& other) noexcept;
+};
+
 struct Stack {
   /// Build every member on `sim`, then load `image` — the golden's
   /// content — into device memory.  A non-null `verifier_session` (a
@@ -48,9 +65,7 @@ struct Stack {
   Stack(const Stack&) = delete;
   Stack& operator=(const Stack&) = delete;
 
-  /// Metrics for the verifier, both links and the session, and the
-  /// session's health rollup (either may be null; not owned).
-  void attach(obs::MetricsRegistry* metrics, obs::HealthRollup* health) noexcept;
+  StackCounters counters() const noexcept;
 
   /// The canonical malware patch: flip the byte at `addr` as
   /// sim::Actor::kMalware at t = 0, before any round.
@@ -65,5 +80,16 @@ struct Stack {
   sim::Link prv_to_vrf;
   ReliableSession session;
 };
+
+/// "net.*" from the summed links, "verifier.*", and "session.*": the
+/// session counters plus "session.rounds", one "session.<outcome>" per
+/// terminal outcome and the "session.round_latency_ms" histogram, all
+/// read from `rounds` — the HealthRollup the sessions fed.  Zero counts
+/// create nothing (MetricsRegistry::add).
+void export_metrics(obs::MetricsRegistry& registry, const StackCounters& counters,
+                    const obs::HealthRollup& rounds);
+void export_metrics(obs::MetricsRegistry& registry, const sim::LinkCounters& links);
+void export_metrics(obs::MetricsRegistry& registry, const VerifierCounters& verifier);
+void export_metrics(obs::MetricsRegistry& registry, const DigestCache& cache);
 
 }  // namespace rasc::attest

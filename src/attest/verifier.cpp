@@ -15,6 +15,19 @@ crypto::HmacDrbg make_challenge_drbg(std::uint64_t challenge_seed) {
 
 }  // namespace
 
+VerifierCounters& VerifierCounters::operator+=(const VerifierCounters& other) noexcept {
+  verify_total += other.verify_total;
+  verify_fail += other.verify_fail;
+  fail_mac += other.fail_mac;
+  fail_digest += other.fail_digest;
+  fail_challenge += other.fail_challenge;
+  fail_counter += other.fail_counter;
+  fail_tree_binding += other.fail_tree_binding;
+  fail_proof += other.fail_proof;
+  localized_ranges += other.localized_ranges;
+  return *this;
+}
+
 Verifier::Verifier(crypto::HashKind hash, support::Bytes key, support::Bytes golden_image,
                    std::size_t block_size, std::uint64_t challenge_seed, MacKind mac)
     : hash_(hash),
@@ -138,20 +151,16 @@ VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
     last_counter_ = report.counter;
     if (expect_challenge) outstanding_challenge_.reset();
   }
-  if (metrics_ != nullptr) {
-    metrics_->counter("verifier.verify_total").inc();
-    if (!out.ok()) metrics_->counter("verifier.verify_fail").inc();
-    if (!out.mac_ok) metrics_->counter("verifier.fail_mac").inc();
-    if (!out.digest_ok) metrics_->counter("verifier.fail_digest").inc();
-    if (!out.challenge_ok) metrics_->counter("verifier.fail_challenge").inc();
-    if (!out.counter_ok) metrics_->counter("verifier.fail_counter").inc();
-    if (out.used_tree) {
-      if (!out.tree_root_bound) metrics_->counter("verifier.fail_tree_binding").inc();
-      if (!out.proofs_ok) metrics_->counter("verifier.fail_proof").inc();
-      if (!out.localized.empty()) {
-        metrics_->counter("verifier.localized_ranges").inc(out.localized.size());
-      }
-    }
+  ++counters_.verify_total;
+  if (!out.ok()) ++counters_.verify_fail;
+  if (!out.mac_ok) ++counters_.fail_mac;
+  if (!out.digest_ok) ++counters_.fail_digest;
+  if (!out.challenge_ok) ++counters_.fail_challenge;
+  if (!out.counter_ok) ++counters_.fail_counter;
+  if (out.used_tree) {
+    if (!out.tree_root_bound) ++counters_.fail_tree_binding;
+    if (!out.proofs_ok) ++counters_.fail_proof;
+    counters_.localized_ranges += out.localized.size();
   }
   return out;
 }

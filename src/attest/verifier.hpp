@@ -11,7 +11,6 @@
 #include "src/attest/measurement.hpp"
 #include "src/attest/report.hpp"
 #include "src/crypto/drbg.hpp"
-#include "src/obs/metrics.hpp"
 
 namespace rasc::attest {
 
@@ -38,6 +37,23 @@ struct VerifyOutcome {
   /// Only populated when the MAC held and the root was bound — a forged
   /// report never steers localization.
   std::vector<BlockRange> localized;
+};
+
+/// Lifetime tallies of Verifier::verify().  A report counts once in
+/// verify_total and, if it failed, once in verify_fail plus once per
+/// failed check; the tree fields count tree-mode reports only.
+struct VerifierCounters {
+  std::uint64_t verify_total = 0;
+  std::uint64_t verify_fail = 0;
+  std::uint64_t fail_mac = 0;
+  std::uint64_t fail_digest = 0;
+  std::uint64_t fail_challenge = 0;
+  std::uint64_t fail_counter = 0;
+  std::uint64_t fail_tree_binding = 0;
+  std::uint64_t fail_proof = 0;
+  std::uint64_t localized_ranges = 0;  ///< ranges localized, summed over reports
+
+  VerifierCounters& operator+=(const VerifierCounters& other) noexcept;
 };
 
 class Verifier {
@@ -93,13 +109,8 @@ class Verifier {
   std::uint64_t last_counter() const noexcept { return last_counter_; }
   void reset_counter() noexcept { last_counter_seen_ = false; }
 
-  /// Attach a metrics registry (not owned; nullptr to detach).  verify()
-  /// then accounts "verifier.verify_total", "verifier.verify_fail" and a
-  /// per-cause breakdown ("verifier.fail_mac", "verifier.fail_digest",
-  /// "verifier.fail_challenge", "verifier.fail_counter"); tree-mode
-  /// reports additionally account "verifier.fail_tree_binding",
-  /// "verifier.fail_proof" and "verifier.localized_ranges".
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
+  /// Tallies since construction (not part of SessionState).
+  const VerifierCounters& counters() const noexcept { return counters_; }
 
   SessionState save_session_state() const {
     return {challenge_drbg_.state(), outstanding_challenge_, last_counter_seen_,
@@ -124,7 +135,7 @@ class Verifier {
   std::optional<support::Bytes> outstanding_challenge_;
   bool last_counter_seen_ = false;
   std::uint64_t last_counter_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  VerifierCounters counters_;
 };
 
 }  // namespace rasc::attest

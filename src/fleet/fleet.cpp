@@ -128,7 +128,7 @@ std::uint64_t key_fingerprint(support::ByteView key) {
 /// Compact between-rounds seed record of one device: everything a rebuilt
 /// stack cannot re-derive from (FleetConfig, shard state, device id) —
 /// a few hundred bytes against ~3 kB for a live DeviceStack, which is
-/// what makes the 1M tier fit in host RAM.
+/// what makes the 1M tier fit in host RAM.  Counters are not kept here.
 struct HibernatedDevice {
   bool valid = false;
   std::uint32_t wakes = 0;              ///< rebuilds consumed so far
@@ -207,7 +207,7 @@ struct DeviceStack : attest::Stack {
       : attest::Stack(sim, make_stack_config(config, shard, index), shard.image,
                       woken != nullptr ? &woken->verifier : nullptr) {
     mp.set_shared_digest_cache(&shard.cache);
-    attach(config.metrics, &shard.health);
+    session.set_health(&shard.health);
   }
 
   /// First-build provisioning; a stack rebuilt from a HibernatedDevice
@@ -309,6 +309,8 @@ struct FleetVerifier::Impl {
   std::vector<std::unique_ptr<DeviceStack>> stacks;
   std::vector<HibernatedDevice> hibernated;  ///< sized N iff hibernation
   std::size_t live_stacks = 0;
+  /// Counters of every stack torn down so far (finalize() adds the rest).
+  attest::StackCounters hibernated_counters;
 
   /// Per-device scheduling record.  `pending` counts epochs whose stagger
   /// time has passed but whose round has not started yet (waiting on the
@@ -414,8 +416,9 @@ struct FleetVerifier::Impl {
   void hibernate_stack(std::size_t d) {
     const std::size_t s = shard_of(d);
     hibernated[d] = stacks[d]->hibernate(shard_key_fps[s], hibernated[d].wakes);
-    journal_fleet(obs::JournalEventKind::kFleetHibernate, d,
-                  stacks[d]->session.rounds_resolved(), live_stacks - 1);
+    hibernated_counters += stacks[d]->counters();
+    journal_fleet(obs::JournalEventKind::kFleetHibernate, d, recs[d].rounds_done,
+                  live_stacks - 1);
     stacks[d].reset();
     --live_stacks;
     ++result.hibernations;
@@ -703,18 +706,12 @@ struct FleetVerifier::Impl {
       violation("outcome counts do not sum to rounds resolved");
     }
 
-    // Link counters survive hibernation inside the saved Link::State, so
-    // the fleet totals cover live and hibernated devices alike.
-    sim::LinkCounters links;
-    for (std::size_t d = 0; d < config.devices; ++d) {
-      if (stacks[d]) {
-        links += stacks[d]->vrf_to_prv.counters();
-        links += stacks[d]->prv_to_vrf.counters();
-      } else if (hibernation && hibernated[d].valid) {
-        links += hibernated[d].vrf_to_prv.counters;
-        links += hibernated[d].prv_to_vrf.counters;
-      }
+    // Hibernated stacks were folded as they went down; add the live ones.
+    attest::StackCounters counters = hibernated_counters;
+    for (const auto& stack : stacks) {
+      if (stack) counters += stack->counters();
     }
+    const sim::LinkCounters& links = counters.links;
     result.link_sent = links.sent;
     result.link_delivered = links.delivered;
     result.link_dropped = links.dropped;
@@ -743,6 +740,7 @@ struct FleetVerifier::Impl {
     }
 
     if (config.metrics != nullptr) {
+      attest::export_metrics(*config.metrics, counters, result.health);
       config.metrics->gauge("fleet.live_stacks_high_water")
           .set(static_cast<double>(result.live_stacks_high_water));
       config.metrics->gauge("fleet.hibernations")

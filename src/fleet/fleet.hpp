@@ -135,7 +135,7 @@ struct FleetConfig {
   /// regardless).
   bool enforce_invariants = true;
 
-  obs::MetricsRegistry* metrics = nullptr;  ///< not owned; may be null
+  obs::MetricsRegistry* metrics = nullptr;  ///< not owned; filled at the end
   obs::EventJournal* journal = nullptr;     ///< not owned; may be null
 };
 

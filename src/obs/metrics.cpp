@@ -92,6 +92,14 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *it->second;
 }
 
+void MetricsRegistry::add(const std::string& name, std::uint64_t n) {
+  if (n != 0) counter(name).inc(n);
+}
+
+void MetricsRegistry::add(const std::string& name, const Histogram& h) {
+  if (h.count() != 0) histogram(name, h.bounds()).merge(h);
+}
+
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;

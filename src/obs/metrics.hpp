@@ -85,6 +85,13 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
 
+  /// Publish a count kept elsewhere: add `n` to counter `name`, or fold
+  /// `h` into histogram `name` (on h's bounds).  A zero count creates
+  /// nothing, so a metric appears exactly when counting it live would have
+  /// created it.
+  void add(const std::string& name, std::uint64_t n);
+  void add(const std::string& name, const Histogram& h);
+
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;

@@ -77,10 +77,6 @@ void SeedVerifier::start(sim::Time until) {
   }
 }
 
-void SeedVerifier::count(const char* metric) const {
-  if (metrics_ != nullptr) metrics_->counter(metric).inc();
-}
-
 void SeedVerifier::journal(obs::JournalEventKind kind, std::uint64_t epoch) {
   if (auto* j = sim_.journal()) j->append(sim_.now(), j->intern("vrf"), 0, 0, kind, epoch);
 }
@@ -88,32 +84,26 @@ void SeedVerifier::journal(obs::JournalEventKind kind, std::uint64_t epoch) {
 void SeedVerifier::on_report(const attest::Report& report) {
   if (report.counter == 0 || report.counter > outcomes_.size()) {
     ++replays_rejected_;
-    count("seed.replays_rejected");
     return;
   }
   EpochOutcome& outcome = outcomes_[report.counter - 1];
   if (outcome.received) {  // duplicate/replay within the same epoch
     ++replays_rejected_;
-    count("seed.replays_rejected");
     journal(obs::JournalEventKind::kSeedReplayRejected, outcome.epoch);
     return;
   }
   outcome.received = true;
-  count("seed.reports_received");
   const auto verdict = verifier_.verify(report, /*expect_challenge=*/false);
   outcome.verified_ok = verdict.ok();
   if (!outcome.verified_ok) {
-    count("seed.bad_reports");
     journal(obs::JournalEventKind::kSeedBadReport, outcome.epoch);
   }
 }
 
 void SeedVerifier::close_epoch(std::size_t slot) {
   EpochOutcome& outcome = outcomes_[slot];
-  count("seed.epochs");
   if (!outcome.received) {
     outcome.missing = true;
-    count("seed.missing_epochs");
     journal(obs::JournalEventKind::kSeedMissingEpoch, outcome.epoch);
   }
 }

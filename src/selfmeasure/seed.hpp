@@ -97,21 +97,14 @@ class SeedVerifier {
   /// Duplicate or out-of-range reports discarded without re-judging.
   std::size_t replays_rejected() const noexcept { return replays_rejected_; }
 
-  /// Attach a metrics registry (not owned; nullptr to detach): accounts
-  /// "seed.epochs", "seed.reports_received", "seed.missing_epochs",
-  /// "seed.bad_reports" and "seed.replays_rejected".
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
-
  private:
   void close_epoch(std::size_t slot);
-  void count(const char* metric) const;
   /// Journal a verifier-side epoch event under the actor "vrf".
   void journal(obs::JournalEventKind kind, std::uint64_t epoch);
 
   sim::Simulator& sim_;
   attest::Verifier& verifier_;
   SeedConfig config_;
-  obs::MetricsRegistry* metrics_ = nullptr;
   std::size_t replays_rejected_ = 0;
   std::vector<EpochOutcome> outcomes_;
 };

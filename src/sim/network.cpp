@@ -5,10 +5,6 @@
 
 namespace rasc::sim {
 
-void Link::count(const char* metric) const {
-  if (metrics_ != nullptr) metrics_->counter(metric).inc();
-}
-
 void Link::journal(obs::JournalEventKind kind, std::uint64_t msg_id, std::uint64_t b) {
   if (auto* j = sim_.journal()) {
     j->append(sim_.now(), journal_actor_.get(*j, config_.name), 0, 0, kind, msg_id, b);
@@ -29,7 +25,6 @@ LinkCounters& LinkCounters::operator+=(const LinkCounters& other) noexcept {
 void Link::restore_state(const State& s) noexcept {
   rng_.set_state(s.rng);
   next_msg_id_ = s.next_msg_id;
-  counters_ = s.counters;
 }
 
 bool Link::in_partition(Time t) const noexcept {
@@ -70,7 +65,6 @@ void Link::deliver_after(Duration transit, support::Bytes payload, Handler handl
     if (token.expired()) return;  // link destroyed while in flight
     --in_flight_;
     ++counters_.delivered;
-    count("net.delivered");
     journal(obs::JournalEventKind::kLinkDeliver, msg_id, payload.size());
     handler(std::move(payload));
   });
@@ -78,7 +72,6 @@ void Link::deliver_after(Duration transit, support::Bytes payload, Handler handl
 
 void Link::send(support::Bytes payload, Handler on_delivery) {
   ++counters_.sent;
-  count("net.sent");
   const std::uint64_t msg_id = ++next_msg_id_;
   const Time sent_at = sim_.now();
   journal(obs::JournalEventKind::kLinkSend, msg_id, payload.size());
@@ -86,14 +79,11 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
   if (in_partition(sent_at)) {
     ++counters_.dropped;
     ++counters_.partition_dropped;
-    count("net.dropped");
-    count("net.partition_dropped");
     journal(obs::JournalEventKind::kLinkPartitionDrop, msg_id, payload.size());
     return;
   }
   if (rng_.chance(config_.drop_probability)) {
     ++counters_.dropped;
-    count("net.dropped");
     journal(obs::JournalEventKind::kLinkDrop, msg_id, payload.size());
     return;
   }
@@ -104,7 +94,6 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
     const std::size_t at = rng_.below(payload.size());
     payload[at] ^= static_cast<std::uint8_t>(1 + rng_.below(255));
     ++counters_.corrupted;
-    count("net.corrupted");
     journal(obs::JournalEventKind::kLinkCorrupt, msg_id, at);
   }
 
@@ -112,7 +101,6 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
   if (rng_.chance(config_.reorder_probability)) {
     transit += config_.reorder_delay;
     ++counters_.reordered;
-    count("net.reordered");
     journal(obs::JournalEventKind::kLinkReorder, msg_id, config_.reorder_delay);
   }
 
@@ -120,7 +108,6 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
   if (duplicate) {
     const Duration copy_transit = transit + transit_time(payload.size());
     ++counters_.duplicated;
-    count("net.duplicated");
     journal(obs::JournalEventKind::kLinkDuplicate, msg_id, copy_transit);
     // The copy rides behind the original with its own second transit.
     deliver_after(copy_transit, payload, on_delivery, msg_id);

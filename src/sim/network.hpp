@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/obs/journal.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/bytes.hpp"
 #include "src/support/rng.hpp"
@@ -94,20 +93,6 @@ class Link {
   /// Subset of dropped(): losses caused by a partition window.
   std::size_t partition_dropped() const noexcept { return counters_.partition_dropped; }
 
-  /// Zero every per-fault counter (sent/delivered/dropped/duplicated/
-  /// corrupted/reordered/partition_dropped) so a harness reusing one link
-  /// across trials can assert the delivered == sent - dropped + duplicated
-  /// invariant per trial instead of cumulatively.  Message ids keep
-  /// counting up (they tag journal events, and a restart would alias
-  /// fates across trials); the fault RNG is likewise not rewound.
-  void reset_counters() noexcept { counters_ = {}; }
-
-  /// Attach a metrics registry (not owned; nullptr to detach).  The link
-  /// then accounts "net.sent", "net.delivered", "net.dropped",
-  /// "net.duplicated", "net.corrupted", "net.reordered" and
-  /// "net.partition_dropped".
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
-
   const LinkConfig& config() const noexcept { return config_; }
 
   /// Deliveries scheduled but not yet fired.  A link is quiescent (safe to
@@ -115,17 +100,16 @@ class Link {
   /// silently cancel in-flight messages and change delivery outcomes.
   std::size_t in_flight() const noexcept { return in_flight_; }
 
-  /// Serializable fault-model state: the RNG position, the message-id
-  /// counter, and every lifetime fault counter.  Restoring a snapshot into
-  /// a freshly constructed Link (same config) resumes the fault stream
-  /// exactly, so the fates of all future messages are unchanged.
+  /// Serializable fault-model state: the RNG position and the message-id
+  /// counter.  Restoring a snapshot into a freshly constructed Link (same
+  /// config) resumes the fault stream exactly, so the fates of all future
+  /// messages are unchanged.  counters() restart at zero.
   struct State {
     support::Xoshiro256::State rng{};
     std::uint64_t next_msg_id = 0;
-    LinkCounters counters;
   };
 
-  State save_state() const noexcept { return {rng_.state(), next_msg_id_, counters_}; }
+  State save_state() const noexcept { return {rng_.state(), next_msg_id_}; }
   void restore_state(const State& s) noexcept;
 
  private:
@@ -136,13 +120,11 @@ class Link {
   bool in_partition(Time t) const noexcept;
   void deliver_after(Duration transit, support::Bytes payload, Handler handler,
                      std::uint64_t msg_id);
-  void count(const char* metric) const;
   void journal(obs::JournalEventKind kind, std::uint64_t msg_id, std::uint64_t b);
 
   Simulator& sim_;
   LinkConfig config_;
   support::Xoshiro256 rng_;
-  obs::MetricsRegistry* metrics_ = nullptr;
   LinkCounters counters_;
   std::size_t in_flight_ = 0;
   std::uint64_t next_msg_id_ = 0;

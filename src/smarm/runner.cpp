@@ -1,5 +1,6 @@
 #include "src/smarm/runner.hpp"
 
+#include "src/attest/stack.hpp"
 #include "src/support/rng.hpp"
 
 namespace rasc::smarm {
@@ -47,7 +48,6 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
   });
 
   simulator.set_journal(config.journal);
-  if (config.metrics != nullptr) verifier.set_metrics(config.metrics);
 
   RunnerOutcome outcome;
   for (std::size_t round = 0; round < config.rounds; ++round) {
@@ -85,6 +85,7 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
   }
   outcome.malware_relocations = malware.relocations();
   outcome.malware_blocked_relocations = malware.blocked_relocations();
+  if (config.metrics != nullptr) attest::export_metrics(*config.metrics, verifier.counters());
   return outcome;
 }
 

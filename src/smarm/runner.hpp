@@ -42,7 +42,8 @@ struct RunnerConfig {
   /// Optional observability (not owned): `journal` records the device
   /// timeline plus a "smarm.round" span per permutation round; `metrics`
   /// accumulates "smarm.rounds"/"smarm.detections" counters and a
-  /// "smarm.round_duration_ms" histogram across runs.
+  /// "smarm.round_duration_ms" histogram across runs, plus the verifier's
+  /// "verifier.*" counts once each run ends.
   obs::EventJournal* journal = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };

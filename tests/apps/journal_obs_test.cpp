@@ -43,11 +43,10 @@ std::size_t count_kind(const obs::EventJournal& journal,
 
 TEST(JournalIntegration, NetworkScenarioPopulatesJournalAndHealth) {
   obs::EventJournal journal;
-  obs::HealthRollup health;
   NetworkScenarioConfig config = lossy_config();
   config.journal = &journal;
-  config.health = &health;
   const NetworkScenarioOutcome outcome = run_network_scenario(config);
+  const obs::HealthRollup& health = outcome.health;
   ASSERT_TRUE(outcome.all_resolved);
   ASSERT_FALSE(journal.empty());
 

@@ -4,6 +4,7 @@
 
 #include "src/attest/measurement.hpp"
 #include "src/attest/prover.hpp"
+#include "src/attest/stack.hpp"
 #include "src/malware/relocating.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/sim/device.hpp"
@@ -200,10 +201,10 @@ TEST(DigestCache, ExportsMetrics) {
   auto mem = make_memory();
   DigestCache cache;
   cache.resize(kBlocks);
-  obs::MetricsRegistry metrics;
-  cache.set_metrics(&metrics);
   measure(mem, cache, to_bytes("k"), 1);
   measure(mem, cache, to_bytes("k"), 2);
+  obs::MetricsRegistry metrics;
+  export_metrics(metrics, cache);
   ASSERT_NE(metrics.find_counter("digest_cache.hit"), nullptr);
   ASSERT_NE(metrics.find_counter("digest_cache.miss"), nullptr);
   ASSERT_NE(metrics.find_counter("digest_cache.store"), nullptr);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/attest/stack.hpp"
 #include "tests/support/fleet_fixtures.hpp"
 
 namespace rasc::attest {
@@ -34,7 +35,7 @@ TEST(ReliableSession, TotalLossExhaustsBudgetAndTimesOut) {
   EXPECT_TRUE(testfx::resolved_as(result, SessionOutcome::kTimeout));
   EXPECT_EQ(result.attempts, 3u);
   EXPECT_EQ(result.attempt_timeouts, 3u);
-  EXPECT_EQ(fx.session.retries(), 2u);
+  EXPECT_EQ(fx.session.counters().retries, 2u);
   // Exponential, jitterless backoff: 5 ms + 10 ms.
   EXPECT_EQ(result.backoff_total, 15 * kMs);
 }
@@ -67,7 +68,7 @@ TEST(ReliableSession, CorruptedReportsClassifyAsCorruptReport) {
   // Corrupt answers consume the attempt immediately instead of waiting
   // out the response timer.
   EXPECT_EQ(result.attempt_timeouts, 0u);
-  EXPECT_EQ(fx.session.corrupt_reports(), 2u);
+  EXPECT_EQ(fx.session.counters().corrupt_reports, 2u);
 }
 
 TEST(ReliableSession, DuplicatedWinningReportIsRejectedAsLate) {
@@ -77,7 +78,7 @@ TEST(ReliableSession, DuplicatedWinningReportIsRejectedAsLate) {
   const RoundResult result = fx.run_round();
   EXPECT_TRUE(testfx::resolved_as(result, SessionOutcome::kVerified));
   EXPECT_EQ(result.attempts, 1u);
-  EXPECT_EQ(fx.session.late_reports(), 1u);
+  EXPECT_EQ(fx.session.counters().late_reports, 1u);
 }
 
 TEST(ReliableSession, StaleReportOnlyClassifiesAsReplayRejected) {
@@ -98,7 +99,7 @@ TEST(ReliableSession, StaleReportOnlyClassifiesAsReplayRejected) {
   EXPECT_TRUE(testfx::resolved_as(result, SessionOutcome::kReplayRejected));
   EXPECT_EQ(result.attempts, 2u);
   EXPECT_EQ(result.replays_rejected, 1u);
-  EXPECT_EQ(fx.session.replays_rejected(), 1u);
+  EXPECT_EQ(fx.session.counters().replays_rejected, 1u);
 }
 
 TEST(ReliableSession, InfectedDeviceIsCompromisedNotRetried) {
@@ -137,7 +138,7 @@ TEST(ReliableSession, EveryRoundResolvesUnderHeavyFaults) {
   // The whole point of the session layer: no amount of link misbehavior
   // may leave a round unresolved.
   EXPECT_EQ(resolved, kRounds);
-  EXPECT_EQ(fx.session.rounds_resolved(), kRounds);
+  EXPECT_EQ(fx.session.counters().rounds_resolved, kRounds);
 }
 
 TEST(ReliableSession, BackoffGrowsExponentiallyWithJitterBounded) {
@@ -217,26 +218,28 @@ TEST(ReliableSession, ReportAfterTerminalOutcomeIsLateNotFatal) {
   EXPECT_TRUE(testfx::resolved_as(first, SessionOutcome::kTimeout));
   EXPECT_EQ(first.attempts, 3u);
   // All three straggler reports arrived after resolution.
-  EXPECT_EQ(fx.session.late_reports(), 3u);
+  EXPECT_EQ(fx.session.counters().late_reports, 3u);
   EXPECT_FALSE(fx.session.busy());
-  EXPECT_EQ(fx.session.rounds_resolved(), 1u);
+  EXPECT_EQ(fx.session.counters().rounds_resolved, 1u);
 
   // The session is reusable after the straggler storm: a second round on
   // the same stack still runs to a terminal outcome (the stragglers'
   // stale state cannot poison the next challenge or wedge the session).
   const RoundResult second = fx.run_round();
   EXPECT_TRUE(testfx::resolved_as(second, SessionOutcome::kTimeout));
-  EXPECT_EQ(fx.session.rounds_resolved(), 2u);
-  EXPECT_EQ(fx.session.late_reports(), 6u);
+  EXPECT_EQ(fx.session.counters().rounds_resolved, 2u);
+  EXPECT_EQ(fx.session.counters().late_reports, 6u);
 }
 
 TEST(ReliableSession, MetricsAccountTerminalOutcomes) {
   sim::LinkConfig dead;
   dead.drop_probability = 1.0;
   SessionHarness fx({.to_prv = dead});
-  obs::MetricsRegistry metrics;
-  fx.session.set_metrics(&metrics);
+  obs::HealthRollup health;
+  fx.session.set_health(&health);
   (void)fx.run_round();
+  obs::MetricsRegistry metrics;
+  export_metrics(metrics, fx.counters(), health);
   ASSERT_NE(metrics.find_counter("session.rounds"), nullptr);
   EXPECT_EQ(metrics.find_counter("session.rounds")->value(), 1u);
   ASSERT_NE(metrics.find_counter("session.timeout"), nullptr);
@@ -245,6 +248,20 @@ TEST(ReliableSession, MetricsAccountTerminalOutcomes) {
   EXPECT_EQ(metrics.find_counter("session.retries")->value(), 2u);
   ASSERT_NE(metrics.find_histogram("session.round_latency_ms"), nullptr);
   EXPECT_EQ(metrics.find_histogram("session.round_latency_ms")->count(), 1u);
+}
+
+TEST(MetricsExport, ZeroCountsLeaveAnEmptyRegistryUnchanged) {
+  // The registry creates a metric only on its first increment, and every
+  // committed baseline depends on which names exist; exporting counts that
+  // are all zero must therefore add no name, not a zero-valued one.
+  obs::MetricsRegistry registry;
+  const std::string empty = registry.to_json();
+  export_metrics(registry, StackCounters{}, obs::HealthRollup{});
+  export_metrics(registry, sim::LinkCounters{});
+  export_metrics(registry, VerifierCounters{});
+  export_metrics(registry, DigestCache{});
+  EXPECT_TRUE(registry.empty());
+  EXPECT_EQ(registry.to_json(), empty);
 }
 
 }  // namespace

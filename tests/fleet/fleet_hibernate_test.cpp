@@ -16,12 +16,14 @@ extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
 #include <malloc.h>
 #endif
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/fleet/fleet.hpp"
 #include "src/obs/journal.hpp"
+#include "src/obs/metrics.hpp"
 #include "tests/support/fleet_fixtures.hpp"
 
 namespace rasc::fleet {
@@ -57,16 +59,39 @@ std::string strip_fleet_events(const std::string& ndjson) {
   return out;
 }
 
+/// Every exported counter and histogram of two registries, by name.  The
+/// fleet.* gauges are left out: they describe the pool, which differs by
+/// design.
+void expect_same_counts(const obs::MetricsRegistry& a, const obs::MetricsRegistry& b) {
+  std::map<std::string, std::uint64_t> counters_a, counters_b;
+  for (const auto& [name, c] : a.counters()) counters_a[name] = c.value();
+  for (const auto& [name, c] : b.counters()) counters_b[name] = c.value();
+  EXPECT_EQ(counters_a, counters_b);
+  ASSERT_EQ(a.histograms().size(), b.histograms().size());
+  for (const auto& [name, h] : a.histograms()) {
+    const obs::Histogram* other = b.find_histogram(name);
+    ASSERT_NE(other, nullptr) << name;
+    EXPECT_EQ(h->bucket_counts(), other->bucket_counts()) << name;
+    EXPECT_EQ(h->sum(), other->sum()) << name;
+    EXPECT_EQ(h->min(), other->min()) << name;
+    EXPECT_EQ(h->max(), other->max()) << name;
+  }
+}
+
 void expect_equivalent(const FleetConfig& base, std::size_t pool,
                        const char* label) {
   obs::EventJournal persistent_journal;
   obs::EventJournal hibernating_journal;
+  obs::MetricsRegistry persistent_metrics;
+  obs::MetricsRegistry hibernating_metrics;
 
   FleetConfig persistent = base;
   persistent.journal = &persistent_journal;
+  persistent.metrics = &persistent_metrics;
   FleetConfig hibernating = base;
   hibernating.max_live_stacks = pool;
   hibernating.journal = &hibernating_journal;
+  hibernating.metrics = &hibernating_metrics;
 
   const FleetResult a = FleetVerifier(persistent).run();
   const FleetResult b = FleetVerifier(hibernating).run();
@@ -105,14 +130,24 @@ void expect_equivalent(const FleetConfig& base, std::size_t pool,
     EXPECT_EQ(a.health.outcome_count(outcome), b.health.outcome_count(outcome));
   }
 
-  // Link counters (hibernated links persist their counters in the seed
-  // record, so the totals must match exactly).
+  // Link counters (a stack's counters are folded into the fleet totals
+  // as it hibernates, so the totals must match exactly).
   EXPECT_EQ(a.link_sent, b.link_sent);
   EXPECT_EQ(a.link_delivered, b.link_delivered);
   EXPECT_EQ(a.link_dropped, b.link_dropped);
   EXPECT_EQ(a.link_duplicated, b.link_duplicated);
   EXPECT_EQ(a.link_corrupted, b.link_corrupted);
   EXPECT_EQ(a.link_reordered, b.link_reordered);
+
+  // The exported net.*, session.* and verifier.* counts and histograms
+  // fold the same way; the faulty links make every family nonzero.
+  for (const char* name : {"net.sent", "net.corrupted", "session.rounds",
+                           "session.retries", "session.attempt_timeouts",
+                           "verifier.verify_total", "verifier.fail_mac"}) {
+    EXPECT_NE(persistent_metrics.find_counter(name), nullptr) << name;
+  }
+  EXPECT_NE(persistent_metrics.find_histogram("session.round_latency_ms"), nullptr);
+  expect_same_counts(persistent_metrics, hibernating_metrics);
 
   // Journal byte-identity once the hibernate/wake bookkeeping lines are
   // stripped: every protocol, link, cache and mtree event of every round

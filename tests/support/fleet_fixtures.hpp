@@ -107,8 +107,10 @@ inline ::testing::AssertionResult resolved_as(const attest::RoundResult& result,
                                               attest::SessionOutcome expected) {
   if (result.outcome == expected) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
-         << "round resolved as " << attest::session_outcome_name(result.outcome)
-         << ", expected " << attest::session_outcome_name(expected);
+         << "round resolved as "
+         << obs::round_outcome_name(attest::session_outcome_rollup(result.outcome))
+         << ", expected "
+         << obs::round_outcome_name(attest::session_outcome_rollup(expected));
 }
 
 /// Every admitted round of every device reached a terminal outcome.
