@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/attest/measurement.hpp"
+#include "src/attest/verifier.hpp"
 #include "src/bignum/prime.hpp"
 #include "src/crypto/cbcmac.hpp"
 #include "src/crypto/drbg.hpp"
@@ -155,6 +156,22 @@ void BM_DrbgGenerate(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_DrbgGenerate)->Arg(16)->Arg(32)->Arg(4096);
+
+/// The verifier's challenge: one HMAC-SHA-256 PRF block per call from a
+/// held K_chal schedule (2 compressions), against BM_DrbgGenerate's 8.
+void BM_ChallengePrf(benchmark::State& state) {
+  const auto golden = std::make_shared<const attest::GoldenMeasurement>(
+      support::random_bytes(1, 256), 64, crypto::HashKind::kSha256,
+      support::random_bytes(2, 16));
+  attest::Verifier verifier(golden, golden->key(), attest::make_challenge_key(3), 0);
+  const auto size = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verifier.issue_challenge(size));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ChallengePrf)->Arg(16);
 
 void BM_EcdsaSign(benchmark::State& state) {
   const auto curve = static_cast<crypto::CurveId>(state.range(0));

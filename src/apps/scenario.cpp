@@ -151,7 +151,7 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
   attest::StackConfig stack_config;
   stack_config.device = {"prv-net", config.blocks * config.block_size, config.block_size,
                          support::to_bytes("network-scenario-key")};
-  stack_config.challenge_seed = challenge_seed_for(config.seed);
+  stack_config.challenge_key = attest::make_challenge_key(challenge_seed_for(config.seed));
   stack_config.prover.hash = config.hash;
   stack_config.prover.mode = config.mode;
   stack_config.prover.priority = 10;

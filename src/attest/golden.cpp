@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "src/attest/digest_cache.hpp"
+
 namespace rasc::attest {
 
 GoldenMeasurement::GoldenMeasurement(support::ByteView image, std::size_t block_size,
@@ -11,6 +13,7 @@ GoldenMeasurement::GoldenMeasurement(support::ByteView image, std::size_t block_
       mac_(mac),
       key_(key.begin(), key.end()),
       key_schedule_(key),
+      key_fingerprint_(DigestCache::key_fingerprint(key)),
       block_size_(block_size) {
   if (block_size == 0 || image.size() % block_size != 0) {
     throw std::invalid_argument("golden image size must be a multiple of block_size");

@@ -40,6 +40,12 @@ class GoldenMeasurement {
   /// prover over pristine memory produces.
   support::Bytes expected_tree(const MeasurementContext& context) const;
 
+  /// The key, its schedule and DigestCache::key_fingerprint, derived once
+  /// for every stack that shares this golden.
+  const support::Bytes& key() const noexcept { return key_; }
+  const crypto::HmacSha256Key& key_schedule() const noexcept { return key_schedule_; }
+  std::uint64_t key_fingerprint() const noexcept { return key_fingerprint_; }
+
   std::size_t block_count() const noexcept { return digests_.size(); }
   std::size_t block_size() const noexcept { return block_size_; }
   crypto::HashKind hash_kind() const noexcept { return hash_; }
@@ -63,7 +69,8 @@ class GoldenMeasurement {
   crypto::HashKind hash_;
   MacKind mac_;
   support::Bytes key_;
-  crypto::HmacSha256Key key_schedule_;  ///< of key_, for HMAC-SHA-256 F
+  crypto::HmacSha256Key key_schedule_;  ///< of key_: HMAC-SHA-256 F, report MACs
+  std::uint64_t key_fingerprint_;       ///< DigestCache::key_fingerprint(key_)
   std::size_t block_size_;
   std::vector<Digest> digests_;
   std::optional<mtree::MerkleTree> tree_;  ///< engaged in every constructor

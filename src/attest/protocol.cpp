@@ -84,7 +84,7 @@ void OnDemandProtocol::run(std::uint64_t counter,
   auto timings = std::make_shared<OnDemandTimings>();
   auto& sim = device_.sim();
 
-  const support::Bytes challenge = verifier_.issue_challenge(config_.challenge_size);
+  const support::Bytes challenge = verifier_.issue_challenge(kChallengeSize);
   timings->t_challenge_sent = sim.now();
 
   support::Bytes request_wire =

@@ -70,7 +70,6 @@ struct OnDemandConfig {
   sim::Duration request_auth_delay = 300 * sim::kMicrosecond;
   /// Vrf-side verification latency.
   sim::Duration verify_delay = 500 * sim::kMicrosecond;
-  std::size_t challenge_size = 16;
 };
 
 class OnDemandProtocol {

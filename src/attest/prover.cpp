@@ -16,11 +16,16 @@ std::string traversal_order_name(TraversalOrder order) {
 
 AttestationProcess::AttestationProcess(sim::Device& device, ProverConfig config,
                                        LockPolicy* policy)
+    : AttestationProcess(device, config, policy,
+                         DigestCache::key_fingerprint(device.attestation_key())) {}
+
+AttestationProcess::AttestationProcess(sim::Device& device, ProverConfig config,
+                                       LockPolicy* policy, std::uint64_t key_fingerprint)
     : sim::Process("attest/" + execution_mode_name(config.mode), config.priority),
       device_(device),
       config_(config),
       policy_(policy),
-      key_fp_(DigestCache::key_fingerprint(device.attestation_key())) {}
+      key_fp_(key_fingerprint) {}
 
 sim::Duration AttestationProcess::block_cost() const {
   const std::size_t block_size = device_.memory().block_size();

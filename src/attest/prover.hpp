@@ -86,6 +86,10 @@ class AttestationProcess final : public sim::Process {
   AttestationProcess(sim::Device& device, ProverConfig config,
                      LockPolicy* policy = nullptr);
 
+  /// `key_fingerprint` is the device key's, derived by the caller.
+  AttestationProcess(sim::Device& device, ProverConfig config, LockPolicy* policy,
+                     std::uint64_t key_fingerprint);
+
   /// Per-block progress hook: called as (blocks_done, total_blocks) after
   /// every visited block in interruptible mode, and once with (n, n) after
   /// an atomic measurement completes.

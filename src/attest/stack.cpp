@@ -4,29 +4,21 @@
 
 namespace rasc::attest {
 
-namespace {
+Stack::Stack(sim::Simulator& sim, StackConfig config, support::ByteView image)
+    : Stack(sim, config, image,
+            config.golden != nullptr
+                ? config.golden
+                : std::make_shared<const GoldenMeasurement>(
+                      image, config.device.block_size, config.prover.hash,
+                      config.device.attestation_key, config.prover.mac)) {}
 
-Verifier make_verifier(std::shared_ptr<const GoldenMeasurement> golden,
-                       const support::Bytes& key, std::uint64_t challenge_seed,
-                       const Verifier::SessionState* session) {
-  if (session != nullptr) return Verifier(std::move(golden), key, *session);
-  return Verifier(std::move(golden), key, challenge_seed);
-}
-
-}  // namespace
-
-Stack::Stack(sim::Simulator& sim, StackConfig config, support::ByteView image,
-             const Verifier::SessionState* verifier_session)
-    : device(sim, std::move(config.device)),
-      verifier(make_verifier(config.golden != nullptr
-                                 ? std::move(config.golden)
-                                 : std::make_shared<const GoldenMeasurement>(
-                                       image, device.memory().block_size(),
-                                       config.prover.hash, device.attestation_key(),
-                                       config.prover.mac),
-                             device.attestation_key(), config.challenge_seed,
-                             verifier_session)),
-      mp(device, config.prover),
+// The verifier throws before a mismatched golden's schedule is ever used.
+Stack::Stack(sim::Simulator& sim, StackConfig& config, support::ByteView image,
+             std::shared_ptr<const GoldenMeasurement> golden)
+    : device(sim, std::move(config.device), golden->key_schedule()),
+      verifier(golden, device.attestation_key(), std::move(config.challenge_key),
+               config.challenge_domain),
+      mp(device, config.prover, nullptr, golden->key_fingerprint()),
       vrf_to_prv(sim, std::move(config.to_prv)),
       prv_to_vrf(sim, std::move(config.to_vrf)),
       session(device, verifier, mp, vrf_to_prv, prv_to_vrf, config.session) {

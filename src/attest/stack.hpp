@@ -7,11 +7,13 @@
 /// one assembly, so a fleet of N devices is N of the stacks the session
 /// and protocol suites exercise.
 ///
-/// Seeds belong to the caller: the challenge seed is a StackConfig field,
+/// Seeds belong to the caller: the challenge key is a StackConfig field,
 /// the link and session seeds ride in their configs, and the Stack derives
-/// none.  Members are held by value in construction order; in-flight
-/// events capture references into them, so a Stack neither copies nor
-/// moves.
+/// none.  Key material is the golden's: device, prover and verifier read
+/// its key schedule and fingerprint, so a stack over a shared golden
+/// derives none.  Members are held by value in construction order;
+/// in-flight events capture references into them, so a Stack neither
+/// copies nor moves.
 ///
 /// The members count into plain structs and know nothing of
 /// obs::MetricsRegistry.  A driver publishes the counts once, after the
@@ -38,7 +40,9 @@ struct StackConfig {
   /// share one across stacks; null = the Stack digests the image under
   /// the prover's hash and MAC.  The verifier holds it either way.
   std::shared_ptr<const GoldenMeasurement> golden = nullptr;
-  std::uint64_t challenge_seed = 0xc0ffee;
+  /// Required: the verifier's K_chal and its challenge domain.
+  std::shared_ptr<const crypto::HmacSha256Key> challenge_key = nullptr;
+  std::uint64_t challenge_domain = 0;
   ProverConfig prover = {};
   sim::LinkConfig to_prv;  ///< verifier -> prover direction
   sim::LinkConfig to_vrf;  ///< prover -> verifier direction
@@ -57,11 +61,9 @@ struct StackCounters {
 
 struct Stack {
   /// Build every member on `sim`, then load `image` — the golden's
-  /// content — into device memory.  A non-null `verifier_session` (a
-  /// hibernated stack's saved verifier state) builds the verifier from it
-  /// instead of from config.challenge_seed.
-  Stack(sim::Simulator& sim, StackConfig config, support::ByteView image,
-        const Verifier::SessionState* verifier_session = nullptr);
+  /// content — into device memory.  Throws std::invalid_argument without
+  /// a challenge key or when a shared golden's key is not the device's.
+  Stack(sim::Simulator& sim, StackConfig config, support::ByteView image);
   Stack(const Stack&) = delete;
   Stack& operator=(const Stack&) = delete;
 
@@ -79,6 +81,10 @@ struct Stack {
   sim::Link vrf_to_prv;
   sim::Link prv_to_vrf;
   ReliableSession session;
+
+ private:
+  Stack(sim::Simulator& sim, StackConfig& config, support::ByteView image,
+        std::shared_ptr<const GoldenMeasurement> golden);
 };
 
 /// "net.*" from the summed links, "verifier.*", and "session.*": the

@@ -5,15 +5,11 @@
 
 namespace rasc::attest {
 
-namespace {
-
-crypto::HmacDrbg make_challenge_drbg(std::uint64_t challenge_seed) {
-  support::Bytes seed(8);
-  support::put_u64_be(seed, challenge_seed);
-  return crypto::HmacDrbg(seed);
+std::shared_ptr<const crypto::HmacSha256Key> make_challenge_key(std::uint64_t seed) {
+  std::uint8_t key[8];
+  support::put_u64_be(key, seed);
+  return std::make_shared<const crypto::HmacSha256Key>(key);
 }
-
-}  // namespace
 
 VerifierCounters& VerifierCounters::operator+=(const VerifierCounters& other) noexcept {
   verify_total += other.verify_total;
@@ -28,67 +24,70 @@ VerifierCounters& VerifierCounters::operator+=(const VerifierCounters& other) no
   return *this;
 }
 
-Verifier::Verifier(crypto::HashKind hash, support::Bytes key, support::Bytes golden_image,
-                   std::size_t block_size, std::uint64_t challenge_seed, MacKind mac)
-    : hash_(hash),
-      mac_(mac),
-      key_(std::move(key)),
-      key_schedule_(key_),
-      block_size_(block_size),
-      challenge_drbg_(make_challenge_drbg(challenge_seed)) {
-  if (block_size_ == 0 || golden_image.size() % block_size_ != 0) {
-    throw std::invalid_argument("Verifier: golden image must be whole blocks");
+Verifier::Verifier(crypto::HashKind hash, support::ByteView key,
+                   support::ByteView golden_image, std::size_t block_size,
+                   std::uint64_t challenge_seed, MacKind mac)
+    : Verifier(std::make_shared<const GoldenMeasurement>(golden_image, block_size, hash,
+                                                         key, mac),
+               key, challenge_seed) {}
+
+Verifier::Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::ByteView key,
+                   std::uint64_t challenge_seed)
+    : Verifier(std::move(golden), key, make_challenge_key(challenge_seed), 0) {}
+
+Verifier::Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::ByteView key,
+                   std::shared_ptr<const crypto::HmacSha256Key> challenge_key,
+                   std::uint64_t challenge_domain)
+    : golden_(std::move(golden)),
+      challenge_key_(std::move(challenge_key)),
+      challenge_domain_(challenge_domain) {
+  if (golden_ == nullptr || challenge_key_ == nullptr) {
+    throw std::invalid_argument("Verifier: null golden or challenge key");
   }
-  golden_ = std::make_shared<const GoldenMeasurement>(golden_image, block_size_, hash_,
-                                                      key_, mac_);
+  if (!std::ranges::equal(key, golden_->key())) {
+    throw std::invalid_argument("Verifier: key differs from the golden's key");
+  }
 }
 
-Verifier::Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::Bytes key,
-                   std::uint64_t challenge_seed)
-    : hash_(golden->hash_kind()),
-      mac_(golden->mac_kind()),
-      key_(std::move(key)),
-      key_schedule_(key_),
-      golden_(std::move(golden)),
-      block_size_(golden_->block_size()),
-      challenge_drbg_(make_challenge_drbg(challenge_seed)) {}
-
-Verifier::Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::Bytes key,
-                   const SessionState& session)
-    : hash_(golden->hash_kind()),
-      mac_(golden->mac_kind()),
-      key_(std::move(key)),
-      key_schedule_(key_),
-      golden_(std::move(golden)),
-      block_size_(golden_->block_size()),
-      challenge_drbg_(session.drbg),
-      outstanding_challenge_(session.outstanding_challenge),
-      last_counter_seen_(session.last_counter_seen),
-      last_counter_(session.last_counter) {}
+void Verifier::derive_challenge(std::uint64_t index, std::size_t size) {
+  std::uint8_t message[16];
+  support::put_u64_be({message, 8}, challenge_domain_);
+  support::put_u64_be({message + 8, 8}, index);
+  challenge_key_->tag(message, outstanding_);
+  outstanding_size_ = static_cast<std::uint8_t>(size);
+}
 
 support::Bytes Verifier::issue_challenge(std::size_t size) {
-  outstanding_challenge_ = challenge_drbg_.generate(size);
-  return *outstanding_challenge_;
+  if (size == 0 || size > kMaxChallengeSize) {
+    throw std::invalid_argument("Verifier: challenge size must be 1..32 bytes");
+  }
+  derive_challenge(issue_index_++, size);
+  const support::ByteView challenge = outstanding();
+  return {challenge.begin(), challenge.end()};
 }
 
-support::Bytes Verifier::expected_measurement(const MeasurementContext& context) const {
-  return golden_->expected(context);
+void Verifier::restore_session_state(const SessionState& s) {
+  issue_index_ = s.issue_index;
+  last_counter_ = s.last_counter;
+  last_counter_seen_ = s.last_counter_seen;
+  outstanding_size_ = 0;
+  if (s.outstanding_size != 0) derive_challenge(s.issue_index - 1, s.outstanding_size);
 }
 
 VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
   VerifyOutcome out;
-  out.mac_ok = report_mac_valid(report, key_schedule_);
+  out.mac_ok = report_mac_valid(report, golden_->key_schedule());
 
   if (expect_challenge) {
-    out.challenge_ok = outstanding_challenge_.has_value() &&
-                       support::ct_equal(report.challenge, *outstanding_challenge_);
+    out.challenge_ok =
+        outstanding_size_ != 0 && support::ct_equal(report.challenge, outstanding());
   } else {
     out.counter_ok = !last_counter_seen_ || report.counter > last_counter_;
   }
 
   MeasurementContext context{report.device_id, report.challenge, report.counter};
   if (report.tree_root.empty()) {
-    out.digest_ok = support::ct_equal(report.measurement, expected_measurement(context));
+    out.digest_ok = support::ct_equal(report.measurement, golden_->expected(context));
   } else {
     out.used_tree = true;
     out.total_blocks = golden_->block_count();
@@ -102,8 +101,8 @@ VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
     // steer localization.
     out.tree_root_bound = support::ct_equal(
         report.measurement,
-        Measurement::combine_root(report.tree_root, hash_, key_, context, mac_,
-                                  &key_schedule_));
+        Measurement::combine_root(report.tree_root, golden_->hash_kind(), golden_->key(),
+                                  context, golden_->mac_kind(), &golden_->key_schedule()));
     if (out.mac_ok && out.tree_root_bound) {
       for (const auto& proof : report.proofs) {
         if (proof.total_leaves != golden_->block_count() ||
@@ -149,7 +148,7 @@ VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
   if (out.ok()) {
     last_counter_seen_ = true;
     last_counter_ = report.counter;
-    if (expect_challenge) outstanding_challenge_.reset();
+    if (expect_challenge) outstanding_size_ = 0;
   }
   ++counters_.verify_total;
   if (!out.ok()) ++counters_.verify_fail;
@@ -166,10 +165,8 @@ VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
 }
 
 void Verifier::set_golden_image(support::Bytes image) {
-  if (image.size() % block_size_ != 0) {
-    throw std::invalid_argument("golden image must be whole blocks");
-  }
-  golden_ = std::make_shared<const GoldenMeasurement>(image, block_size_, hash_, key_, mac_);
+  golden_ = std::make_shared<const GoldenMeasurement>(
+      image, golden_->block_size(), golden_->hash_kind(), golden_->key(), golden_->mac_kind());
 }
 
 }  // namespace rasc::attest

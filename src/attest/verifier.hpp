@@ -1,18 +1,30 @@
 #pragma once
 /// \file verifier.hpp
 /// The trusted verifier Vrf: holds the golden image of the prover's
-/// attested memory and the shared attestation key, issues challenges, and
-/// validates reports (Section 2.2's step 4).
+/// attested memory (and through it the shared attestation key), issues
+/// challenges, and validates reports (Section 2.2's step 4).
+///
+/// Challenge i of domain d is the first n <= 32 bytes of
+/// HMAC-SHA-256(K_chal, be64(d) || be64(i)), a counter-mode PRF (NIST SP
+/// 800-108): i never repeats, so no challenge does, and none is
+/// predictable without K_chal.  The fleet shares one K_chal per shard.
 
+#include <array>
 #include <memory>
-#include <optional>
+#include <type_traits>
 
 #include "src/attest/golden.hpp"
 #include "src/attest/measurement.hpp"
 #include "src/attest/report.hpp"
-#include "src/crypto/drbg.hpp"
+#include "src/crypto/hmac.hpp"
 
 namespace rasc::attest {
+
+/// Challenge bytes the on-demand protocol sends per round.
+inline constexpr std::size_t kChallengeSize = 16;
+
+/// K_chal seeded from a 64-bit value: the HMAC-SHA-256 schedule of be64(seed).
+std::shared_ptr<const crypto::HmacSha256Key> make_challenge_key(std::uint64_t seed);
 
 /// Contiguous block range the verifier localized as divergent from the
 /// golden image (tree-mode reports only).
@@ -58,47 +70,49 @@ struct VerifierCounters {
 
 class Verifier {
  public:
-  /// Per-session verifier state for hibernation: the challenge DRBG
-  /// position, the outstanding challenge (if a round is mid-flight when
-  /// captured — normally absent at quiescence), and the replay-protection
-  /// counter watermark.  Everything else (golden, key, kinds) is immutable
-  /// configuration recreated from the shard seed on wake.
+  /// One PRF block.
+  static constexpr std::size_t kMaxChallengeSize = crypto::HmacSha256Key::kTagSize;
+
+  /// Per-session state for hibernation: the issue index, the outstanding
+  /// challenge's length (0 = none; its bytes are recomputed from the
+  /// index) and the replay floor.  Golden, K_chal and domain are
+  /// configuration, recreated from the shard on wake.
   struct SessionState {
-    crypto::HmacDrbg::State drbg;
-    std::optional<support::Bytes> outstanding_challenge;
-    bool last_counter_seen = false;
+    std::uint64_t issue_index = 0;  ///< challenges issued so far
     std::uint64_t last_counter = 0;
+    std::uint8_t outstanding_size = 0;
+    bool last_counter_seen = false;
   };
 
   /// `golden_image` is the expected content of the covered region
   /// (block_size * n bytes).
-  Verifier(crypto::HashKind hash, support::Bytes key, support::Bytes golden_image,
+  Verifier(crypto::HashKind hash, support::ByteView key, support::ByteView golden_image,
            std::size_t block_size, std::uint64_t challenge_seed = 0xc0ffee,
            MacKind mac = MacKind::kHmac);
 
   /// Share a pre-digested golden image across verifiers (one
   /// GoldenMeasurement per campaign cell instead of one full-image rehash
-  /// per verify).  The golden carries hash/MAC kind and block size.
-  Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::Bytes key,
+  /// per verify).  The golden carries hash/MAC kind, block size, key and
+  /// key schedule; throws std::invalid_argument unless `key` is the
+  /// golden's.  Challenges: make_challenge_key(challenge_seed), domain 0.
+  Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::ByteView key,
            std::uint64_t challenge_seed = 0xc0ffee);
 
-  /// Resume a hibernated session over a shared golden: the challenge DRBG
-  /// continues from `session` instead of being instantiated from a seed
-  /// (the same verifier as the seeded one after restore_session_state).
-  Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::Bytes key,
-           const SessionState& session);
+  /// As above under a shared, non-null K_chal; verifiers sharing one must
+  /// use distinct domains.
+  Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::ByteView key,
+           std::shared_ptr<const crypto::HmacSha256Key> challenge_key,
+           std::uint64_t challenge_domain);
 
-  /// Fresh random challenge (also remembered as the expected one).
-  support::Bytes issue_challenge(std::size_t size = 16);
+  /// The next challenge (also remembered as the expected one).  Throws
+  /// std::invalid_argument unless 1 <= size <= kMaxChallengeSize.
+  support::Bytes issue_challenge(std::size_t size = kChallengeSize);
 
   /// Validate a report.  If `expect_challenge` is true the report must
   /// carry the most recently issued challenge (on-demand RA); if false
   /// (self-measurement collection) the challenge field is not checked but
   /// the counter must exceed the last accepted one.
   VerifyOutcome verify(const Report& report, bool expect_challenge = true);
-
-  /// Expected measurement for an arbitrary context (exposed for tests).
-  support::Bytes expected_measurement(const MeasurementContext& context) const;
 
   /// Update the golden image (e.g. after an authorized software update).
   /// Re-digests the image once.
@@ -112,30 +126,32 @@ class Verifier {
   /// Tallies since construction (not part of SessionState).
   const VerifierCounters& counters() const noexcept { return counters_; }
 
-  SessionState save_session_state() const {
-    return {challenge_drbg_.state(), outstanding_challenge_, last_counter_seen_,
-            last_counter_};
+  SessionState save_session_state() const noexcept {
+    return {issue_index_, last_counter_, outstanding_size_, last_counter_seen_};
   }
 
-  void restore_session_state(SessionState s) {
-    challenge_drbg_.restore(s.drbg);
-    outstanding_challenge_ = std::move(s.outstanding_challenge);
-    last_counter_seen_ = s.last_counter_seen;
-    last_counter_ = s.last_counter;
-  }
+  /// Resume a session saved under the same golden, K_chal and domain.
+  void restore_session_state(const SessionState& s);
 
  private:
-  crypto::HashKind hash_;
-  MacKind mac_;
-  support::Bytes key_;
-  crypto::HmacSha256Key key_schedule_;  ///< of key_: the report MAC check
+  /// Challenge `index` of this domain, `size` bytes, into outstanding_.
+  void derive_challenge(std::uint64_t index, std::size_t size);
+  support::ByteView outstanding() const noexcept {
+    return {outstanding_.data(), outstanding_size_};
+  }
+
   std::shared_ptr<const GoldenMeasurement> golden_;
-  std::size_t block_size_;
-  crypto::HmacDrbg challenge_drbg_;
-  std::optional<support::Bytes> outstanding_challenge_;
-  bool last_counter_seen_ = false;
+  std::shared_ptr<const crypto::HmacSha256Key> challenge_key_;  ///< K_chal
+  std::uint64_t challenge_domain_;
+  std::uint64_t issue_index_ = 0;
   std::uint64_t last_counter_ = 0;
+  std::array<std::uint8_t, kMaxChallengeSize> outstanding_{};
+  std::uint8_t outstanding_size_ = 0;  ///< 0 = no challenge outstanding
+  bool last_counter_seen_ = false;
   VerifierCounters counters_;
 };
+
+static_assert(std::is_trivially_copyable_v<Verifier::SessionState>,
+              "a hibernation record carries the verifier session by value, no heap");
 
 }  // namespace rasc::attest

@@ -5,31 +5,11 @@
 
 namespace rasc::crypto {
 
-namespace {
-
-std::array<std::uint8_t, HmacSha256Key::kTagSize> state_word(const support::Bytes& b) {
-  std::array<std::uint8_t, HmacSha256Key::kTagSize> out{};
-  if (b.size() != out.size()) {
-    throw std::invalid_argument("HmacDrbg: K and V must be 32 bytes");
-  }
-  std::copy(b.begin(), b.end(), out.begin());
-  return out;
-}
-
-}  // namespace
-
-HmacDrbg::HmacDrbg(support::ByteView seed) : k_(key_) {
+HmacDrbg::HmacDrbg(support::ByteView seed)
+    : k_(std::array<std::uint8_t, kOutLen>{}) {  // K = 0x00...00
   v_.fill(0x01);
   update(seed);
 }
-
-HmacDrbg::HmacDrbg(const State& s) : key_(state_word(s.key)), v_(state_word(s.v)), k_(key_) {}
-
-HmacDrbg::State HmacDrbg::state() const {
-  return {support::Bytes(key_.begin(), key_.end()), support::Bytes(v_.begin(), v_.end())};
-}
-
-void HmacDrbg::restore(const State& s) { *this = HmacDrbg(s); }
 
 void HmacDrbg::update(support::ByteView provided) {
   // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V), then — with
@@ -40,8 +20,9 @@ void HmacDrbg::update(support::ByteView provided) {
     inner.update(v_);
     inner.update(support::ByteView(&round, 1));
     inner.update(provided);
-    k_.finish(inner, key_);
-    k_ = HmacSha256Key(key_);
+    std::array<std::uint8_t, kOutLen> key;
+    k_.finish(inner, key);
+    k_ = HmacSha256Key(key);
     k_.tag(v_, v_);
   }
 }

@@ -100,11 +100,6 @@ constexpr std::size_t kDigestCacheSlotBytes = sizeof(attest::Digest) + 32;
 /// small and constant in N, estimated rather than introspected.
 constexpr std::size_t kPerDeviceStringBytes = 128;
 constexpr std::size_t kKeyBytes = 16;
-/// Heap behind one HibernatedDevice record: the verifier DRBG snapshot
-/// (K and V, 32 B each) plus the outstanding challenge.  The flat-mode
-/// proof backlog is empty; tree-mode backlogs add 4 B per unacknowledged
-/// block on top of this constant.
-constexpr std::size_t kHibernatedHeapBytes = 96;
 
 /// Order-independent stamp over the memory's generation counters.  A
 /// rebuilt stack must reproduce it exactly (same load, same infection
@@ -119,20 +114,15 @@ std::uint64_t generation_summary(const sim::DeviceMemory& memory) {
   return h;
 }
 
-std::uint64_t key_fingerprint(support::ByteView key) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::uint8_t b : key) h = exp::mix64(h ^ b);
-  return h;
-}
-
 /// Compact between-rounds seed record of one device: everything a rebuilt
 /// stack cannot re-derive from (FleetConfig, shard state, device id) —
 /// a few hundred bytes against ~3 kB for a live DeviceStack, which is
-/// what makes the 1M tier fit in host RAM.  Counters are not kept here.
+/// what makes the 1M tier fit in host RAM.  Counters are not kept here,
+/// and in flat mode nothing here owns heap.
 struct HibernatedDevice {
   bool valid = false;
   std::uint32_t wakes = 0;              ///< rebuilds consumed so far
-  std::uint64_t key_fingerprint = 0;    ///< shard key stamp (sanity check)
+  std::uint64_t key_fingerprint = 0;    ///< shard golden's key fingerprint
   std::uint64_t generation_summary = 0; ///< memory generations at capture
   attest::ReliableSession::State session;
   attest::Verifier::SessionState verifier;
@@ -142,13 +132,15 @@ struct HibernatedDevice {
 };
 
 /// State shared by every device of one shard: identical provisioned
-/// content, one key, one pre-digested golden, one prover-side digest
-/// cache (sound to share because same image + same key + same infection
-/// patch make block generation -> content a function within the shard).
+/// content, one key, one pre-digested golden, one K_chal, one prover-side
+/// digest cache (sound to share because same image + same key + same
+/// infection patch make block generation -> content a function within the
+/// shard).
 struct ShardState {
   support::Bytes image;
   support::Bytes key;
   std::shared_ptr<const attest::GoldenMeasurement> golden;
+  std::shared_ptr<const crypto::HmacSha256Key> challenge_key;
   attest::DigestCache cache;
   obs::HealthRollup health;
 };
@@ -160,18 +152,22 @@ ShardState make_shard_state(const FleetConfig& config, std::size_t shard) {
   state.key = support::random_bytes(shard_stream(config.seed, shard, kKeySalt), kKeyBytes);
   state.golden = std::make_shared<const attest::GoldenMeasurement>(
       state.image, config.block_size, config.hash, state.key);
+  state.challenge_key =
+      attest::make_challenge_key(shard_stream(config.seed, shard, kChallengeSalt));
   return state;
 }
 
-/// Device `index`'s stack: the shard's key, image and golden and the
-/// per-device seeds.  Link latency and jitter are sim::LinkConfig's.
+/// Device `index`'s stack: the shard's key, image, golden and K_chal (the
+/// index is the challenge domain) and the per-device seeds.  Link latency
+/// and jitter are sim::LinkConfig's.
 attest::StackConfig make_stack_config(const FleetConfig& config,
                                       const ShardState& shard, std::size_t index) {
   attest::StackConfig stack;
   stack.device = {"prv-" + std::to_string(index), config.blocks * config.block_size,
                   config.block_size, shard.key};
   stack.golden = shard.golden;
-  stack.challenge_seed = device_stream(config.seed, index, kChallengeSalt);
+  stack.challenge_key = shard.challenge_key;
+  stack.challenge_domain = index;
   stack.prover.hash = config.hash;
   stack.prover.mode = config.mode;
   stack.prover.use_merkle_tree = config.use_merkle_tree;
@@ -200,12 +196,9 @@ attest::StackConfig make_stack_config(const FleetConfig& config,
 /// admission rebuilds.  The admission window bounds *concurrent
 /// sessions*, not live objects.
 struct DeviceStack : attest::Stack {
-  /// A wake passes the device's record: the verifier is then built from
-  /// its saved session instead of from the challenge seed.
   DeviceStack(sim::Simulator& sim, const FleetConfig& config, ShardState& shard,
-              std::size_t index, const HibernatedDevice* woken = nullptr)
-      : attest::Stack(sim, make_stack_config(config, shard, index), shard.image,
-                      woken != nullptr ? &woken->verifier : nullptr) {
+              std::size_t index)
+      : attest::Stack(sim, make_stack_config(config, shard, index), shard.image) {
     mp.set_shared_digest_cache(&shard.cache);
     session.set_health(&shard.health);
   }
@@ -253,11 +246,11 @@ struct DeviceStack : attest::Stack {
   }
 
   /// Collapse to the seed record.  Caller guarantees quiescent().
-  HibernatedDevice hibernate(std::uint64_t key_fp, std::uint32_t wakes) const {
+  HibernatedDevice hibernate(std::uint32_t wakes) const {
     HibernatedDevice h;
     h.valid = true;
     h.wakes = wakes;
-    h.key_fingerprint = key_fp;
+    h.key_fingerprint = verifier.golden().key_fingerprint();
     h.generation_summary = generation_summary(device.memory());
     h.session = session.save_state();
     h.verifier = verifier.save_session_state();
@@ -268,18 +261,19 @@ struct DeviceStack : attest::Stack {
   }
 
   /// Rebuild-from-seed path (the constructor already loaded the clean
-  /// shard image and resumed the verifier): replay the infection patch,
-  /// then — tree mode only — re-prime the tree from the *current*
-  /// (patched) content.  The persistent stack's tree was already
-  /// consistent with that content, so re-priming from the golden digests
-  /// here would spuriously re-dirty the infected blocks and change the
-  /// next round's visit set.  Finally restore the remaining protocol
-  /// positions; their objects seed only a xoshiro256 on construction, so
-  /// overwriting it costs nothing worth a second constructor.
+  /// shard image): replay the infection patch, then — tree mode only —
+  /// re-prime the tree from the *current* (patched) content.  The
+  /// persistent stack's tree was already consistent with that content, so
+  /// re-priming from the golden digests here would spuriously re-dirty the
+  /// infected blocks and change the next round's visit set.  Finally
+  /// restore the protocol positions; their objects seed only a xoshiro256
+  /// or hold counters on construction, so overwriting them costs nothing
+  /// worth a second constructor.
   void restore(const FleetConfig& config, bool infected,
                const HibernatedDevice& h) {
     patch_infection(config, infected);
     if (config.use_merkle_tree) mp.prime_tree();
+    verifier.restore_session_state(h.verifier);
     session.restore_state(h.session);
     mp.restore_process_state(h.process);
     vrf_to_prv.restore_state(h.vrf_to_prv);
@@ -287,10 +281,9 @@ struct DeviceStack : attest::Stack {
   }
 };
 
-/// Verifier-side bytes of one live stack: the object itself, its label
-/// strings and the verifier's key copy.
-constexpr std::size_t kLiveStackBytes =
-    sizeof(DeviceStack) + kPerDeviceStringBytes + kKeyBytes;
+/// Verifier-side bytes of one live stack: the object itself and its label
+/// strings.  Key material is the shard's (see memory_stats).
+constexpr std::size_t kLiveStackBytes = sizeof(DeviceStack) + kPerDeviceStringBytes;
 
 }  // namespace
 
@@ -304,7 +297,6 @@ struct FleetVerifier::Impl {
 
   sim::Simulator simulator;
   std::vector<ShardState> shards;
-  std::vector<std::uint64_t> shard_key_fps;
   /// Null slots are hibernated (or not yet admitted) devices.
   std::vector<std::unique_ptr<DeviceStack>> stacks;
   std::vector<HibernatedDevice> hibernated;  ///< sized N iff hibernation
@@ -354,10 +346,8 @@ struct FleetVerifier::Impl {
     simulator.set_journal(config.journal);
 
     shards.reserve(shard_map.shards);
-    shard_key_fps.reserve(shard_map.shards);
     for (std::size_t s = 0; s < shard_map.shards; ++s) {
       shards.push_back(make_shard_state(config, s));
-      shard_key_fps.push_back(key_fingerprint(shards.back().key));
     }
     stacks.resize(config.devices);
     if (hibernation) hibernated.resize(config.devices);
@@ -387,7 +377,7 @@ struct FleetVerifier::Impl {
     const std::size_t s = shard_of(d);
     HibernatedDevice* woken =
         hibernation && hibernated[d].valid ? &hibernated[d] : nullptr;
-    auto stack = std::make_unique<DeviceStack>(simulator, config, shards[s], d, woken);
+    auto stack = std::make_unique<DeviceStack>(simulator, config, shards[s], d);
     ++live_stacks;
     result.live_stacks_high_water =
         std::max(result.live_stacks_high_water, live_stacks);
@@ -398,7 +388,7 @@ struct FleetVerifier::Impl {
         violation("device " + std::to_string(d) +
                   " rebuilt with mismatched generation summary");
       }
-      if (shard_key_fps[s] != h.key_fingerprint) {
+      if (shards[s].golden->key_fingerprint() != h.key_fingerprint) {
         violation("device " + std::to_string(d) +
                   " rebuilt with mismatched key fingerprint");
       }
@@ -414,8 +404,7 @@ struct FleetVerifier::Impl {
   }
 
   void hibernate_stack(std::size_t d) {
-    const std::size_t s = shard_of(d);
-    hibernated[d] = stacks[d]->hibernate(shard_key_fps[s], hibernated[d].wakes);
+    hibernated[d] = stacks[d]->hibernate(hibernated[d].wakes);
     hibernated_counters += stacks[d]->counters();
     journal_fleet(obs::JournalEventKind::kFleetHibernate, d, recs[d].rounds_done,
                   live_stacks - 1);
@@ -765,20 +754,23 @@ struct FleetVerifier::Impl {
   FleetMemoryStats memory_stats() const {
     FleetMemoryStats stats;
     for (const ShardState& shard : shards) {
-      // Image and key, the golden (with its own key copy) and the cache.
+      // Image and key, the golden (with its own key copy), K_chal and the
+      // cache.
       stats.shared_bytes += shard.image.capacity() + shard.key.capacity() +
                             sizeof(attest::GoldenMeasurement) +
                             shard.golden->block_count() * sizeof(attest::Digest) +
                             shard.golden->tree_memory_bytes() +
-                            shard.key.capacity() + sizeof(attest::DigestCache) +
+                            shard.key.capacity() + sizeof(crypto::HmacSha256Key) +
+                            sizeof(attest::DigestCache) +
                             config.blocks * kDigestCacheSlotBytes;
     }
     std::size_t per_device = sizeof(DeviceRec) + config.epochs * sizeof(RoundRecord);
     if (hibernation) {
-      // A hibernated device is its seed record (plus the heap its saved
-      // session/verifier state holds); the full stack is charged to the
-      // bounded pool below, not per device.
-      per_device += sizeof(HibernatedDevice) + kHibernatedHeapBytes;
+      // A hibernated device is its seed record, which owns no heap in
+      // flat mode (a tree-mode proof backlog, 4 B per unacknowledged
+      // block, is not charged); the full stack is charged to the bounded
+      // pool below, not per device.
+      per_device += sizeof(HibernatedDevice);
     } else {
       per_device += kLiveStackBytes;
     }

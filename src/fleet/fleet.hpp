@@ -22,11 +22,13 @@
 ///    must agree — one of the invariants checked after every epoch.
 ///
 /// Determinism: a fleet run is a pure function of (FleetConfig, Roster).
-/// All per-device randomness (links, session jitter, challenges) derives
-/// from config.seed and the device id via fixed mix64 chains, so the
-/// fleet_scale campaign built on top is bit-identical for any --threads,
-/// and replay_device() can re-run any single device's rounds in a fresh
-/// simulator and reproduce the fleet's verdicts exactly.
+/// All per-device randomness (links, session jitter) derives from
+/// config.seed and the device id via fixed mix64 chains, and challenges
+/// are a PRF of (device id, issue index) under a key derived from
+/// config.seed and the shard, so the fleet_scale campaign built on top is
+/// bit-identical for any --threads, and replay_device() can re-run any
+/// single device's rounds in a fresh simulator and reproduce the fleet's
+/// verdicts exactly.
 
 #include <algorithm>
 #include <array>
@@ -290,13 +292,14 @@ class FleetVerifier {
 };
 
 /// Cross-check harness: rebuild device `device`'s stack exactly as the
-/// fleet does — same shard image, key, golden parameters, per-device
-/// link/session/challenge seeds — in a *fresh* simulator, and run one
-/// round at each recorded start time (from FleetResult::start_times).
-/// Because every random draw a device's timeline consumes comes from its
-/// own per-device streams, the standalone outcomes must equal the fleet's
-/// verdicts; a mismatch isolates an orchestration bug (admission window,
-/// stagger, shared-cache contamination), not stack wiring.
+/// fleet does — same shard image, key, golden parameters and K_chal, the
+/// device's challenge domain and link/session seeds — in a *fresh*
+/// simulator, and run one round at each recorded start time (from
+/// FleetResult::start_times).  Because every random draw a device's
+/// timeline consumes comes from its own per-device streams or domain, the
+/// standalone outcomes must equal the fleet's verdicts; a mismatch
+/// isolates an orchestration bug (admission window, stagger, shared-cache
+/// contamination), not stack wiring.
 std::vector<obs::RoundOutcome> replay_device(const FleetConfig& config,
                                              const Roster& roster,
                                              std::size_t device,

@@ -26,9 +26,13 @@ struct DeviceConfig {
 class Device {
  public:
   Device(Simulator& sim, DeviceConfig config)
+      : Device(sim, config, crypto::HmacSha256Key(config.attestation_key)) {}
+
+  /// `key_schedule` is attestation_key's, derived by the caller.
+  Device(Simulator& sim, DeviceConfig config, const crypto::HmacSha256Key& key_schedule)
       : sim_(sim),
         config_(std::move(config)),
-        key_schedule_(config_.attestation_key),
+        key_schedule_(key_schedule),
         memory_(config_.memory_size, config_.block_size),
         cpu_(sim, config_.id) {
     // Journal the memory lock state and blocked writes under the device

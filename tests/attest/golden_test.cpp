@@ -70,8 +70,7 @@ TEST(GoldenMeasurement, SharedGoldenVerifierMatchesImageVerifier) {
 
   // Same challenge stream, same expected measurement.
   EXPECT_EQ(from_image.issue_challenge(), from_golden.issue_challenge());
-  EXPECT_EQ(from_image.expected_measurement(ctx(7)),
-            from_golden.expected_measurement(ctx(7)));
+  EXPECT_EQ(from_image.golden().expected(ctx(7)), from_golden.golden().expected(ctx(7)));
 }
 
 TEST(GoldenMeasurement, VerifierAcceptsGoodAndRejectsTamperedReport) {
@@ -111,9 +110,9 @@ TEST(GoldenMeasurement, SetGoldenImageRebuilds) {
   const auto updated = make_image(2);
   const support::Bytes key = to_bytes("k");
   Verifier verifier(crypto::HashKind::kSha256, key, image, kBlockSize);
-  const auto before = verifier.expected_measurement(ctx(1));
+  const auto before = verifier.golden().expected(ctx(1));
   verifier.set_golden_image(updated);
-  const auto after = verifier.expected_measurement(ctx(1));
+  const auto after = verifier.golden().expected(ctx(1));
   EXPECT_NE(before, after);
   EXPECT_EQ(after, Measurement::expected(updated, kBlockSize, crypto::HashKind::kSha256,
                                          key, ctx(1)));

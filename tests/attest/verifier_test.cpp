@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "src/attest/stack.hpp"
+#include "src/crypto/hmac.hpp"
 #include "src/support/rng.hpp"
 
 namespace rasc::attest {
@@ -129,28 +133,116 @@ TEST_F(VerifierTest, DeterministicChallengesPerSeed) {
   EXPECT_EQ(a.issue_challenge(), b.issue_challenge());
 }
 
-// The wake path: a verifier built from a saved session continues exactly
-// like the original, and like a seeded verifier that restored the session.
+// The wake path: a verifier rebuilt with the same seed that restores a
+// saved session continues exactly like the original.
 TEST_F(VerifierTest, ResumedFromSessionStateMatchesOriginalAndRestore) {
   const auto golden = std::make_shared<const GoldenMeasurement>(
       image_, kBlockSize, crypto::HashKind::kSha256, key_);
   Verifier original(golden, key_, 7);
   const Bytes first = original.issue_challenge();
   ASSERT_TRUE(original.verify(honest_report(image_, key_, first, 3)).ok());
-  (void)original.issue_challenge();  // outstanding when captured
+  const Bytes outstanding = original.issue_challenge();  // outstanding when captured
   const Verifier::SessionState saved = original.save_session_state();
+  EXPECT_EQ(saved.issue_index, 2u);
+  EXPECT_EQ(saved.outstanding_size, 16u);
 
-  Verifier resumed(golden, key_, saved);
-  Verifier restored(golden, key_, 8);
+  Verifier restored(golden, key_, 7);
   restored.restore_session_state(saved);
-  EXPECT_EQ(resumed.last_counter(), 3u);
-  for (Verifier* v : {&original, &resumed, &restored}) {
+  EXPECT_EQ(restored.last_counter(), 3u);
+  for (Verifier* v : {&original, &restored}) {
     // The captured outstanding challenge is still the expected one.
-    EXPECT_TRUE(v->verify(honest_report(image_, key_, *saved.outstanding_challenge, 4)).ok());
+    EXPECT_TRUE(v->verify(honest_report(image_, key_, outstanding, 4)).ok());
   }
-  const Bytes next = original.issue_challenge();
-  EXPECT_EQ(resumed.issue_challenge(), next);
-  EXPECT_EQ(restored.issue_challenge(), next);
+  EXPECT_EQ(restored.issue_challenge(), original.issue_challenge());
+}
+
+// Challenge i of domain d is the first n bytes of
+// HMAC-SHA-256(be64(seed), be64(d) || be64(i)), checked against the
+// streaming HMAC — an independent path from the held key schedule.
+TEST_F(VerifierTest, ChallengeMatchesPrfKnownAnswer) {
+  constexpr std::uint64_t kSeed = 0x5eed5eed5eedULL;
+  constexpr std::uint64_t kDomain = 4242;
+  const auto golden = std::make_shared<const GoldenMeasurement>(
+      image_, kBlockSize, crypto::HashKind::kSha256, key_);
+  Verifier verifier(golden, key_, make_challenge_key(kSeed), kDomain);
+  Bytes prf_key(8);
+  support::put_u64_be(prf_key, kSeed);
+  crypto::Hmac reference(crypto::HashKind::kSha256, prf_key);
+  for (std::uint64_t index = 0; index < 3; ++index) {
+    Bytes message(16);
+    support::put_u64_be({message.data(), 8}, kDomain);
+    support::put_u64_be({message.data() + 8, 8}, index);
+    reference.update(message);
+    Bytes expected = reference.finalize();
+    expected.resize(16);
+    EXPECT_EQ(verifier.issue_challenge(16), expected) << "index " << index;
+  }
+}
+
+TEST_F(VerifierTest, IssueChallengeRejectsSizeOutsideOnePrfBlock) {
+  EXPECT_THROW(verifier_.issue_challenge(0), std::invalid_argument);
+  EXPECT_THROW(verifier_.issue_challenge(Verifier::kMaxChallengeSize + 1),
+               std::invalid_argument);
+  EXPECT_EQ(verifier_.issue_challenge(1).size(), 1u);
+  EXPECT_EQ(verifier_.issue_challenge(Verifier::kMaxChallengeSize).size(), 32u);
+}
+
+// Hibernation saves the issue index, so a rebuilt verifier never repeats
+// a challenge its predecessor issued, and still expects the outstanding
+// one.
+TEST_F(VerifierTest, ChallengesStayFreshAcrossHibernation) {
+  const auto golden = std::make_shared<const GoldenMeasurement>(
+      image_, kBlockSize, crypto::HashKind::kSha256, key_);
+  std::set<Bytes> seen;
+  Verifier before(golden, key_, 11);
+  Bytes outstanding;
+  for (int i = 0; i < 1000; ++i) {
+    outstanding = before.issue_challenge();
+    seen.insert(outstanding);
+  }
+  const Verifier::SessionState saved = before.save_session_state();
+
+  Verifier after(golden, key_, 11);
+  after.restore_session_state(saved);
+  EXPECT_TRUE(after.verify(honest_report(image_, key_, outstanding, 1)).ok());
+  for (int i = 0; i < 1000; ++i) seen.insert(after.issue_challenge());
+  EXPECT_EQ(seen.size(), 2000u);
+}
+
+TEST_F(VerifierTest, DomainsUnderOneKeyShareNoChallenge) {
+  const auto golden = std::make_shared<const GoldenMeasurement>(
+      image_, kBlockSize, crypto::HashKind::kSha256, key_);
+  const auto challenge_key = make_challenge_key(5);
+  Verifier a(golden, key_, challenge_key, 0);
+  Verifier b(golden, key_, challenge_key, 1);
+  std::set<Bytes> seen;
+  for (int i = 0; i < 1000; ++i) {
+    seen.insert(a.issue_challenge());
+    seen.insert(b.issue_challenge());
+  }
+  EXPECT_EQ(seen.size(), 2000u);
+}
+
+// A verifier whose key is not its golden's would fail every report's
+// digest check; it is refused at construction instead.
+TEST_F(VerifierTest, RejectsKeyThatDiffersFromGoldens) {
+  const auto golden = std::make_shared<const GoldenMeasurement>(
+      image_, kBlockSize, crypto::HashKind::kSha256, key_);
+  EXPECT_THROW(Verifier(golden, to_bytes("other-key"), 7), std::invalid_argument);
+  EXPECT_THROW(Verifier(golden, key_, nullptr, 0), std::invalid_argument);
+}
+
+TEST(StackTest, RejectsSharedGoldenUnderAnotherKey) {
+  sim::Simulator simulator;
+  const Bytes image = support::random_bytes(3, kBlocks * kBlockSize);
+  StackConfig config;
+  config.device = {"dev-1", image.size(), kBlockSize, to_bytes("device-key")};
+  config.challenge_key = make_challenge_key(1);
+  config.golden = std::make_shared<const GoldenMeasurement>(
+      image, kBlockSize, crypto::HashKind::kSha256, to_bytes("golden-key"));
+  EXPECT_THROW(Stack(simulator, config, image), std::invalid_argument);
+  config.golden = nullptr;  // the stack digests under the device key
+  EXPECT_NO_THROW(Stack(simulator, config, image));
 }
 
 }  // namespace

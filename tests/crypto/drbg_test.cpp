@@ -39,31 +39,6 @@ TEST(Drbg, NistCavpSha256NoReseed) {
             "961df86803482cb37ed6d5c0bb8d50cf1f50d476aa0458bdaba806f48be9dcb8");
 }
 
-TEST(Drbg, ResumedFromStateMatchesOriginalAndRestore) {
-  HmacDrbg original(to_bytes("resume-seed"));
-  (void)original.generate(40);
-  const HmacDrbg::State snapshot = original.state();
-
-  HmacDrbg resumed(snapshot);
-  HmacDrbg restored(to_bytes("some other seed"));
-  restored.restore(snapshot);
-  for (std::size_t n : {16u, 1u, 33u, 64u}) {
-    const support::Bytes expected = original.generate(n);
-    EXPECT_EQ(resumed.generate(n), expected);
-    EXPECT_EQ(restored.generate(n), expected);
-  }
-  EXPECT_EQ(resumed.state().key, original.state().key);
-  EXPECT_EQ(resumed.state().v, original.state().v);
-}
-
-TEST(Drbg, ResumeRejectsMisSizedState) {
-  HmacDrbg::State bad = HmacDrbg(to_bytes("s")).state();
-  bad.v.pop_back();
-  EXPECT_THROW(HmacDrbg{bad}, std::invalid_argument);
-  HmacDrbg d(to_bytes("s"));
-  EXPECT_THROW(d.restore(bad), std::invalid_argument);
-}
-
 TEST(Drbg, DeterministicForSeed) {
   HmacDrbg a(to_bytes("seed"));
   HmacDrbg b(to_bytes("seed"));

@@ -94,6 +94,7 @@ struct SessionHarness : SimulatorOwner, attest::Stack {
       : attest::Stack(simulator,
                       {.device = {options.device_id, image.size(), options.block_size,
                                   support::to_bytes(options.key)},
+                       .challenge_key = attest::make_challenge_key(0xc0ffee),
                        .to_prv = options.to_prv,
                        .to_vrf = options.to_vrf,
                        .session = options.session},
