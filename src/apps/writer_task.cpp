@@ -6,7 +6,8 @@ WriterTask::WriterTask(sim::Device& device, WriterConfig config)
     : sim::Process("app/writer", config.priority),
       device_(device),
       config_(config),
-      rng_(config.seed) {}
+      rng_(config.seed),
+      buffer_(config.write_size) {}
 
 void WriterTask::arm(sim::Time until) {
   auto& sim = device_.sim();
@@ -30,12 +31,11 @@ void WriterTask::do_write() {
       config_.block_count == 0 ? mem.block_count() - config_.first_block
                                : config_.block_count;
   const std::size_t block = config_.first_block + rng_.below(region_blocks);
-  support::Bytes data(config_.write_size);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng_.below(256));
+  for (auto& b : buffer_) b = static_cast<std::uint8_t>(rng_.below(256));
   const std::size_t max_off = mem.block_size() - config_.write_size;
   const std::size_t addr = block * mem.block_size() + rng_.below(max_off + 1);
   ++attempts_;
-  if (!mem.write(addr, data, device_.sim().now(), sim::Actor::kApplication)) {
+  if (!mem.write(addr, buffer_, device_.sim().now(), sim::Actor::kApplication)) {
     ++blocked_;
   }
 }

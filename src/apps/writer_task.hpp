@@ -45,6 +45,7 @@ class WriterTask final : public sim::Process {
   sim::Device& device_;
   WriterConfig config_;
   support::Xoshiro256 rng_;
+  support::Bytes buffer_;  ///< one write's bytes, refilled per write
   std::size_t pending_ = 0;
   std::size_t attempts_ = 0;
   std::size_t blocked_ = 0;

@@ -5,25 +5,40 @@
 namespace rasc::sim {
 
 void Cpu::make_ready(Process& p) {
-  if (std::find(ready_.begin(), ready_.end(), &p) == ready_.end()) {
-    ready_.push_back(&p);
+  const auto listed = [&p](const Ready& r) { return r.process == &p; };
+  if (std::none_of(ready_.begin(), ready_.end(), listed)) {
     // The core is occupied: remember when this process started waiting so
     // the eventual dispatch can report the preemption wait.
-    if (running_ != nullptr && ready_since_.find(&p) == ready_since_.end()) {
-      ready_since_.emplace(&p, sim_.now());
-    }
+    ready_.push_back({&p, running_ != nullptr ? sim_.now() : kNotWaiting});
   }
   schedule_dispatch();
 }
 
 void Cpu::remove(Process& p) {
-  ready_.erase(std::remove(ready_.begin(), ready_.end(), &p), ready_.end());
-  ready_since_.erase(&p);
+  std::erase_if(ready_, [&p](const Ready& r) { return r.process == &p; });
 }
 
 Duration Cpu::consumed(const std::string& name) const {
-  const auto it = consumed_.find(name);
-  return it == consumed_.end() ? 0 : it->second;
+  for (const auto& [n, total] : consumed_) {
+    if (n == name) return total;
+  }
+  return 0;
+}
+
+Duration& Cpu::consumed_total(std::string_view name) {
+  const auto named = [this](std::string_view n) {
+    return std::find_if(consumed_.begin(), consumed_.end(),
+                        [n](const auto& entry) { return entry.first == n; });
+  };
+  auto it = named(name);
+  // Bounded: once kMaxConsumedEntries distinct names exist, new names
+  // aggregate under "(other)".
+  if (it == consumed_.end() && consumed_.size() >= kMaxConsumedEntries) {
+    name = "(other)";
+    it = named(name);
+  }
+  if (it == consumed_.end()) return consumed_.emplace_back(name, 0).second;
+  return it->second;
 }
 
 void Cpu::journal_span(obs::JournalEventKind kind, Time start, const Process& p,
@@ -43,18 +58,15 @@ void Cpu::schedule_dispatch() {
   });
 }
 
-void Cpu::record_segment(Time start, const Process& p, Duration duration) {
-  // consumed_ is bounded: once kMaxConsumedEntries distinct names exist,
-  // new names aggregate under "(other)".
-  auto it = consumed_.find(p.name());
-  if (it != consumed_.end()) {
-    it->second += duration;
-  } else if (consumed_.size() < kMaxConsumedEntries) {
-    consumed_.emplace(p.name(), duration);
-  } else {
-    consumed_["(other)"] += duration;
-  }
-  journal_span(obs::JournalEventKind::kCpuSegment, start, p, duration);
+void Cpu::complete_segment() {
+  consumed_total(running_->name()) += segment_.duration;
+  journal_span(obs::JournalEventKind::kCpuSegment, segment_start_, *running_,
+               segment_.duration);
+  running_ = nullptr;
+  // Moved out before it runs, so the dispatch below may reuse segment_.
+  const std::function<void()> done = std::move(segment_.on_complete);
+  if (done) done();
+  dispatch();
 }
 
 void Cpu::dispatch() {
@@ -62,32 +74,26 @@ void Cpu::dispatch() {
     // Highest priority wins; FIFO among equals (stable selection).
     auto best = ready_.begin();
     for (auto it = ready_.begin() + 1; it != ready_.end(); ++it) {
-      if ((*it)->priority() > (*best)->priority()) best = it;
+      if (it->process->priority() > best->process->priority()) best = it;
     }
-    Process* p = *best;
+    Process* p = best->process;
     auto segment = p->next_segment();
     if (!segment) {
       // Parked: out of work until made ready again.
       ready_.erase(best);
-      ready_since_.erase(p);
       continue;
     }
     running_ = p;
-    busy_until_ = sim_.now() + segment->duration;
-    const Time start = sim_.now();
+    segment_start_ = sim_.now();
+    segment_ = std::move(*segment);
     // Report how long this process waited for the core (segment-boundary
     // preemption latency, the paper's interrupt-latency axis).
-    if (auto waited = ready_since_.find(p); waited != ready_since_.end()) {
-      journal_span(obs::JournalEventKind::kCpuWait, waited->second, *p,
-                   start - waited->second);
-      ready_since_.erase(waited);
+    if (best->waiting_since != kNotWaiting) {
+      journal_span(obs::JournalEventKind::kCpuWait, best->waiting_since, *p,
+                   segment_start_ - best->waiting_since);
+      best->waiting_since = kNotWaiting;
     }
-    sim_.schedule_at(busy_until_, [this, p, start, seg = std::move(*segment)]() mutable {
-      record_segment(start, *p, seg.duration);
-      running_ = nullptr;
-      if (seg.on_complete) seg.on_complete();
-      dispatch();
-    });
+    sim_.schedule_at(busy_until(), [this] { complete_segment(); });
     return;
   }
 }

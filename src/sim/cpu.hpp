@@ -18,7 +18,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.hpp"
@@ -73,34 +73,46 @@ class Cpu {
   bool busy() const noexcept { return running_ != nullptr; }
   Process* running() const noexcept { return running_; }
   /// End time of the current segment (valid when busy()).
-  Time busy_until() const noexcept { return busy_until_; }
+  Time busy_until() const noexcept { return segment_start_ + segment_.duration; }
 
   /// Total CPU time consumed per process name.  At most
   /// kMaxConsumedEntries distinct names are tracked; beyond that, time is
   /// aggregated under "(other)" so dynamically-named processes cannot grow
-  /// the map without bound in long-running scenarios.
+  /// the table without bound in long-running scenarios.
   Duration consumed(const std::string& name) const;
 
   static constexpr std::size_t kMaxConsumedEntries = 4096;
 
  private:
+  /// A member of the ready set.  `waiting_since` is when it was made
+  /// ready on a busy core, for the preemption-wait span; kNotWaiting if
+  /// the core was idle then or it has been dispatched since.
+  struct Ready {
+    Process* process;
+    Time waiting_since;
+  };
+  static constexpr Time kNotWaiting = ~Time{0};
+
   void schedule_dispatch();
   void dispatch();
-  void record_segment(Time start, const Process& p, Duration duration);
+  void complete_segment();
+  Duration& consumed_total(std::string_view name);
 
   void journal_span(obs::JournalEventKind kind, Time start, const Process& p,
                     Duration duration);
 
   Simulator& sim_;
   std::string_view owner_;
-  std::vector<Process*> ready_;
+  std::vector<Ready> ready_;
   Process* running_ = nullptr;
-  Time busy_until_ = 0;
+  /// The running segment (valid when busy()); its completion event
+  /// captures only `this`.
+  Time segment_start_ = 0;
+  Segment segment_;
   bool dispatch_pending_ = false;
-  std::unordered_map<std::string, Duration> consumed_;
-  /// Processes waiting for the core while it is busy: arrival time of the
-  /// make_ready that found the CPU occupied, for preemption-wait spans.
-  std::unordered_map<const Process*, Time> ready_since_;
+  /// Per-name totals.  A core runs a handful of processes, so a linear
+  /// scan compares a few names where a hash map hashed one per segment.
+  std::vector<std::pair<std::string, Duration>> consumed_;
 };
 
 }  // namespace rasc::sim

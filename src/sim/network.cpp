@@ -56,18 +56,41 @@ Duration Link::transit_time(std::size_t bytes) {
   return transit;
 }
 
+Link::~Link() {
+  // Records of delivered copies hold stale handles, which cancel nothing.
+  for (Delivery& d : deliveries_) d.event.cancel();
+}
+
 void Link::deliver_after(Duration transit, support::Bytes payload, Handler handler,
                          std::uint64_t msg_id) {
+  std::uint32_t index = free_delivery_;
+  if (index != kNoDelivery) {
+    free_delivery_ = deliveries_[index].next_free;
+  } else {
+    index = static_cast<std::uint32_t>(deliveries_.size());
+    deliveries_.emplace_back();
+  }
+  Delivery& d = deliveries_[index];
+  d.payload = std::move(payload);
+  d.handler = std::move(handler);
+  d.msg_id = msg_id;
+  d.event = sim_.schedule_in(transit, [this, index] { deliver(index); });
   ++in_flight_;
-  sim_.schedule_in(transit, [this, token = std::weak_ptr<bool>(alive_), msg_id,
-                             payload = std::move(payload),
-                             handler = std::move(handler)]() mutable {
-    if (token.expired()) return;  // link destroyed while in flight
-    --in_flight_;
-    ++counters_.delivered;
-    journal(obs::JournalEventKind::kLinkDeliver, msg_id, payload.size());
-    handler(std::move(payload));
-  });
+}
+
+void Link::deliver(std::uint32_t index) {
+  // Empty the record and return it to the pool before the handler runs:
+  // the handler may send, which can grow (and move) the pool.
+  Delivery& d = deliveries_[index];
+  support::Bytes payload = std::move(d.payload);
+  const Handler handler = std::move(d.handler);
+  const std::uint64_t msg_id = d.msg_id;
+  d.next_free = free_delivery_;
+  free_delivery_ = index;
+  --in_flight_;
+  ++counters_.delivered;
+  journal(obs::JournalEventKind::kLinkDeliver, msg_id, payload.size());
+  handler(std::move(payload));
 }
 
 void Link::send(support::Bytes payload, Handler on_delivery) {

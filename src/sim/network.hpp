@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/obs/journal.hpp"
@@ -70,12 +69,16 @@ class Link {
 
   Link(Simulator& sim, LinkConfig config = {})
       : sim_(sim), config_(config), rng_(config.seed) {}
+  /// Cancels every delivery still in flight, so no event fires into a
+  /// destroyed link.  The Simulator must still be alive.
+  ~Link();
+  // In-flight delivery events point at this object.
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   /// Queue a message; the handler fires after the simulated transit time
   /// for every delivered copy (possibly twice under duplication, possibly
   /// with a flipped byte under corruption) unless the message is dropped.
-  /// In-flight deliveries hold only a weak reference to the link, so
-  /// destroying a Link cancels them instead of dereferencing freed memory.
   /// Each send is assigned a per-link message id (1, 2, ...) that tags
   /// every journal event of its fate, so a flight recording names the
   /// exact message that was dropped/duplicated/corrupted.
@@ -120,17 +123,29 @@ class Link {
   bool in_partition(Time t) const noexcept;
   void deliver_after(Duration transit, support::Bytes payload, Handler handler,
                      std::uint64_t msg_id);
+  void deliver(std::uint32_t index);
   void journal(obs::JournalEventKind kind, std::uint64_t msg_id, std::uint64_t b);
+
+  static constexpr std::uint32_t kNoDelivery = UINT32_MAX;
+  /// One in-flight copy of a message.  Records are pooled per link, so a
+  /// delivery event captures only the link and the record's index.
+  struct Delivery {
+    support::Bytes payload;
+    Handler handler;
+    EventHandle event;
+    std::uint64_t msg_id = 0;
+    std::uint32_t next_free = kNoDelivery;  ///< free-list link while unused
+  };
 
   Simulator& sim_;
   LinkConfig config_;
   support::Xoshiro256 rng_;
   LinkCounters counters_;
-  std::size_t in_flight_ = 0;
   std::uint64_t next_msg_id_ = 0;
   obs::ActorId journal_actor_;
-  /// Lifetime token observed (weakly) by in-flight delivery events.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  std::vector<Delivery> deliveries_;
+  std::uint32_t free_delivery_ = kNoDelivery;
+  std::uint32_t in_flight_ = 0;  ///< records in use
 };
 
 }  // namespace rasc::sim

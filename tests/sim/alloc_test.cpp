@@ -1,0 +1,144 @@
+// Heap-allocation guard for the event core and its hot clients.  This file
+// replaces the global operator new with a counting one, so it is its own
+// test binary: no other suite runs under the counter.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "src/apps/scenario.hpp"
+#include "src/sim/cpu.hpp"
+#include "src/sim/network.hpp"
+#include "src/sim/simulator.hpp"
+
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace rasc::sim {
+namespace {
+
+constexpr int kCycles = 1000;
+
+/// Heap allocations made while running `fn`.
+template <class Fn>
+std::size_t allocations_during(Fn&& fn) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(SimAlloc, CounterSeesHeapAllocations) {
+  EXPECT_GE(allocations_during([] { support::Bytes b(64); (void)b; }), 1u);
+}
+
+TEST(SimAlloc, SteadyStateScheduleFireCancelAllocatesNothing) {
+  Simulator sim;
+  std::uint64_t sum = 0;
+  // The event core's own clients capture `this` plus at most one word,
+  // which std::function holds inline.
+  const auto cycle = [&](int i) {
+    const Time t = sim.now();
+    const std::uint64_t step = static_cast<std::uint64_t>(i);
+    sim.schedule_at(t + 1 + static_cast<Time>(i % 7), [&sum, step] { sum += step; });
+    sim.schedule_in(0, [&sum, step] { sum += step + 1; });  // zero delay
+    sim.schedule_at(t / 2, [&sum] { ++sum; });              // clamped to now
+    EventHandle doomed = sim.schedule_in(3, [&sum, step] { sum += step + 2; });
+    doomed.cancel();
+    sim.run(3);
+  };
+  for (int i = 0; i < kCycles; ++i) cycle(i);  // warm the pool and the heap
+  const std::size_t n = allocations_during([&] {
+    for (int i = 0; i < kCycles; ++i) cycle(i);
+  });
+  EXPECT_EQ(n, 0u);
+  sim.run();
+  EXPECT_GT(sum, 0u);
+}
+
+/// One CPU segment per make_ready, like the writer task.
+class OneShot final : public Process {
+ public:
+  OneShot() : Process("app/one-shot", 1) {}
+  std::optional<Segment> next_segment() override {
+    if (!armed_) return std::nullopt;
+    armed_ = false;
+    return Segment{5, [this] { ++completions_; }};
+  }
+  void arm() { armed_ = true; }
+  int completions() const { return completions_; }
+
+ private:
+  bool armed_ = false;
+  int completions_ = 0;
+};
+
+TEST(SimAlloc, WarmCpuSegmentCycleAllocatesNothing) {
+  Simulator sim;
+  Cpu cpu(sim);
+  OneShot p;
+  const auto cycle = [&] {
+    p.arm();
+    cpu.make_ready(p);
+    sim.run();
+  };
+  cycle();  // first segment: the ready set and the consumed table grow
+  const std::size_t n = allocations_during([&] {
+    for (int i = 0; i < kCycles; ++i) cycle();
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(p.completions(), kCycles + 1);
+  EXPECT_EQ(cpu.consumed("app/one-shot"), 5u * (kCycles + 1));
+}
+
+TEST(SimAlloc, WarmLinkDeliveryOfMovedPayloadAllocatesNothing) {
+  Simulator sim;
+  Link link(sim, {});
+  support::Bytes held(64, 0xab);
+  std::size_t delivered = 0;
+  const auto cycle = [&] {
+    link.send(std::move(held), [&held, &delivered](support::Bytes payload) {
+      held = std::move(payload);
+      ++delivered;
+    });
+    sim.run();
+  };
+  cycle();  // warm-up
+  const std::size_t n = allocations_during([&] {
+    for (int i = 0; i < kCycles; ++i) cycle();
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(delivered, static_cast<std::size_t>(kCycles + 1));
+  EXPECT_EQ(held.size(), 64u);
+}
+
+TEST(SimAlloc, LockMatrixTrialStaysUnderTwoThousand) {
+  // One Table 1 trial as the lock_matrix campaign runs it: 32 x 512 B
+  // blocks with the writer on, ~60k events.  Everything counts: device,
+  // prover, verifier, campaign plumbing.
+  apps::LockScenarioConfig config;
+  config.blocks = 32;
+  config.block_size = 512;
+  config.writer_enabled = true;
+  config.seed = 1;
+  apps::LockScenarioOutcome outcome;
+  const std::size_t n = allocations_during([&] { outcome = apps::run_lock_scenario(config); });
+  EXPECT_TRUE(outcome.completed);
+  EXPECT_GT(outcome.writer_attempts_during, 0u);
+  EXPECT_LE(n, 2000u);
+  RecordProperty("allocations", static_cast<int>(n));
+}
+
+}  // namespace
+}  // namespace rasc::sim

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "src/obs/chrome_trace.hpp"
 
 namespace rasc::sim {
@@ -166,6 +169,31 @@ TEST(Cpu, ConsumedUnknownProcessIsZero) {
   Simulator sim;
   Cpu cpu(sim);
   EXPECT_EQ(cpu.consumed("ghost"), 0u);
+}
+
+TEST(Cpu, ConsumedOverflowAggregatesUnderOther) {
+  Simulator sim;
+  Cpu cpu(sim);
+  const std::size_t cap = Cpu::kMaxConsumedEntries;
+  std::vector<std::unique_ptr<ScriptedProcess>> procs;
+  const auto run_once = [&](const std::string& name, Duration d) {
+    procs.push_back(std::make_unique<ScriptedProcess>(name, 1, std::vector<Duration>{d}, sim));
+    cpu.make_ready(*procs.back());
+  };
+  for (std::size_t i = 0; i < cap + 3; ++i) run_once(std::to_string(i), 1);
+  sim.run();
+  EXPECT_EQ(cpu.consumed("0"), 1u);
+  EXPECT_EQ(cpu.consumed(std::to_string(cap - 1)), 1u);
+  // The three names past the cap share one bucket.
+  EXPECT_EQ(cpu.consumed(std::to_string(cap)), 0u);
+  EXPECT_EQ(cpu.consumed("(other)"), 3u);
+  // A tracked name keeps accumulating; a new one still lands in "(other)".
+  run_once("0", 10);
+  run_once("late", 20);
+  sim.run();
+  EXPECT_EQ(cpu.consumed("0"), 11u);
+  EXPECT_EQ(cpu.consumed("late"), 0u);
+  EXPECT_EQ(cpu.consumed("(other)"), 23u);
 }
 
 TEST(Cpu, TraceCapacityEvictsOldestRecords) {

@@ -106,14 +106,17 @@ TEST(Link, MessagesMayReorderOnlyWithJitter) {
 TEST(Link, DestroyedLinkCancelsInFlightDeliveries) {
   // Regression: the delivery event used to capture a raw `this`; a Link
   // destroyed with messages in flight made the event dereference freed
-  // memory.  With the lifetime token the delivery is silently cancelled.
+  // memory.  The Link's destructor cancels its in-flight delivery events,
+  // so they never run: nothing fires and the clock stays put.
   Simulator sim;
   auto link = std::make_unique<Link>(sim, LinkConfig{});
   bool fired = false;
   link->send(support::to_bytes("orphan"), [&](support::Bytes) { fired = true; });
   link.reset();  // destroy with the delivery still queued
-  sim.run();
+  EXPECT_EQ(sim.run(), 0u);
   EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.now(), 0u);
+  EXPECT_EQ(sim.events_fired(), 0u);
 }
 
 TEST(Link, SerializationRoundsToNearestInsteadOfTruncating) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <type_traits>
+#include <vector>
+
+#include "src/support/rng.hpp"
+
 namespace rasc::sim {
 namespace {
 
@@ -115,6 +122,236 @@ TEST(Simulator, EventsCanScheduleEvents) {
   sim.run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(sim.now(), 40u);
+}
+
+TEST(Simulator, NeitherCopyableNorMovable) {
+  // Handles and scheduled callbacks hold pointers to the Simulator.
+  static_assert(!std::is_copy_constructible_v<Simulator>);
+  static_assert(!std::is_copy_assignable_v<Simulator>);
+  static_assert(!std::is_move_constructible_v<Simulator>);
+  static_assert(!std::is_move_assignable_v<Simulator>);
+}
+
+TEST(Simulator, StaleHandleIgnoresItsSlotsNextOccupant) {
+  Simulator sim;
+  EventHandle fired_first = sim.schedule_at(10, [] {});
+  sim.run();
+  EventHandle cancelled_first = sim.schedule_at(15, [] {});
+  cancelled_first.cancel();
+  // Both slots are free again; the next two events reuse them.
+  int fired = 0;
+  EventHandle a = sim.schedule_at(20, [&] { ++fired; });
+  EventHandle b = sim.schedule_at(30, [&] { ++fired; });
+  EXPECT_FALSE(fired_first.pending());
+  EXPECT_FALSE(cancelled_first.pending());
+  fired_first.cancel();
+  cancelled_first.cancel();
+  EXPECT_TRUE(a.pending());
+  EXPECT_TRUE(b.pending());
+  sim.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(a.pending());
+}
+
+TEST(Simulator, HandleIsNotPendingWhileItsEventRuns) {
+  Simulator sim;
+  EventHandle self;
+  bool pending_inside = true;
+  self = sim.schedule_at(5, [&] {
+    pending_inside = self.pending();
+    self.cancel();  // a no-op on the running event
+  });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_FALSE(pending_inside);
+}
+
+TEST(Simulator, CancelledEventsStayQueuedUntilTheyWouldFire) {
+  // pending_events() feeds the journal's queue-depth samples, so it counts
+  // a cancelled event until the dispatcher reaches it, as a lazily pruned
+  // priority queue does.
+  Simulator sim;
+  EventHandle future = sim.schedule_at(10, [] {});
+  sim.schedule_at(20, [] {});
+  EventHandle now = sim.schedule_at(0, [] {});
+  EventHandle late = sim.schedule_at(40, [] {});
+  future.cancel();
+  now.cancel();
+  late.cancel();
+  EXPECT_EQ(sim.pending_events(), 4u);
+  EXPECT_EQ(sim.run(1), 1u);  // drops `now` and `future`, fires t = 20
+  EXPECT_EQ(sim.now(), 20u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(sim.empty());
+  // run_until drops a cancelled front entry even past its horizon.
+  EXPECT_EQ(sim.run_until(30), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.now(), 30u);
+}
+
+TEST(Simulator, ZeroDelayEventsFollowEarlierEventsDueNow) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(10, [&] {
+    order.push_back(1);
+    sim.schedule_in(0, [&] { order.push_back(4); });
+    sim.schedule_at(3, [&] { order.push_back(5); });  // clamped to 10
+  });
+  sim.schedule_at(10, [&] {
+    order.push_back(2);
+    sim.schedule_in(0, [&] { order.push_back(6); });
+  });
+  sim.schedule_at(10, [&] { order.push_back(3); });
+  sim.schedule_at(11, [&] { order.push_back(7); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+/// One fired event as a queue saw it: which, when, and the queue depth
+/// (cancelled entries included) left behind it.
+struct Firing {
+  std::size_t id;
+  Time time;
+  std::size_t depth;
+  bool operator==(const Firing&) const = default;
+};
+
+/// What event `id` does when it fires, the same for any queue whose order
+/// so far agrees: up to three children (zero-delay, clamped from the past,
+/// a near tie, or later) and sometimes a cancel of any id scheduled so
+/// far, which may be pending, cancelled, fired, or the running event.
+template <class Queue>
+void run_script(Queue& q, std::uint64_t seed, std::size_t id) {
+  support::Xoshiro256 script(seed * 1000003 + id);
+  if (q.scheduled() > 4000) return;  // let the run drain
+  const std::size_t children = script.below(4);
+  for (std::size_t c = 0; c < children; ++c) {
+    const Time now = q.now();
+    switch (script.below(4)) {
+      case 0: q.schedule(now); break;
+      case 1: q.schedule(now / 2); break;
+      case 2: q.schedule(now + 1 + script.below(3)); break;
+      default: q.schedule(now + script.below(1000)); break;
+    }
+  }
+  if (script.chance(0.3)) q.cancel(script.below(q.scheduled()));
+}
+
+struct SimulatorUnderTest {
+  std::uint64_t seed;
+  Simulator sim;
+  std::vector<EventHandle> handles;
+  std::vector<Firing> trace;
+
+  explicit SimulatorUnderTest(std::uint64_t s) : seed(s) {}
+  std::size_t scheduled() const { return handles.size(); }
+  Time now() const { return sim.now(); }
+  std::size_t depth() const { return sim.pending_events(); }
+  void schedule(Time t) {
+    const std::size_t id = handles.size();
+    handles.push_back(sim.schedule_at(t, [this, id] {
+      trace.push_back({id, sim.now(), sim.pending_events()});
+      run_script(*this, seed, id);
+    }));
+  }
+  void cancel(std::size_t id) { handles[id].cancel(); }
+  std::size_t run(std::size_t limit) { return sim.run(limit); }
+  std::size_t run_until(Time t) { return sim.run_until(t); }
+};
+
+/// The ordering contract without the event core: one priority queue of
+/// (time, seq) whose cancelled entries are dropped when they reach the
+/// top.
+struct ReferenceQueue {
+  struct Entry {
+    Time time;
+    std::uint64_t seq;
+    std::size_t id;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
+  };
+
+  std::uint64_t seed;
+  Time clock = 0;
+  std::uint64_t next_seq = 0;
+  std::vector<bool> done;  ///< fired or cancelled, by id
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue;
+  std::vector<Firing> trace;
+
+  explicit ReferenceQueue(std::uint64_t s) : seed(s) {}
+  std::size_t scheduled() const { return done.size(); }
+  Time now() const { return clock; }
+  std::size_t depth() const { return queue.size(); }
+  void schedule(Time t) {
+    queue.push(Entry{t < clock ? clock : t, next_seq++, done.size()});
+    done.push_back(false);
+  }
+  void cancel(std::size_t id) { done[id] = true; }
+  bool fire_next() {
+    while (!queue.empty()) {
+      const Entry e = queue.top();
+      queue.pop();
+      if (done[e.id]) continue;
+      done[e.id] = true;
+      clock = e.time;
+      trace.push_back({e.id, clock, queue.size()});
+      run_script(*this, seed, e.id);
+      return true;
+    }
+    return false;
+  }
+  std::size_t run(std::size_t limit) {
+    std::size_t fired = 0;
+    while (fired < limit && fire_next()) ++fired;
+    return fired;
+  }
+  std::size_t run_until(Time t) {
+    std::size_t fired = 0;
+    while (!queue.empty()) {
+      if (done[queue.top().id]) {
+        queue.pop();
+        continue;
+      }
+      if (queue.top().time > t) break;
+      if (fire_next()) ++fired;
+    }
+    if (clock < t) clock = t;
+    return fired;
+  }
+};
+
+TEST(Simulator, MatchesReferenceQueueUnderMixedSchedulesAndCancels) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    SimulatorUnderTest sim(seed);
+    ReferenceQueue ref(seed);
+    support::Xoshiro256 rng(seed);
+    for (int i = 0; i < 40; ++i) {
+      const Time t = rng.below(200);
+      sim.schedule(t);
+      ref.schedule(t);
+    }
+    // Alternate run(k) and run_until(t) calls, as scenarios and fleets do.
+    while (sim.depth() > 0 || ref.depth() > 0) {
+      if (rng.chance(0.5)) {
+        const std::size_t limit = 1 + rng.below(8);
+        ASSERT_EQ(sim.run(limit), ref.run(limit));
+      } else {
+        const Time until = sim.now() + rng.below(50);
+        ASSERT_EQ(sim.run_until(until), ref.run_until(until));
+      }
+      ASSERT_EQ(sim.now(), ref.now());
+      ASSERT_EQ(sim.depth(), ref.depth());
+    }
+    ASSERT_EQ(sim.trace.size(), ref.trace.size());
+    for (std::size_t i = 0; i < sim.trace.size(); ++i) {
+      ASSERT_EQ(sim.trace[i], ref.trace[i]) << "firing " << i;
+    }
+    EXPECT_GT(sim.trace.size(), 2000u);
+  }
 }
 
 TEST(FormatDuration, HumanReadable) {
