@@ -64,13 +64,12 @@ std::optional<ChallengeRequest> open_challenge_request(support::ByteView wire,
 
 OnDemandProtocol::OnDemandProtocol(sim::Device& prover_device, Verifier& verifier,
                                    AttestationProcess& mp, sim::Link& vrf_to_prv,
-                                   sim::Link& prv_to_vrf, Config config)
+                                   sim::Link& prv_to_vrf)
     : device_(prover_device),
       verifier_(verifier),
       mp_(mp),
       vrf_to_prv_(vrf_to_prv),
-      prv_to_vrf_(prv_to_vrf),
-      config_(config) {}
+      prv_to_vrf_(prv_to_vrf) {}
 
 void OnDemandProtocol::journal(obs::JournalEventKind kind, sim::Time time,
                                std::uint64_t a, std::uint64_t b) {
@@ -80,9 +79,10 @@ void OnDemandProtocol::journal(obs::JournalEventKind kind, sim::Time time,
 }
 
 void OnDemandProtocol::run(std::uint64_t counter,
-                           std::function<void(OnDemandTimings)> done) {
+                           std::function<void(const OnDemandTimings&)> done) {
   auto timings = std::make_shared<OnDemandTimings>();
   auto& sim = device_.sim();
+  timings->counter = counter;
 
   const support::Bytes challenge = verifier_.issue_challenge(kChallengeSize);
   timings->t_challenge_sent = sim.now();
@@ -121,9 +121,8 @@ void OnDemandProtocol::run(std::uint64_t counter,
 
     // Deferral: authenticate the request / wind down the previous task.
     ++pending_events_;
-    sim.schedule_in(config_.request_auth_delay, [this, timings,
-                                                 request = *request,
-                                                 done = std::move(done)]() mutable {
+    sim.schedule_in(kRequestAuthDelay, [this, timings, request = *request,
+                                        done = std::move(done)]() mutable {
       --pending_events_;
       timings->t_mp_started = device_.sim().now();
       MeasurementContext context{device_.id(), std::move(request.challenge),
@@ -133,23 +132,23 @@ void OnDemandProtocol::run(std::uint64_t counter,
         timings->t_s = result.t_s;
         timings->t_e = result.t_e;
         timings->t_r = result.t_r;
-        timings->attestation = std::move(result);
 
         // Ship the report; the wire bytes are what the verifier judges.
-        prv_to_vrf_.send(serialize_report_wire(timings->attestation.report),
+        prv_to_vrf_.send(serialize_report_wire(result.report),
                          [this, timings, done = std::move(done)](
                              support::Bytes report_wire) mutable {
           auto& sim = device_.sim();
           timings->t_report_received = sim.now();
           ++pending_events_;
-          sim.schedule_in(config_.verify_delay,
+          sim.schedule_in(kVerifyDelay,
                           [this, timings, report_wire = std::move(report_wire),
                            done = std::move(done)]() mutable {
             --pending_events_;
             timings->t_verified = device_.sim().now();
-            const auto parsed = parse_report_wire(report_wire);
+            auto parsed = parse_report_wire(report_wire);
             if (parsed) {
               timings->outcome = verifier_.verify(*parsed, /*expect_challenge=*/true);
+              timings->report = std::move(*parsed);
             } else {
               timings->report_wire_ok = false;
               timings->outcome = VerifyOutcome{};
@@ -157,8 +156,7 @@ void OnDemandProtocol::run(std::uint64_t counter,
               timings->outcome.counter_ok = false;
             }
             journal(obs::JournalEventKind::kProtocolRound, timings->t_challenge_sent,
-                    timings->attestation.report.counter,
-                    timings->t_verified - timings->t_challenge_sent);
+                    timings->counter, timings->t_verified - timings->t_challenge_sent);
             done(*timings);
           });
         });

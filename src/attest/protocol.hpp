@@ -48,7 +48,16 @@ std::optional<ChallengeRequest> open_challenge_request(support::ByteView wire,
 std::optional<ChallengeRequest> open_challenge_request(support::ByteView wire,
                                                        support::ByteView key);
 
+/// Request-authentication / task-teardown deferral on Prv before MP starts
+/// (the Figure 1 gap between arrival and t_s).
+inline constexpr sim::Duration kRequestAuthDelay = 300 * sim::kMicrosecond;
+/// Vrf-side verification latency.
+inline constexpr sim::Duration kVerifyDelay = 500 * sim::kMicrosecond;
+
+/// One round as the verifier saw it: the Figure 1 instants, the verdict
+/// and the report it judged.
 struct OnDemandTimings {
+  std::uint64_t counter = 0;        ///< the round's request counter
   sim::Time t_challenge_sent = 0;   ///< Vrf emits the request
   sim::Time t_request_received = 0; ///< request reaches Prv
   sim::Time t_mp_started = 0;       ///< MP dispatched (after auth/deferral)
@@ -61,25 +70,17 @@ struct OnDemandTimings {
   /// corruption garbled the structure); `outcome` is then all-fail.
   bool report_wire_ok = true;
   VerifyOutcome outcome;
-  AttestationResult attestation;
-};
-
-struct OnDemandConfig {
-  /// Request-authentication / task-teardown deferral on Prv before MP
-  /// starts (the Figure 1 gap between arrival and t_s).
-  sim::Duration request_auth_delay = 300 * sim::kMicrosecond;
-  /// Vrf-side verification latency.
-  sim::Duration verify_delay = 500 * sim::kMicrosecond;
+  /// The report `outcome` judged, as parsed from the delivered wire (what
+  /// a non-repudiation audit checks); empty when the wire did not parse.
+  Report report;
 };
 
 class OnDemandProtocol {
  public:
-  using Config = OnDemandConfig;
-
   /// All references must outlive the protocol object.
   OnDemandProtocol(sim::Device& prover_device, Verifier& verifier,
                    AttestationProcess& mp, sim::Link& vrf_to_prv,
-                   sim::Link& prv_to_vrf, Config config = {});
+                   sim::Link& prv_to_vrf);
 
   /// Run one attestation round; `done` fires at t_verified with the
   /// verdict of the wire-delivered report.  Counters must be strictly
@@ -87,7 +88,9 @@ class OnDemandProtocol {
   /// silently discards stale-counter requests as replays.  If the network
   /// drops a message the round never completes at this layer; wrap the
   /// protocol in a ReliableSession (session.hpp) for timeout/retry.
-  void run(std::uint64_t counter, std::function<void(OnDemandTimings)> done);
+  /// `done` fires once per delivered copy of the report, each time with
+  /// the round's one timeline.
+  void run(std::uint64_t counter, std::function<void(const OnDemandTimings&)> done);
 
   /// Prover-side request rejections (diagnostics for the session layer).
   std::size_t requests_rejected_replay() const noexcept { return rejected_replay_; }
@@ -124,7 +127,6 @@ class OnDemandProtocol {
   AttestationProcess& mp_;
   sim::Link& vrf_to_prv_;
   sim::Link& prv_to_vrf_;
-  Config config_;
   bool prover_counter_seen_ = false;
   std::uint64_t prover_last_counter_ = 0;
   std::size_t rejected_replay_ = 0;

@@ -63,18 +63,11 @@ sim::Duration AttestationProcess::finalize_cost() const {
 void AttestationProcess::ensure_tree() {
   if (tree_) return;
   tree_digester_.emplace(config_.mac, config_.hash, device_.attestation_key());
+  // The leaf function only primes (provisioning, outside sim time); a
+  // round lands its digests through the measurement and apply_digest.
   tree_.emplace(device_.memory(), config_.hash,
-                [this](std::size_t block, support::ByteView content, Digest& out) {
-                  if (measurement_) {
-                    // In-round path: route through the measurement so the
-                    // digest cache and journal see exactly what flat mode
-                    // would (hits/misses are bit-identical).
-                    measurement_->visit_block(block, tree_now_);
-                    out = measurement_->visited_digest(block);
-                  } else {
-                    // Host-side priming (provisioning), outside sim time.
-                    tree_digester_->digest(content, out);
-                  }
+                [this](std::size_t, support::ByteView content, Digest& out) {
+                  tree_digester_->digest(content, out);
                 });
 }
 
@@ -193,7 +186,6 @@ void AttestationProcess::start(MeasurementContext context,
   if (config_.use_merkle_tree) planned_nodes_ = tree_->tree().plan_rehash(order_);
   next_index_ = 0;
   result_ = AttestationResult{};
-  result_.order = order_;
   done_ = std::move(done);
   stage_ = Stage::kLock;
   requested_at_ = device_.sim().now();
@@ -254,8 +246,10 @@ void AttestationProcess::complete_lock() {
 void AttestationProcess::visit_one(std::size_t block, sim::Time visit_time) {
   auto& mem = device_.memory();
   if (config_.use_merkle_tree) {
-    tree_now_ = visit_time;
-    tree_->refresh_one(block);  // leaf fn -> measurement_->visit_block
+    // Through the measurement, so the digest cache and journal see exactly
+    // what flat mode would, then into the tree — as complete_atomic does.
+    measurement_->visit_block(block, visit_time);
+    tree_->apply_digest(block, measurement_->visited_digest(block));
   } else {
     measurement_->visit_block(block, visit_time,
                               policy_ ? policy_->block_source(mem, block)
@@ -279,7 +273,7 @@ void AttestationProcess::complete_atomic() {
     // Tree mode reads live memory (snapshot policies are rejected at
     // start): batch-visit through the measurement — cache lookups and
     // journal events are bit-identical to the per-block path — then land
-    // each digest in the tree exactly as refresh_one would have.
+    // each digest in the tree exactly as visit_one does.
     measurement_->visit_blocks(order_, visit_time);
     for (std::size_t block : order_) {
       tree_->apply_digest(block, measurement_->visited_digest(block));
@@ -377,6 +371,7 @@ void AttestationProcess::finish() {
   if (signer_ != nullptr && config_.signature) sign_report(report, *signer_);
 
   result_.report = std::move(report);
+  result_.order = std::move(order_);
   result_.visit_times = measurement_->visit_times();
 
   const sim::Duration delay = policy_ ? policy_->release_delay() : 0;
@@ -407,7 +402,7 @@ void AttestationProcess::finish() {
     // Move out first: the callback may start a new measurement.
     auto done = std::move(done_);
     done_ = nullptr;
-    done(result_);
+    done(std::move(result_));
   }
 }
 

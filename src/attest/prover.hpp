@@ -202,7 +202,6 @@ class AttestationProcess final : public sim::Process {
   std::optional<mtree::IncrementalTree> tree_;     ///< persists across rounds
   std::optional<BlockDigester> tree_digester_;     ///< host-side priming path
   std::size_t planned_nodes_ = 0;  ///< tree nodes this round will re-hash
-  sim::Time tree_now_ = 0;         ///< visit time plumbed into the leaf fn
   std::vector<bool> proof_backlog_flag_;       ///< block -> in backlog
   std::vector<std::uint32_t> proof_backlog_;   ///< unacknowledged dirty blocks
   std::vector<std::size_t> order_;

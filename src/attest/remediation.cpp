@@ -53,8 +53,8 @@ RemediationService::~RemediationService() = default;
 void RemediationService::run(std::uint64_t counter,
                              std::function<void(RemediationOutcome)> done) {
   auto outcome = std::make_shared<RemediationOutcome>();
-  protocol_.run(counter, [this, outcome, counter,
-                          done = std::move(done)](OnDemandTimings first) mutable {
+  protocol_.run(counter, [this, outcome, counter, done = std::move(done)](
+                             const OnDemandTimings& first) mutable {
     outcome->first_verdict = first.outcome;
     if (first.outcome.ok()) {
       outcome->final_verdict = first.outcome;
@@ -71,7 +71,7 @@ void RemediationService::run(std::uint64_t counter,
       updater_->begin(std::move(image), [this, outcome, counter,
                                          done = std::move(done)]() mutable {
         protocol_.run(counter + 1, [this, outcome, done = std::move(done)](
-                                       OnDemandTimings second) mutable {
+                                       const OnDemandTimings& second) mutable {
           outcome->final_verdict = second.outcome;
           outcome->reattested_ok = second.outcome.ok();
           outcome->finished_at = device_.sim().now();

@@ -34,8 +34,7 @@ ReliableSession::ReliableSession(sim::Device& prover_device, Verifier& verifier,
     : device_(prover_device),
       mp_(mp),
       config_(std::move(config)),
-      protocol_(prover_device, verifier, mp, vrf_to_prv, prv_to_vrf,
-                config_.protocol),
+      protocol_(prover_device, verifier, mp, vrf_to_prv, prv_to_vrf),
       rng_(config_.seed),
       journal_label_("session/" + prover_device.id()) {}
 
@@ -73,15 +72,15 @@ void ReliableSession::start_attempt() {
   const std::uint64_t counter = next_counter_++;
   journal(obs::JournalEventKind::kSessionAttempt, seq, state_->result.attempts,
           counter);
-  protocol_.run(counter, [this, seq](OnDemandTimings timings) {
-    on_attempt_report(seq, std::move(timings));
+  protocol_.run(counter, [this, seq](const OnDemandTimings& timings) {
+    on_attempt_report(seq, timings);
   });
   state_->timeout = sim.schedule_in(config_.response_timeout,
                                     [this, seq] { on_attempt_timeout(seq); });
 }
 
 void ReliableSession::on_attempt_report(std::uint64_t round_seq,
-                                        OnDemandTimings timings) {
+                                        const OnDemandTimings& timings) {
   if (state_ == nullptr || state_->round_seq != round_seq) {
     // The round already resolved (e.g. a duplicated copy of the winning
     // report, or an answer that outlived its whole round): reject without
@@ -121,7 +120,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
     return;
   }
   result.verdict = timings.outcome;
-  result.timings = std::move(timings);
+  state_->decisive_measure_time = timings.t_e - timings.t_s;
   resolve(result.verdict.digest_ok ? SessionOutcome::kVerified
                                    : SessionOutcome::kCompromised);
 }
@@ -216,8 +215,7 @@ void ReliableSession::resolve(SessionOutcome outcome) {
   // A decisive verdict means some report reached Vrf, and every report
   // carries the full proof backlog — safe to stop re-proving it.
   if (decisive) mp_.clear_proof_backlog();
-  const sim::Duration useful =
-      decisive ? result.timings.attestation.t_e - result.timings.attestation.t_s : 0;
+  const sim::Duration useful = state.decisive_measure_time;  // 0 unless decisive
   result.wasted_measure_time =
       result.measure_time > useful ? result.measure_time - useful : 0;
 

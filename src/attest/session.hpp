@@ -64,7 +64,6 @@ struct SessionConfig {
   /// schedule a retry absurdly far into the simulated future.
   sim::Duration backoff_max = 60 * sim::kSecond;
   std::uint64_t seed = 0x5e5510;
-  OnDemandConfig protocol;
 };
 
 /// Everything a resolved round reports back.
@@ -83,7 +82,6 @@ struct RoundResult {
   /// whose report was lost, stale or corrupted).
   sim::Duration measure_time = 0;
   sim::Duration wasted_measure_time = 0;
-  OnDemandTimings timings;          ///< decisive attempt's Figure 1 timeline
 };
 
 /// Counters of one session, or summed over several.  Round outcomes and
@@ -157,13 +155,14 @@ class ReliableSession {
     bool saw_corrupt = false;
     bool saw_replay = false;
     sim::Duration measure_time_at_start = 0;
+    sim::Duration decisive_measure_time = 0;  ///< t_e - t_s of the deciding report
     sim::EventHandle timeout;
     sim::EventHandle retry;
     std::function<void(RoundResult)> done;
   };
 
   void start_attempt();
-  void on_attempt_report(std::uint64_t round_seq, OnDemandTimings timings);
+  void on_attempt_report(std::uint64_t round_seq, const OnDemandTimings& timings);
   void on_attempt_timeout(std::uint64_t round_seq);
   void schedule_retry();
   void resolve(SessionOutcome outcome);

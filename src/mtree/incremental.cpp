@@ -75,7 +75,7 @@ std::vector<std::size_t> IncrementalTree::collect_dirty() {
     if (!hashed_once_[block] ||
         memory_.block_generation(block) != hashed_generations_[block]) {
       dirty.push_back(block);
-      keep.push_back(block);  // note survives until refresh_one lands it
+      keep.push_back(block);  // note survives until apply_digest lands it
     } else {
       observed_flag_[block] = false;
     }
@@ -83,8 +83,6 @@ std::vector<std::size_t> IncrementalTree::collect_dirty() {
   observed_ = std::move(keep);
   return dirty;
 }
-
-void IncrementalTree::refresh_one(std::size_t block) { refresh_block(block); }
 
 void IncrementalTree::apply_digest(std::size_t block, const Digest& digest) {
   tree_.set_leaf(block, digest);

@@ -63,18 +63,15 @@ class IncrementalTree {
 
   /// The blocks a refresh would re-digest right now, ascending.  In
   /// observed mode the note for each returned block *survives* until
-  /// refresh_one() lands it, so an aborted round can never strand a stale
+  /// apply_digest() lands it, so an aborted round can never strand a stale
   /// leaf; notes for blocks whose generation already matches are dropped.
   std::vector<std::size_t> collect_dirty();
 
-  /// Re-digest one block and mark its tree path dirty (no flush).
-  void refresh_one(std::size_t block);
-
-  /// Land an externally computed digest for `block` (no flush): exactly
-  /// refresh_one() minus the leaf_fn call.  Callers that batch their leaf
-  /// digests (multi-lane visit_blocks, golden-image priming) compute many
-  /// digests at once and then land each here; the caller must guarantee
-  /// `digest` is the digest of the block's current content.
+  /// Land an externally computed digest for `block` and mark its tree
+  /// path dirty (no flush).  The tree-mode prover digests each collected
+  /// block through its measurement (one at a time or in multi-lane
+  /// batches) and lands it here; the caller must guarantee `digest` is
+  /// the digest of the block's current content.
   void apply_digest(std::size_t block, const Digest& digest);
 
   /// Prime every leaf from externally computed digests (one per block, in
@@ -84,7 +81,7 @@ class IncrementalTree {
   /// digests across a shard wave before any infection is applied).
   RehashStats prime_with(std::span<const Digest> leaves);
 
-  /// Flush the tree paths dirtied by refresh_one() calls.
+  /// Flush the tree paths dirtied by apply_digest() calls.
   RehashStats flush_tree();
 
   bool primed() const noexcept { return primed_; }

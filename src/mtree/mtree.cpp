@@ -276,7 +276,11 @@ std::optional<MtreeProof> MtreeProof::parse(support::ByteView wire, std::size_t&
     return std::nullopt;
   }
   proof.hash = static_cast<crypto::HashKind>(hash_raw);
-  if (digest_size == 0 || digest_size > Digest::kMaxSize) return std::nullopt;
+  // The width must be the kind's (0 for an unknown kind): serialize() —
+  // which the report MAC check runs — refuses anything else.
+  if (digest_size == 0 || digest_size != crypto::hash_digest_size(proof.hash)) {
+    return std::nullopt;
+  }
   // Bound counts by the bytes actually present before reserving anything.
   if (proof.leaf_count == 0 ||
       remaining() / digest_size < proof.leaf_count) {

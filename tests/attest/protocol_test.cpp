@@ -118,7 +118,7 @@ TEST(Protocol, TamperedChallengeRequestIsRejected) {
 TEST(Protocol, ReportWireRoundTripsAndRejectsTruncation) {
   SessionHarness fx;
   Report captured;
-  fx.protocol.run(1, [&](OnDemandTimings t) { captured = t.attestation.report; });
+  fx.protocol.run(1, [&](OnDemandTimings t) { captured = t.report; });
   fx.simulator.run();
   const support::Bytes wire = serialize_report_wire(captured);
   const auto parsed = parse_report_wire(wire);

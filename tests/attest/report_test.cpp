@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/mtree/mtree.hpp"
 
 namespace rasc::attest {
@@ -136,6 +138,26 @@ TEST(Report, TreeWireParseRejectsTruncation) {
   for (std::size_t cut = wire.size() - 40; cut < wire.size(); ++cut) {
     EXPECT_FALSE(parse_report_wire(support::ByteView(wire.data(), cut)).has_value())
         << "cut at " << cut;
+  }
+}
+
+TEST(Report, TreeWireParseRejectsProofHashOfAnotherWidth) {
+  // A flipped proof hash field must garble the wire.  Parsed, the proof's
+  // digests would not be its kind's width, and the MAC check's
+  // re-serialization throws on that.
+  Report r = make_tree_report();
+  authenticate_report(r, to_bytes("key"));
+  const support::Bytes wire = serialize_report_wire(r);
+  ASSERT_TRUE(parse_report_wire(wire).has_value());
+  const support::Bytes proof = r.proofs[0].serialize();
+  const auto at = std::search(wire.begin(), wire.end(), proof.begin(), proof.end());
+  ASSERT_NE(at, wire.end());
+  const std::size_t hash_field = static_cast<std::size_t>(at - wire.begin()) + 12;
+  for (const std::uint32_t kind :
+       {static_cast<std::uint32_t>(crypto::HashKind::kSha512), 0x7fu}) {
+    support::Bytes tampered = wire;
+    support::put_u32_be(support::MutableByteView(tampered).subspan(hash_field, 4), kind);
+    EXPECT_FALSE(parse_report_wire(tampered).has_value()) << "hash kind " << kind;
   }
 }
 

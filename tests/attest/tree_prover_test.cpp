@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "src/attest/prover.hpp"
 #include "src/attest/verifier.hpp"
+#include "src/obs/journal.hpp"
 #include "src/support/rng.hpp"
 
 namespace rasc::attest {
@@ -234,6 +237,69 @@ TEST(TreeProver, ShuffledTraversalStillLocalizes) {
   ASSERT_EQ(verdict.localized.size(), 1u);
   EXPECT_EQ(verdict.localized.front().first, 3u);
   EXPECT_EQ(verdict.localized.front().count, 3u);
+}
+
+/// Two rounds of a primed tree-mode prover in `mode` over a fresh Fixture,
+/// with the same dirty blocks and contexts whatever the mode.
+struct TreeRounds {
+  std::vector<support::Bytes> roots;
+  std::vector<Report> reports;
+  /// Digest-cache journal events as (kind, block, generation).
+  std::vector<std::tuple<obs::JournalEventKind, std::uint64_t, std::uint64_t>>
+      cache_events;
+};
+
+TreeRounds run_tree_rounds(ExecutionMode mode) {
+  Fixture fx;
+  obs::EventJournal journal;
+  fx.simulator.set_journal(&journal);
+  ProverConfig config = tree_config();
+  config.mode = mode;
+  AttestationProcess mp(fx.device, config);
+  mp.prime_tree();
+  TreeRounds out;
+  const std::vector<std::vector<std::size_t>> dirty{{3, 4, 5, 17, 30}, {0, 4, 31}};
+  for (std::size_t round = 0; round < dirty.size(); ++round) {
+    for (std::size_t block : dirty[round]) fx.infect(block);
+    mp.start(MeasurementContext{fx.device.id(), to_bytes("one-challenge"), round + 1},
+             [&](AttestationResult result) {
+               out.reports.push_back(std::move(result.report));
+             });
+    fx.simulator.run();
+    out.roots.push_back(mp.tree()->root_bytes());
+  }
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    const obs::JournalEvent& ev = journal.at(i);
+    if (ev.kind == obs::JournalEventKind::kCacheHit ||
+        ev.kind == obs::JournalEventKind::kCacheMiss ||
+        ev.kind == obs::JournalEventKind::kCacheInvalidate) {
+      out.cache_events.emplace_back(ev.kind, ev.a, ev.b);
+    }
+  }
+  return out;
+}
+
+TEST(TreeProver, BothExecutionModesLandTheSameDigests) {
+  // One digest per step or one multi-lane batch: both modes visit through
+  // the measurement and land each digest with apply_digest.
+  const TreeRounds stepped = run_tree_rounds(ExecutionMode::kInterruptible);
+  const TreeRounds atomic = run_tree_rounds(ExecutionMode::kAtomic);
+  ASSERT_EQ(stepped.reports.size(), 2u);
+  ASSERT_EQ(atomic.reports.size(), 2u);
+  EXPECT_EQ(stepped.roots, atomic.roots);
+  for (std::size_t r = 0; r < 2; ++r) {
+    const Report& a = stepped.reports[r];
+    const Report& b = atomic.reports[r];
+    EXPECT_EQ(a.tree_root, stepped.roots[r]);
+    EXPECT_EQ(a.measurement, b.measurement);
+    ASSERT_EQ(a.proofs.size(), b.proofs.size());
+    for (std::size_t p = 0; p < a.proofs.size(); ++p) {
+      EXPECT_EQ(a.proofs[p].serialize(), b.proofs[p].serialize()) << r << "/" << p;
+    }
+  }
+  // Every visited block was looked up in the digest cache, in visit order.
+  EXPECT_EQ(stepped.cache_events.size(), 8u);
+  EXPECT_EQ(stepped.cache_events, atomic.cache_events);
 }
 
 }  // namespace

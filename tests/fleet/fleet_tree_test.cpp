@@ -134,6 +134,20 @@ TEST(FleetTree, ReplayReproducesTreeModeVerdicts) {
   }
 }
 
+TEST(FleetTree, CorruptedProofHashIsAGarbledReport) {
+  // At 20% corruption, seed 2 flips a byte of some proof's hash field in
+  // transit.  The verifier must count that report as garbled and the
+  // session retry, not throw out of run() re-serializing the proof.
+  FleetConfig config = tree_config(256, /*seed=*/2);
+  config.infected_fraction = 0.5;
+  config.corrupt_probability = 0.2;
+  config.session.backoff_jitter = attest::SessionConfig{}.backoff_jitter;
+  FleetVerifier fleet(config);
+  const FleetResult result = fleet.run();
+  EXPECT_TRUE(testfx::fleet_fully_resolved(result));
+  EXPECT_GT(result.health.outcome_count(obs::RoundOutcome::kCompromised), 0u);
+}
+
 TEST(FleetTree, ShardRootsAggregateIntoFleetRoot) {
   FleetConfig config = tree_config(32);
   config.shards = 4;

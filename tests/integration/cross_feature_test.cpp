@@ -76,11 +76,12 @@ TEST(CrossFeature, SignedReportsOverProtocolProvideNonRepudiation) {
   sim::Link up(simulator, {}), down(simulator, {});
   attest::OnDemandProtocol protocol(device, verifier, mp, up, down);
   bool checked = false;
-  protocol.run(1, [&](attest::OnDemandTimings t) {
+  protocol.run(1, [&](const attest::OnDemandTimings& t) {
     EXPECT_TRUE(t.outcome.ok());
-    // Anyone holding only the *public* key can audit the report.
-    EXPECT_TRUE(report_signature_valid(t.attestation.report, *signer));
-    attest::Report tampered = t.attestation.report;
+    // Anyone holding only the *public* key can audit the report that
+    // crossed the wire.
+    EXPECT_TRUE(report_signature_valid(t.report, *signer));
+    attest::Report tampered = t.report;
     tampered.counter ^= 1;
     EXPECT_FALSE(report_signature_valid(tampered, *signer));
     checked = true;

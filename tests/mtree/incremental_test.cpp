@@ -19,6 +19,13 @@ IncrementalTree::LeafDigestFn sha_leaf() {
   };
 }
 
+/// What sha_leaf() makes of `block`'s live content.
+Digest leaf_digest(const sim::DeviceMemory& memory, std::size_t block) {
+  Digest out;
+  sha_leaf()(block, memory.block_view(block), out);
+  return out;
+}
+
 struct Fixture {
   sim::DeviceMemory memory{kBlocks * kBlockSize, kBlockSize};
   IncrementalTree tree;
@@ -105,7 +112,9 @@ TEST(IncrementalTree, SplitRefreshMatchesMonolithicRefresh) {
 
   const std::vector<std::size_t> dirty = split.tree.collect_dirty();
   EXPECT_EQ(dirty, (std::vector<std::size_t>{1, 9}));
-  for (const std::size_t block : dirty) split.tree.refresh_one(block);
+  for (const std::size_t block : dirty) {
+    split.tree.apply_digest(block, leaf_digest(split.memory, block));
+  }
   const RehashStats split_stats = split.tree.flush_tree();
   const RehashStats mono_stats = mono.tree.refresh();
   EXPECT_EQ(split_stats.dirty_leaves, mono_stats.dirty_leaves);
@@ -123,9 +132,9 @@ TEST(IncrementalTree, ObservedNoteSurvivesAbortedCollect) {
   // A round collects the dirty block but aborts before refreshing it.
   EXPECT_EQ(fx.tree.collect_dirty(), (std::vector<std::size_t>{4}));
   // The next round must still see it — the note is not consumed until
-  // refresh_one() lands the new digest.
+  // apply_digest() lands the new digest.
   EXPECT_EQ(fx.tree.collect_dirty(), (std::vector<std::size_t>{4}));
-  fx.tree.refresh_one(4);
+  fx.tree.apply_digest(4, leaf_digest(fx.memory, 4));
   fx.tree.flush_tree();
   EXPECT_TRUE(fx.tree.collect_dirty().empty());
 }

@@ -1,6 +1,7 @@
-// Heap-allocation guard for the event core and its hot clients.  This file
-// replaces the global operator new with a counting one, so it is its own
-// test binary: no other suite runs under the counter.
+// Heap-allocation guard for the event core, its hot clients and one
+// attested session round.  This file replaces the global operator new
+// with a counting one, so it is its own test binary: no other suite runs
+// under the counter.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <new>
 
 #include "src/apps/scenario.hpp"
+#include "src/attest/stack.hpp"
 #include "src/sim/cpu.hpp"
 #include "src/sim/network.hpp"
 #include "src/sim/simulator.hpp"
@@ -137,6 +139,32 @@ TEST(SimAlloc, LockMatrixTrialStaysUnderTwoThousand) {
   EXPECT_TRUE(outcome.completed);
   EXPECT_GT(outcome.writer_attempts_during, 0u);
   EXPECT_LE(n, 2000u);
+  RecordProperty("allocations", static_cast<int>(n));
+}
+
+TEST(SimAlloc, WarmCleanSessionRoundStaysUnderThirtySix) {
+  // One round of a warm attest::Stack over lossless links, sized like a
+  // fleet device: challenge, sealed request, measurement, report wire and
+  // verdict.  Each layer hands its result up once, by move or const&.
+  Simulator sim;
+  const support::Bytes image = support::random_bytes(3, 4 * 64);
+  attest::StackConfig config;
+  config.device = {"prv-alloc", image.size(), 64, support::to_bytes("k")};
+  config.challenge_key = attest::make_challenge_key(1);
+  attest::Stack stack(sim, config, image);
+  const auto round = [&] {
+    bool verified = false;
+    stack.session.run([&verified](attest::RoundResult result) {
+      verified = result.outcome == attest::SessionOutcome::kVerified;
+    });
+    sim.run();
+    return verified;
+  };
+  ASSERT_TRUE(round());  // warm-up: pools, caches and the golden's lookups
+  bool verified = false;
+  const std::size_t n = allocations_during([&] { verified = round(); });
+  EXPECT_TRUE(verified);
+  EXPECT_LE(n, 36u);
   RecordProperty("allocations", static_cast<int>(n));
 }
 
