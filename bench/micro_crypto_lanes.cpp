@@ -11,9 +11,14 @@
 ///  2. Lane throughput — lanes=1 (reused scalar state) vs LaneHasher<4>
 ///     and LaneHasher<8> on the portable fallback and, when compiled, the
 ///     SIMD backend.  Best-of-K timing; exits non-zero unless portable
-///     4-way SHA-256 is at least 2x the scalar loop (the ISSUE 9
-///     acceptance bar; ratios are taken within one process run so they
-///     survive noisy CI machines).
+///     4-way SHA-256 is at least 2x the scalar loop (ratios are taken
+///     within one process run so they survive noisy CI machines).  The
+///     SHA-256 scalar reference is the portable core, explicitly: that is
+///     what the 2x bar was set against, while Sha256 itself runs the SHA-NI
+///     kernel on CPUs with the SHA extensions.  There, two informational
+///     rows time that kernel (one stream through Sha256, pairs through
+///     digest_many) against the same portable reference; they are not in
+///     the committed baseline, which a CPU without SHA-NI must also meet.
 ///  3. Per-block MAC cost — CBC-MAC vs HMAC-SHA256 vs BLAKE2s through
 ///     BlockDigester::digest at the exact measurement block sizes (64 B
 ///     fleet blocks, 4096 B micro_measurement blocks), in blocks/s.
@@ -32,6 +37,8 @@
 #include "src/attest/measurement.hpp"
 #include "src/crypto/hash.hpp"
 #include "src/crypto/lanes.hpp"
+#include "src/crypto/sha256.hpp"
+#include "src/crypto/sha256_core.hpp"
 #include "src/obs/bench_io.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/support/rng.hpp"
@@ -130,8 +137,22 @@ Throughput best_of(const std::function<void()>& rep) {
   return {best, static_cast<double>(kMsgBytes * kMsgCount) / best / 1e6};
 }
 
+/// Portable-core SHA-256 loop: the scalar reference of the lane bar on
+/// every CPU.
+Throughput sha256_portable_throughput(const support::Bytes& pool, support::Bytes& sink) {
+  return best_of([&] {
+    for (std::size_t m = 0; m < kMsgCount; ++m) {
+      auto state = std::to_array(crypto::detail::kSha256Iv);
+      crypto::detail::sha256_finish_portable(state.data(), pool.data() + m * kMsgBytes,
+                                             kMsgBytes, kMsgBytes,
+                                             sink.data() + m * crypto::Sha256::kDigestSize);
+    }
+  });
+}
+
 /// Scalar loop with one reused hash state (the allocation-free baseline —
-/// what BlockDigester's scalar path does per block).
+/// what BlockDigester's scalar path does per block).  For SHA-256 this runs
+/// the active kernel (sha256_kernel_name()).
 Throughput scalar_throughput(crypto::HashKind kind, const support::Bytes& pool,
                              support::Bytes& sink) {
   auto hasher = crypto::make_hash(kind);
@@ -143,6 +164,19 @@ Throughput scalar_throughput(crypto::HashKind kind, const support::Bytes& pool,
           support::MutableByteView(sink.data() + m * digest_size, digest_size));
     }
   });
+}
+
+/// digest_many over the whole pool (SHA-256 pairs on a SHA-NI CPU).
+Throughput many_throughput(crypto::HashKind kind, const support::Bytes& pool,
+                           support::Bytes& sink) {
+  const std::size_t digest_size = crypto::hash_digest_size(kind);
+  std::vector<support::ByteView> views(kMsgCount);
+  std::vector<support::MutableByteView> outs(kMsgCount);
+  for (std::size_t m = 0; m < kMsgCount; ++m) {
+    views[m] = support::ByteView(pool.data() + m * kMsgBytes, kMsgBytes);
+    outs[m] = support::MutableByteView(sink.data() + m * digest_size, digest_size);
+  }
+  return best_of([&] { crypto::digest_many(kind, views, outs); });
 }
 
 template <std::size_t N>
@@ -193,10 +227,11 @@ double block_mac_blocks_per_s(attest::MacKind mac, crypto::HashKind hash,
 
 int main() {
   std::printf("=== multi-lane digest gate ===\n");
-  std::printf("backends: portable%s%s; auto packs %zu lanes (%s)\n\n",
+  std::printf("backends: portable%s%s; auto packs %zu lanes (%s)\n",
               crypto::simd_compiled() ? ", simd" : "",
               crypto::avx2_active() ? " (avx2)" : "",
               crypto::preferred_lanes(), crypto::lane_backend_name());
+  std::printf("sha-256 kernel: %s\n\n", crypto::sha256_kernel_name());
 
   obs::MetricsRegistry registry;
   bool ok = true;
@@ -236,10 +271,13 @@ int main() {
       {"hash", "backend", "lanes", "best s", "MB/s", "speedup"});
   for (const auto kind : kinds) {
     const std::string label = hash_label(kind);
-    const Throughput scalar = scalar_throughput(kind, pool, sink);
+    const bool sha = kind == crypto::HashKind::kSha256;
+    const Throughput scalar = sha ? sha256_portable_throughput(pool, sink)
+                                  : scalar_throughput(kind, pool, sink);
     registry.gauge("crypto_lanes." + label + ".scalar_seconds").set(scalar.seconds);
     registry.gauge("crypto_lanes." + label + ".scalar_mb_per_s").set(scalar.mb_per_s);
-    table.add_row({label, "scalar", "1", support::fmt_double(scalar.seconds, 4),
+    table.add_row({label, sha ? "portable core" : "scalar", "1",
+                   support::fmt_double(scalar.seconds, 4),
                    support::fmt_double(scalar.mb_per_s, 1), "1.0"});
     for (const auto backend : backends) {
       const bool portable = backend == crypto::LaneBackend::kPortable;
@@ -258,6 +296,22 @@ int main() {
                      support::fmt_double(x4.mb_per_s, 1), support::fmt_double(s4, 2)});
       table.add_row({label, bname, "8", support::fmt_double(x8.seconds, 4),
                      support::fmt_double(x8.mb_per_s, 1), support::fmt_double(s8, 2)});
+    }
+    if (sha && crypto::sha256_hardware_active()) {
+      const struct {
+        const char* lanes;
+        Throughput t;
+      } rows[] = {{"1", scalar_throughput(kind, pool, sink)},
+                  {"2", many_throughput(kind, pool, sink)}};
+      for (const auto& row : rows) {
+        const double speedup = scalar.seconds / row.t.seconds;
+        const std::string leaf = "crypto_lanes.sha256.sha_ni_x" + std::string(row.lanes);
+        registry.gauge(leaf + "_speedup").set(speedup);
+        registry.gauge(leaf + "_mb_per_s").set(row.t.mb_per_s);
+        table.add_row({label, "sha-ni", row.lanes, support::fmt_double(row.t.seconds, 4),
+                       support::fmt_double(row.t.mb_per_s, 1),
+                       support::fmt_double(speedup, 2)});
+      }
     }
   }
   std::printf("\n%s\n", table.render().c_str());

@@ -36,6 +36,7 @@
 #include "src/attest/golden.hpp"
 #include "src/attest/measurement.hpp"
 #include "src/attest/stack.hpp"
+#include "src/crypto/sha256.hpp"
 #include "src/exp/report.hpp"
 #include "src/mtree/incremental.hpp"
 #include "src/obs/bench_io.hpp"
@@ -130,8 +131,9 @@ double run_tree_rounds(sim::DeviceMemory& memory, support::ByteView key,
 
 int main() {
   std::printf("=== measurement hot path: digest cache dirty-fraction sweep ===\n");
-  std::printf("%zu blocks x %zu B, %zu measurement rounds per point\n\n", kBlocks,
+  std::printf("%zu blocks x %zu B, %zu measurement rounds per point\n", kBlocks,
               kBlockSize, kRounds);
+  std::printf("sha-256 kernel: %s\n\n", crypto::sha256_kernel_name());
 
   const support::Bytes key = support::to_bytes("micro-measurement-key");
   obs::MetricsRegistry registry;

@@ -162,6 +162,16 @@ class Measurement {
   support::Bytes finalize(const crypto::HmacSha256Key* key_schedule = nullptr) const;
 
   const MeasurementContext& context() const noexcept { return context_; }
+
+  /// Move the context and the visit times out of a finished measurement
+  /// (after finalize() or combine_root have read the context), so the
+  /// prover's report and result take them without a copy.  The
+  /// measurement is spent afterwards.
+  MeasurementContext take_context() noexcept { return std::move(context_); }
+  std::vector<std::optional<sim::Time>> take_visit_times() noexcept {
+    return std::move(visit_times_);
+  }
+
   const Coverage& coverage() const noexcept { return coverage_; }
   crypto::HashKind hash_kind() const noexcept { return hash_; }
   MacKind mac_kind() const noexcept { return mac_; }

@@ -313,9 +313,6 @@ void AttestationProcess::finish() {
   if (policy_) policy_->on_end(mem, config_.coverage);
 
   Report report;
-  report.device_id = measurement_->context().device_id;
-  report.challenge = measurement_->context().challenge;
-  report.counter = measurement_->context().counter;
   report.t_start = result_.t_s;
   report.t_end = result_.t_e;
   report.hash = config_.hash;
@@ -367,12 +364,18 @@ void AttestationProcess::finish() {
   } else {
     report.measurement = measurement_->finalize(&device_.attestation_key_schedule());
   }
+  // The measurement is combined and about to be destroyed: its context and
+  // visit times move into the report and the result.
+  MeasurementContext context = measurement_->take_context();
+  report.device_id = std::move(context.device_id);
+  report.challenge = std::move(context.challenge);
+  report.counter = context.counter;
   authenticate_report(report, device_.attestation_key_schedule());
   if (signer_ != nullptr && config_.signature) sign_report(report, *signer_);
 
   result_.report = std::move(report);
   result_.order = std::move(order_);
-  result_.visit_times = measurement_->visit_times();
+  result_.visit_times = measurement_->take_visit_times();
 
   const sim::Duration delay = policy_ ? policy_->release_delay() : 0;
   result_.t_r = result_.t_e + delay;

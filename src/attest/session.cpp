@@ -35,13 +35,15 @@ ReliableSession::ReliableSession(sim::Device& prover_device, Verifier& verifier,
       mp_(mp),
       config_(std::move(config)),
       protocol_(prover_device, verifier, mp, vrf_to_prv, prv_to_vrf),
-      rng_(config_.seed),
-      journal_label_("session/" + prover_device.id()) {}
+      rng_(config_.seed) {}
 
 void ReliableSession::journal(obs::JournalEventKind kind, std::uint64_t round,
                               std::uint64_t a, std::uint64_t b) {
   auto& sim = device_.sim();
   if (auto* j = sim.journal()) {
+    // Built on the first journaled event: sessions without a journal (the
+    // fleet's, rebuilt on every wake) never pay for the string.
+    if (journal_label_.empty()) journal_label_ = "session/" + device_.id();
     j->append(sim.now(), journal_actor_.get(*j, device_.id()),
               journal_session_.get(*j, journal_label_), round, kind, a, b);
   }

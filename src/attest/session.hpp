@@ -176,7 +176,7 @@ class ReliableSession {
   OnDemandProtocol protocol_;
   support::Xoshiro256 rng_;
   obs::HealthRollup* health_ = nullptr;
-  std::string journal_label_;      ///< journal session name, "session/<device>"
+  std::string journal_label_;      ///< "session/<device>", set on first journal use
   obs::ActorId journal_actor_;     ///< prover device id
   obs::ActorId journal_session_;   ///< this session's id (interned label)
   std::uint64_t next_counter_ = 1;

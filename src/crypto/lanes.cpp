@@ -1,7 +1,10 @@
 #include "src/crypto/lanes.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+
+#include "src/crypto/sha256.hpp"
 
 #define RASC_LANES_NS lanes_base
 #include "src/crypto/lanes_kernels.hpp"
@@ -22,31 +25,10 @@ namespace rasc::crypto {
 
 namespace lane_detail {
 
-// Scalar lane finishers.  Deliberately compiled in this baseline TU only:
-// the AVX2 TU calls back into these for divergent-length tails, so tails
-// never execute AVX2 instructions.
-void sha256_finish_scalar(std::uint32_t state[8], const std::uint8_t* p,
-                          std::size_t rem, std::size_t total, std::uint8_t* out32) {
-  while (rem >= 64) {
-    detail::sha256_compress(state, p);
-    p += 64;
-    rem -= 64;
-  }
-  std::uint8_t tail[128];
-  const std::size_t tail_blocks = rem < 56 ? 1 : 2;
-  std::memset(tail, 0, tail_blocks * 64);
-  if (rem > 0) std::memcpy(tail, p, rem);  // p may be null when rem == 0
-  tail[rem] = 0x80;
-  const std::uint64_t bits = static_cast<std::uint64_t>(total) * 8;
-  for (int i = 0; i < 8; ++i) {
-    tail[tail_blocks * 64 - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
-  }
-  for (std::size_t b = 0; b < tail_blocks; ++b) detail::sha256_compress(state, tail + 64 * b);
-  for (int i = 0; i < 8; ++i) {
-    support::put_u32_be(support::MutableByteView(out32 + 4 * i, 4), state[i]);
-  }
-}
-
+// Scalar lane finisher.  Deliberately compiled in this baseline TU only:
+// the AVX2 TU calls back into it for divergent-length tails, so tails
+// never execute AVX2 instructions (SHA-256 tails likewise finish on
+// detail::sha256_finish_portable in sha256.cpp).
 void blake2s_finish_scalar(std::uint32_t h[8], const std::uint8_t* p, std::size_t rem,
                            std::size_t total, std::uint8_t* out32) {
   std::uint64_t t = static_cast<std::uint64_t>(total) - rem;
@@ -119,6 +101,32 @@ void run_lanes(HashKind kind, LaneBackend resolved, const support::ByteView* msg
   } else {
     lanes_base::blake2s_digest_lanes<lanes_base::U32xN<N>>(msgs, outs, count);
   }
+}
+
+/// digest_many's SHA-256 path on a SHA-NI host, where one hardware stream
+/// already outruns the widest lane pack: messages go in pairs through the
+/// 2-way kernel over the whole blocks both have, then each finishes on a
+/// Sha256 resumed from its chaining value.
+void sha256_pairs(const support::ByteView* msgs, const support::MutableByteView* outs,
+                  std::size_t count) {
+  const auto finish = [](const Sha256::ChainingValue& cv, support::ByteView msg,
+                         std::size_t done, support::MutableByteView out) {
+    Sha256 h(cv, done);
+    h.update(msg.subspan(done));
+    h.finalize_into(out);
+  };
+  std::size_t i = 0;
+  for (; i + 1 < count; i += 2) {
+    const support::ByteView a = msgs[i];
+    const support::ByteView b = msgs[i + 1];
+    const std::size_t blocks = std::min(a.size(), b.size()) / Sha256::kBlockSize;
+    auto cv_a = std::to_array(detail::kSha256Iv);
+    auto cv_b = cv_a;
+    detail::sha256_blocks_x2(cv_a.data(), cv_b.data(), a.data(), b.data(), blocks);
+    finish(cv_a, a, blocks * Sha256::kBlockSize, outs[i]);
+    finish(cv_b, b, blocks * Sha256::kBlockSize, outs[i + 1]);
+  }
+  if (i < count) finish(std::to_array(detail::kSha256Iv), msgs[i], 0, outs[i]);
 }
 
 void check_outs(HashKind kind, std::span<const support::ByteView> msgs,
@@ -209,6 +217,11 @@ void digest_many(HashKind kind, std::span<const support::ByteView> msgs,
     return;
   }
   check_outs(kind, msgs, outs);
+  if (kind == HashKind::kSha256 && backend == LaneBackend::kAuto &&
+      sha256_hardware_active()) {
+    sha256_pairs(msgs.data(), outs.data(), msgs.size());
+    return;
+  }
 
   const LaneBackend resolved = resolve_backend(backend);
   const std::size_t width = preferred_lanes(resolved);

@@ -85,10 +85,12 @@ class LaneHasher {
 };
 
 /// Digest any number of independent messages, packing preferred_lanes()-
-/// wide waves (scalar for a trailing single message).  msgs and outs must
-/// have equal sizes; outs[i] must be exactly hash_digest_size(kind) bytes.
-/// Kinds without lane kernels are digested scalar, so callers need no
-/// capability check.
+/// wide waves (scalar for a trailing single message).  Exception: SHA-256
+/// under kAuto on a host where sha256_hardware_active() holds goes in pairs
+/// through the 2-way SHA-NI kernel instead, which beats every lane pack
+/// there.  msgs and outs must have equal sizes; outs[i] must be exactly
+/// hash_digest_size(kind) bytes.  Kinds without lane kernels are digested
+/// scalar, so callers need no capability check.
 void digest_many(HashKind kind, std::span<const support::ByteView> msgs,
                  std::span<const support::MutableByteView> outs,
                  LaneBackend backend = LaneBackend::kAuto);

@@ -11,9 +11,9 @@
 /// the linker can never substitute an AVX2-compiled instantiation into the
 /// baseline dispatch path.  The only cross-TU symbols are the constexpr
 /// round-constant arrays (pure data) and the out-of-line scalar finishers
-/// in rasc::crypto::lane_detail, which are defined exactly once in
-/// lanes.cpp (baseline codegen) so divergent-length tails never execute
-/// AVX2 instructions.
+/// (detail::sha256_finish_portable in sha256.cpp, blake2s_finish_scalar in
+/// lanes.cpp), each defined exactly once with baseline codegen so
+/// divergent-length tails never execute AVX2 instructions.
 
 #ifndef RASC_LANES_NS
 #error "define RASC_LANES_NS before including lanes_kernels.hpp"
@@ -28,15 +28,11 @@
 
 namespace rasc::crypto::lane_detail {
 
-/// Finish one SHA-256 lane on the scalar core: consume the `rem` bytes at
-/// `p` (any remaining full blocks plus the tail), pad, and write the
-/// big-endian digest.  `total` is the full message length for the bit count.
-/// Defined in lanes.cpp.
-void sha256_finish_scalar(std::uint32_t state[8], const std::uint8_t* p,
-                          std::size_t rem, std::size_t total, std::uint8_t* out32);
-
-/// Finish one BLAKE2s lane on the scalar core (same contract; little-endian
-/// output).  Defined in lanes.cpp.
+/// Finish one BLAKE2s lane on the scalar core: consume the `rem` bytes at
+/// `p` (any remaining full blocks plus the tail) and write the
+/// little-endian digest; `total` is the full message length.  SHA-256
+/// lanes finish on detail::sha256_finish_portable (same contract,
+/// big-endian output).  Defined in lanes.cpp.
 void blake2s_finish_scalar(std::uint32_t h[8], const std::uint8_t* p,
                            std::size_t rem, std::size_t total, std::uint8_t* out32);
 
@@ -294,8 +290,7 @@ void sha256_digest_lanes(const support::ByteView* msgs,
   for (std::size_t l = 0; l < count; ++l) {
     std::uint32_t s[8];
     for (int i = 0; i < 8; ++i) s[i] = h[i][l];
-    lane_detail::sha256_finish_scalar(s, ptr[l], rem[l], msgs[l].size(),
-                                      outs[l].data());
+    detail::sha256_finish_portable(s, ptr[l], rem[l], msgs[l].size(), outs[l].data());
   }
 }
 

@@ -1,13 +1,15 @@
 #pragma once
 /// \file sha256_core.hpp
-/// SHA-256 compression primitive shared by the streaming Sha256 class and
-/// the multi-lane kernels (lanes.hpp).  Factoring the round function out
-/// lets the lane code finish staggered-length tails on the *same* scalar
-/// arithmetic the one-message path uses, which is what makes the
+/// The portable SHA-256 core: round constants, IV and the compression
+/// function, shared by the streaming Sha256 class (its fallback kernel),
+/// the multi-lane kernels (lanes.hpp) and the SHA-NI kernel (constants
+/// only).  Lane tails finish on sha256_finish_portable, the same scalar
+/// arithmetic the one-message path falls back to, which is what makes the
 /// lane-vs-scalar byte-identity guarantee structural rather than
 /// coincidental.
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace rasc::crypto::detail {
@@ -73,5 +75,16 @@ inline void sha256_compress(std::uint32_t state[8], const std::uint8_t* block) {
   state[6] += g;
   state[7] += h;
 }
+
+/// The portable core alone, whatever the CPU: absorb the `rem` bytes at
+/// `p` (whole blocks, then the padded tail) into `state` for a message of
+/// `total` bytes, and write the 32-byte digest to `out32`.  The lane
+/// kernels' tail finisher, and the reference the hardware kernel is tested
+/// and timed against.  Defined out of line in sha256.cpp (baseline
+/// codegen), so ISA-flagged lane TUs never run their tails on their own
+/// flags.
+void sha256_finish_portable(std::uint32_t state[8], const std::uint8_t* p,
+                            std::size_t rem, std::uint64_t total,
+                            std::uint8_t* out32) noexcept;
 
 }  // namespace rasc::crypto::detail

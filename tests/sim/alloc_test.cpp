@@ -168,5 +168,51 @@ TEST(SimAlloc, WarmCleanSessionRoundStaysUnderThirtySix) {
   RecordProperty("allocations", static_cast<int>(n));
 }
 
+TEST(SimAlloc, WarmProverRoundMovesContextAndVisitTimesOut) {
+  // One atomic measurement of a warm prover, no session around it: the
+  // finished measurement's challenge and visit times move into the report
+  // and the result instead of being copied just before it is destroyed.
+  Simulator sim;
+  const support::Bytes image = support::random_bytes(5, 4 * 64);
+  attest::StackConfig config;
+  config.device = {"prv-alloc", image.size(), 64, support::to_bytes("k")};
+  config.challenge_key = attest::make_challenge_key(1);
+  attest::Stack stack(sim, config, image);
+  const support::Bytes challenge = support::random_bytes(6, 32);
+  std::uint64_t counter = 0;
+  const auto round = [&] {
+    bool done = false;
+    stack.mp.start(attest::MeasurementContext{"prv-alloc", challenge, ++counter},
+                   [&done](attest::AttestationResult result) {
+                     done = result.visit_times.size() == 4 &&
+                            result.report.challenge.size() == 32;
+                   });
+    sim.run();
+    return done;
+  };
+  ASSERT_TRUE(round());  // warm-up
+  bool done = false;
+  const std::size_t n = allocations_during([&] { done = round(); });
+  EXPECT_TRUE(done);
+  EXPECT_LE(n, 12u);  // 14 while finish() copied the two
+  RecordProperty("allocations", static_cast<int>(n));
+}
+
+TEST(SimAlloc, SessionWithoutJournalBuildsNoLabel) {
+  // The fleet rebuilds a session on every wake, almost always with no
+  // journal attached: its journal label is built on first use instead.
+  Simulator sim;
+  const support::Bytes image = support::random_bytes(7, 4 * 64);
+  attest::StackConfig config;
+  config.device = {"prv-without-journal", image.size(), 64, support::to_bytes("k")};
+  config.challenge_key = attest::make_challenge_key(1);
+  attest::Stack stack(sim, config, image);
+  const std::size_t n = allocations_during([&] {
+    attest::ReliableSession session(stack.device, stack.verifier, stack.mp,
+                                    stack.vrf_to_prv, stack.prv_to_vrf, {});
+  });
+  EXPECT_EQ(n, 0u);
+}
+
 }  // namespace
 }  // namespace rasc::sim
