@@ -30,9 +30,9 @@ void BM_Hash(benchmark::State& state) {
 BENCHMARK(BM_Hash)
     ->ArgsProduct({{0, 1, 2, 3}, {1 << 10, 64 << 10, 1 << 20}});
 
-/// Multi-lane digesting: N independent 4 KiB messages per wave.  lanes=1
+/// Multi-lane digesting: N independent 4 KiB messages per call.  lanes=1
 /// is the reused-state scalar loop (BlockDigester's per-block baseline);
-/// lanes=4/8 go through LaneHasher on the auto-selected backend.
+/// lanes=4/8 go through digest_many on the host's kernel.
 template <std::size_t N>
 void lane_rows(benchmark::State& state, crypto::HashKind kind) {
   constexpr std::size_t kMsg = 4096;
@@ -53,14 +53,11 @@ void lane_rows(benchmark::State& state, crypto::HashKind kind) {
     }
     state.SetLabel(crypto::hash_name(kind) + "/scalar");
   } else {
-    crypto::LaneHasher<N> lanes(kind);
     for (auto _ : state) {
-      lanes.digest(std::span<const support::ByteView>(views, N),
-                   std::span<const support::MutableByteView>(outs, N));
+      crypto::digest_many(kind, views, outs);
       benchmark::DoNotOptimize(sink.data());
     }
-    state.SetLabel(crypto::hash_name(kind) + "/" +
-                   crypto::lane_backend_name(lanes.backend()));
+    state.SetLabel(crypto::hash_name(kind) + "/" + crypto::lane_kernel_name(kind));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kMsg * N);
 }

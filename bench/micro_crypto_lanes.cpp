@@ -3,22 +3,25 @@
 ///
 /// Three sections, all folded into BENCH_crypto_lanes.json:
 ///
-///  1. Identity sweep — every (hash, lane-count, backend, length) cell,
-///     including staggered per-lane lengths, must produce digests
-///     byte-identical to the scalar path.  Deterministic; a fingerprint of
-///     the scalar digests is emitted so the baseline gate catches silent
-///     digest drift across platforms, not just lane/scalar divergence.
-///  2. Lane throughput — lanes=1 (reused scalar state) vs LaneHasher<4>
-///     and LaneHasher<8> on the portable fallback and, when compiled, the
-///     SIMD backend.  Best-of-K timing; exits non-zero unless portable
-///     4-way SHA-256 is at least 2x the scalar loop (ratios are taken
-///     within one process run so they survive noisy CI machines).  The
-///     SHA-256 scalar reference is the portable core, explicitly: that is
-///     what the 2x bar was set against, while Sha256 itself runs the SHA-NI
-///     kernel on CPUs with the SHA extensions.  There, two informational
-///     rows time that kernel (one stream through Sha256, pairs through
-///     digest_many) against the same portable reference; they are not in
-///     the committed baseline, which a CPU without SHA-NI must also meet.
+///  1. Identity sweep — every (hash, pack size, length) cell, uniform and
+///     staggered per-lane lengths, must produce digests byte-identical to
+///     the scalar path through digest_many and through every lane kernel
+///     this host runs that takes the pack (lane_detail::runnable_kernels:
+///     the baseline packs always, AVX2 and the SHA-NI pairs where active).
+///     The cell count and a fingerprint of the scalar digests are the same
+///     on every host, so the baseline gate catches silent digest drift
+///     across platforms, not just lane/scalar divergence.
+///  2. Lane throughput — every runnable kernel, fed packs of its full
+///     width, against a scalar loop.  The kernel and the scalar loop are
+///     timed in alternating rounds and each side keeps its best, so a
+///     stall in one round cannot decide the ratio.  Exits non-zero unless
+///     portable 4-way SHA-256 is at least 2x the scalar loop.  The SHA-256
+///     scalar reference is the portable core, explicitly: that is what the
+///     2x bar was set against, while Sha256 itself runs the SHA-NI kernel
+///     on CPUs with the SHA extensions.  There, the SHA-NI rows (one
+///     stream through Sha256, pairs through the lane kernel) are
+///     informational and kept out of the committed baseline, which a CPU
+///     without SHA-NI must also meet.
 ///  3. Per-block MAC cost — CBC-MAC vs HMAC-SHA256 vs BLAKE2s through
 ///     BlockDigester::digest at the exact measurement block sizes (64 B
 ///     fleet blocks, 4096 B micro_measurement blocks), in blocks/s.
@@ -45,6 +48,7 @@
 #include "src/support/table.hpp"
 
 using namespace rasc;
+using crypto::lane_detail::LaneKernel;
 
 namespace {
 
@@ -63,37 +67,40 @@ std::string hash_label(crypto::HashKind kind) {
   return kind == crypto::HashKind::kSha256 ? "sha256" : "blake2s";
 }
 
+/// Metric-name form of a kernel name ("sha-ni" -> "sha_ni").
+std::string leaf_name(std::string name) {
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
 // --- 1. identity -----------------------------------------------------------
 
-/// Run every lane configuration over `lens` (uniform and staggered) and
-/// compare against the scalar digests.  Returns cells checked; failures
-/// are counted into `failures`.  XORs the first 8 bytes of every scalar
-/// digest into `fingerprint` (deterministic across platforms).
-template <std::size_t N>
-std::size_t identity_cells(crypto::HashKind kind, crypto::LaneBackend backend,
-                           const std::vector<std::size_t>& lens,
-                           std::size_t& failures, std::uint64_t& fingerprint) {
+/// Check one pack of `pack` messages per length in `lens` (uniform, then
+/// staggered) through digest_many and every runnable kernel at least
+/// `pack` wide.  Returns cells checked (one per message); a cell fails when
+/// any path disagrees with the scalar digest.  Folds every scalar digest
+/// into `fingerprint`.
+std::size_t identity_cells(crypto::HashKind kind, std::size_t pack,
+                           const std::vector<std::size_t>& lens, std::size_t& failures,
+                           std::uint64_t& fingerprint) {
   const std::size_t digest_size = crypto::hash_digest_size(kind);
   auto hasher = crypto::make_hash(kind);
   std::size_t cells = 0;
-  // One uniform pack per length plus one staggered pack ((len*(l+1))/N per
-  // lane) — the staggered pack forces the divergent scalar-tail path.
+  // One uniform pack per length plus one staggered pack ((len*(l+1))/pack
+  // per lane) — the staggered pack forces the divergent scalar-tail path.
   for (const bool staggered : {false, true}) {
     for (const std::size_t len : lens) {
-      support::Bytes messages[N];
-      support::Bytes expected[N];
-      support::Bytes actual[N];
-      support::ByteView views[N];
-      support::MutableByteView outs[N];
-      for (std::size_t l = 0; l < N; ++l) {
-        const std::size_t lane_len = staggered ? (len * (l + 1)) / N : len;
+      std::vector<support::Bytes> messages(pack);
+      std::vector<support::Bytes> expected(pack, support::Bytes(digest_size));
+      std::vector<support::Bytes> actual(pack, support::Bytes(digest_size));
+      std::vector<support::ByteView> views(pack);
+      std::vector<support::MutableByteView> outs(actual.begin(), actual.end());
+      for (std::size_t l = 0; l < pack; ++l) {
+        const std::size_t lane_len = staggered ? (len * (l + 1)) / pack : len;
         messages[l] = support::random_bytes(0x1a5e + 977 * len + l, lane_len);
-        expected[l].resize(digest_size);
-        actual[l].resize(digest_size);
         crypto::hash_oneshot_into(*hasher, messages[l],
                                   support::MutableByteView(expected[l]));
         views[l] = messages[l];
-        outs[l] = support::MutableByteView(actual[l]);
         for (std::size_t i = 0; i + 8 <= digest_size; i += 8) {
           std::uint64_t word = 0;
           for (std::size_t b = 0; b < 8; ++b) {
@@ -104,13 +111,23 @@ std::size_t identity_cells(crypto::HashKind kind, crypto::LaneBackend backend,
           fingerprint = fingerprint * 0x100000001b3ull + word;
         }
       }
-      crypto::LaneHasher<N> lanes(kind, backend);
-      lanes.digest(std::span<const support::ByteView>(views, N),
-                   std::span<const support::MutableByteView>(outs, N));
-      for (std::size_t l = 0; l < N; ++l) {
-        ++cells;
-        if (actual[l] != expected[l]) ++failures;
+      std::vector<bool> diverged(pack, false);
+      const auto compare = [&] {
+        for (std::size_t l = 0; l < pack; ++l) {
+          if (actual[l] != expected[l]) diverged[l] = true;
+          std::fill(actual[l].begin(), actual[l].end(), 0);
+        }
+      };
+      crypto::digest_many(kind, views, outs);
+      compare();
+      for (const LaneKernel& kernel : crypto::lane_detail::runnable_kernels(kind)) {
+        if (kernel.width < pack) continue;
+        kernel.digest(views.data(), outs.data(), pack);
+        compare();
       }
+      cells += pack;
+      failures +=
+          static_cast<std::size_t>(std::count(diverged.begin(), diverged.end(), true));
     }
   }
   return cells;
@@ -123,80 +140,84 @@ constexpr std::size_t kMsgCount = 2048;  ///< per rep; 8 MiB hashed per rep
 constexpr int kReps = 7;                 ///< best-of, for noisy machines
 
 struct Throughput {
-  double seconds = 0.0;   ///< best rep
+  double seconds = 1e300;  ///< best rep
   double mb_per_s = 0.0;
+
+  void record(double rep_seconds) {
+    seconds = std::min(seconds, rep_seconds);
+    mb_per_s = static_cast<double>(kMsgBytes * kMsgCount) / seconds / 1e6;
+  }
 };
 
-Throughput best_of(const std::function<void()>& rep) {
-  double best = 1e300;
-  for (int r = 0; r < kReps; ++r) {
-    const double start = now_seconds();
-    rep();
-    best = std::min(best, now_seconds() - start);
-  }
-  return {best, static_cast<double>(kMsgBytes * kMsgCount) / best / 1e6};
+double time_rep(const std::function<void()>& rep) {
+  const double start = now_seconds();
+  rep();
+  return now_seconds() - start;
 }
 
-/// Portable-core SHA-256 loop: the scalar reference of the lane bar on
-/// every CPU.
-Throughput sha256_portable_throughput(const support::Bytes& pool, support::Bytes& sink) {
-  return best_of([&] {
+/// Best-of-kReps for `candidate` and `reference`, timed in alternating
+/// rounds so both sides see the same machine state.
+std::pair<Throughput, Throughput> race(const std::function<void()>& candidate,
+                                       const std::function<void()>& reference) {
+  Throughput cand;
+  Throughput ref;
+  for (int r = 0; r < kReps; ++r) {
+    ref.record(time_rep(reference));
+    cand.record(time_rep(candidate));
+  }
+  return {cand, ref};
+}
+
+Throughput best_of(const std::function<void()>& rep) {
+  Throughput t;
+  for (int r = 0; r < kReps; ++r) t.record(time_rep(rep));
+  return t;
+}
+
+/// One rep over the pool with one reused hash state (what BlockDigester's
+/// scalar path does per block); for SHA-256 that is the active kernel.
+std::function<void()> reused_state_rep(crypto::HashKind kind, const support::Bytes& pool,
+                                       support::Bytes& sink) {
+  return [&pool, &sink, hasher = std::shared_ptr<crypto::Hash>(crypto::make_hash(kind))] {
+    const std::size_t digest_size = hasher->digest_size();
+    for (std::size_t m = 0; m < kMsgCount; ++m) {
+      crypto::hash_oneshot_into(
+          *hasher, support::ByteView(pool.data() + m * kMsgBytes, kMsgBytes),
+          support::MutableByteView(sink.data() + m * digest_size, digest_size));
+    }
+  };
+}
+
+/// One rep of a hash's scalar reference: the portable core for SHA-256
+/// (the reference of the lane bar on every CPU), a reused state otherwise.
+std::function<void()> scalar_rep(crypto::HashKind kind, const support::Bytes& pool,
+                                 support::Bytes& sink) {
+  if (kind != crypto::HashKind::kSha256) return reused_state_rep(kind, pool, sink);
+  return [&pool, &sink] {
     for (std::size_t m = 0; m < kMsgCount; ++m) {
       auto state = std::to_array(crypto::detail::kSha256Iv);
       crypto::detail::sha256_finish_portable(state.data(), pool.data() + m * kMsgBytes,
                                              kMsgBytes, kMsgBytes,
                                              sink.data() + m * crypto::Sha256::kDigestSize);
     }
-  });
+  };
 }
 
-/// Scalar loop with one reused hash state (the allocation-free baseline —
-/// what BlockDigester's scalar path does per block).  For SHA-256 this runs
-/// the active kernel (sha256_kernel_name()).
-Throughput scalar_throughput(crypto::HashKind kind, const support::Bytes& pool,
-                             support::Bytes& sink) {
-  auto hasher = crypto::make_hash(kind);
-  const std::size_t digest_size = hasher->digest_size();
-  return best_of([&] {
-    for (std::size_t m = 0; m < kMsgCount; ++m) {
-      crypto::hash_oneshot_into(
-          *hasher, support::ByteView(pool.data() + m * kMsgBytes, kMsgBytes),
-          support::MutableByteView(sink.data() + m * digest_size, digest_size));
-    }
-  });
-}
-
-/// digest_many over the whole pool (SHA-256 pairs on a SHA-NI CPU).
-Throughput many_throughput(crypto::HashKind kind, const support::Bytes& pool,
-                           support::Bytes& sink) {
-  const std::size_t digest_size = crypto::hash_digest_size(kind);
-  std::vector<support::ByteView> views(kMsgCount);
-  std::vector<support::MutableByteView> outs(kMsgCount);
-  for (std::size_t m = 0; m < kMsgCount; ++m) {
-    views[m] = support::ByteView(pool.data() + m * kMsgBytes, kMsgBytes);
-    outs[m] = support::MutableByteView(sink.data() + m * digest_size, digest_size);
-  }
-  return best_of([&] { crypto::digest_many(kind, views, outs); });
-}
-
-template <std::size_t N>
-Throughput lane_throughput(crypto::HashKind kind, crypto::LaneBackend backend,
-                           const support::Bytes& pool, support::Bytes& sink) {
-  crypto::LaneHasher<N> lanes(kind, backend);
-  const std::size_t digest_size = lanes.digest_size();
-  support::ByteView views[N];
-  support::MutableByteView outs[N];
-  return best_of([&] {
-    for (std::size_t m = 0; m + N <= kMsgCount; m += N) {
-      for (std::size_t l = 0; l < N; ++l) {
+/// One rep of `kernel` over the pool in packs of its full width.
+std::function<void()> kernel_rep(crypto::HashKind kind, const LaneKernel& kernel,
+                                 const support::Bytes& pool, support::Bytes& sink) {
+  return [&kernel, &pool, &sink, digest_size = crypto::hash_digest_size(kind)] {
+    support::ByteView views[8];
+    support::MutableByteView outs[8];
+    for (std::size_t m = 0; m + kernel.width <= kMsgCount; m += kernel.width) {
+      for (std::size_t l = 0; l < kernel.width; ++l) {
         views[l] = support::ByteView(pool.data() + (m + l) * kMsgBytes, kMsgBytes);
         outs[l] =
             support::MutableByteView(sink.data() + (m + l) * digest_size, digest_size);
       }
-      lanes.digest(std::span<const support::ByteView>(views, N),
-                   std::span<const support::MutableByteView>(outs, N));
+      kernel.digest(views, outs, kernel.width);
     }
-  });
+  };
 }
 
 // --- 3. per-block MAC cost -------------------------------------------------
@@ -226,31 +247,33 @@ double block_mac_blocks_per_s(attest::MacKind mac, crypto::HashKind hash,
 }  // namespace
 
 int main() {
+  const std::vector<crypto::HashKind> kinds = {crypto::HashKind::kSha256,
+                                               crypto::HashKind::kBlake2s};
   std::printf("=== multi-lane digest gate ===\n");
-  std::printf("backends: portable%s%s; auto packs %zu lanes (%s)\n",
-              crypto::simd_compiled() ? ", simd" : "",
-              crypto::avx2_active() ? " (avx2)" : "",
-              crypto::preferred_lanes(), crypto::lane_backend_name());
-  std::printf("sha-256 kernel: %s\n\n", crypto::sha256_kernel_name());
+  std::printf("sha-256 kernel: %s\n", crypto::sha256_kernel_name());
+  for (const auto kind : kinds) {
+    std::string names;
+    for (const LaneKernel& kernel : crypto::lane_detail::runnable_kernels(kind)) {
+      names += (names.empty() ? "" : ", ") + std::string(kernel.name) + " x" +
+               std::to_string(kernel.width);
+    }
+    std::printf("%s lane kernels: %s (digest_many runs %s)\n", hash_label(kind).c_str(),
+                names.c_str(), crypto::lane_kernel_name(kind));
+  }
+  std::printf("\n");
 
   obs::MetricsRegistry registry;
   bool ok = true;
 
   const std::vector<std::size_t> lens = {0, 1, 55, 63, 64, 65, 127, 128, 4096, 5000};
-  const std::vector<crypto::HashKind> kinds = {crypto::HashKind::kSha256,
-                                               crypto::HashKind::kBlake2s};
-  std::vector<crypto::LaneBackend> backends = {crypto::LaneBackend::kPortable};
-  if (crypto::simd_compiled()) backends.push_back(crypto::LaneBackend::kSimd);
 
   // 1. identity
   std::size_t cells = 0;
   std::size_t failures = 0;
   std::uint64_t fingerprint = 0;
   for (const auto kind : kinds) {
-    for (const auto backend : backends) {
-      cells += identity_cells<2>(kind, backend, lens, failures, fingerprint);
-      cells += identity_cells<4>(kind, backend, lens, failures, fingerprint);
-      cells += identity_cells<8>(kind, backend, lens, failures, fingerprint);
+    for (const std::size_t pack : {2, 4, 8}) {
+      cells += identity_cells(kind, pack, lens, failures, fingerprint);
     }
   }
   registry.gauge("crypto_lanes.identity_cells").set(static_cast<double>(cells));
@@ -263,56 +286,50 @@ int main() {
                 cells);
   ok &= expect(failures == 0, line);
 
-  // 2. throughput
+  // 2. throughput: each row raced against the hash's scalar reference
   const support::Bytes pool = support::random_bytes(0xfeed, kMsgBytes * kMsgCount);
   support::Bytes sink(kMsgCount * 32);
+  support::Bytes ref_sink(kMsgCount * 32);
   double sha256_portable_x4 = 0.0;
-  support::Table table(
-      {"hash", "backend", "lanes", "best s", "MB/s", "speedup"});
+  support::Table table({"hash", "kernel", "lanes", "best s", "MB/s", "speedup"});
   for (const auto kind : kinds) {
     const std::string label = hash_label(kind);
     const bool sha = kind == crypto::HashKind::kSha256;
-    const Throughput scalar = sha ? sha256_portable_throughput(pool, sink)
-                                  : scalar_throughput(kind, pool, sink);
+    const auto reference = scalar_rep(kind, pool, ref_sink);
+    struct Row {
+      std::string name;
+      std::size_t lanes;
+      std::function<void()> rep;
+    };
+    std::vector<Row> rows;
+    if (sha && crypto::sha256_hardware_active()) {
+      rows.push_back({"sha-ni", 1, reused_state_rep(kind, pool, sink)});  // one stream
+    }
+    for (const LaneKernel& kernel : crypto::lane_detail::runnable_kernels(kind)) {
+      rows.push_back({kernel.name, kernel.width, kernel_rep(kind, kernel, pool, sink)});
+    }
+    // Each row races the scalar reference; the scalar row (last) reports
+    // the reference's best over all races.
+    Throughput scalar;
+    for (const Row& row : rows) {
+      const auto [pack, ref] = race(row.rep, reference);
+      scalar.record(ref.seconds);
+      const double speedup = ref.seconds / pack.seconds;
+      const std::string leaf = "crypto_lanes." + label + "." + leaf_name(row.name) +
+                               "_x" + std::to_string(row.lanes);
+      registry.gauge(leaf + "_speedup").set(speedup);
+      registry.gauge(leaf + "_mb_per_s").set(pack.mb_per_s);
+      if (sha && row.name == "portable") sha256_portable_x4 = speedup;
+      table.add_row({label, row.name, std::to_string(row.lanes),
+                     support::fmt_double(pack.seconds, 4),
+                     support::fmt_double(pack.mb_per_s, 1),
+                     support::fmt_double(speedup, 2)});
+    }
     registry.gauge("crypto_lanes." + label + ".scalar_seconds").set(scalar.seconds);
     registry.gauge("crypto_lanes." + label + ".scalar_mb_per_s").set(scalar.mb_per_s);
     table.add_row({label, sha ? "portable core" : "scalar", "1",
                    support::fmt_double(scalar.seconds, 4),
                    support::fmt_double(scalar.mb_per_s, 1), "1.0"});
-    for (const auto backend : backends) {
-      const bool portable = backend == crypto::LaneBackend::kPortable;
-      const std::string bname =
-          portable ? "portable" : crypto::lane_backend_name(backend);
-      const Throughput x4 = lane_throughput<4>(kind, backend, pool, sink);
-      const Throughput x8 = lane_throughput<8>(kind, backend, pool, sink);
-      const double s4 = scalar.seconds / x4.seconds;
-      const double s8 = scalar.seconds / x8.seconds;
-      if (portable && kind == crypto::HashKind::kSha256) sha256_portable_x4 = s4;
-      registry.gauge("crypto_lanes." + label + "." + bname + "_x4_speedup").set(s4);
-      registry.gauge("crypto_lanes." + label + "." + bname + "_x8_speedup").set(s8);
-      registry.gauge("crypto_lanes." + label + "." + bname + "_x8_mb_per_s")
-          .set(x8.mb_per_s);
-      table.add_row({label, bname, "4", support::fmt_double(x4.seconds, 4),
-                     support::fmt_double(x4.mb_per_s, 1), support::fmt_double(s4, 2)});
-      table.add_row({label, bname, "8", support::fmt_double(x8.seconds, 4),
-                     support::fmt_double(x8.mb_per_s, 1), support::fmt_double(s8, 2)});
-    }
-    if (sha && crypto::sha256_hardware_active()) {
-      const struct {
-        const char* lanes;
-        Throughput t;
-      } rows[] = {{"1", scalar_throughput(kind, pool, sink)},
-                  {"2", many_throughput(kind, pool, sink)}};
-      for (const auto& row : rows) {
-        const double speedup = scalar.seconds / row.t.seconds;
-        const std::string leaf = "crypto_lanes.sha256.sha_ni_x" + std::string(row.lanes);
-        registry.gauge(leaf + "_speedup").set(speedup);
-        registry.gauge(leaf + "_mb_per_s").set(row.t.mb_per_s);
-        table.add_row({label, "sha-ni", row.lanes, support::fmt_double(row.t.seconds, 4),
-                       support::fmt_double(row.t.mb_per_s, 1),
-                       support::fmt_double(speedup, 2)});
-      }
-    }
   }
   std::printf("\n%s\n", table.render().c_str());
   std::snprintf(line, sizeof(line),
@@ -345,9 +362,6 @@ int main() {
     }
   }
   std::printf("%s\n", mac_table.render().c_str());
-
-  registry.gauge("crypto_lanes.simd_compiled")
-      .set(crypto::simd_compiled() ? 1.0 : 0.0);
 
   const std::string path = obs::write_bench_json(registry, "crypto_lanes");
   if (!path.empty()) std::printf("machine-readable results: %s\n", path.c_str());

@@ -107,6 +107,29 @@ LockScenarioOutcome run_lock_scenario(const LockScenarioConfig& config) {
   LockScenarioOutcome outcome;
   outcome.malware_present_at_ts = config.adversary != AdversaryKind::kNone;
 
+  // The window quantities — consistency at t_s/t_e/t_r and availability
+  // during [t_s, t_r] — are judged once the lock is released at t_r, when
+  // the write log holds every write of the window (an -Ext lock keeps
+  // blocking writes after t_e).
+  attest::AttestationResult measured;
+  const auto judge_window = [&] {
+    locking::ConsistencyAnalyzer analyzer(measured, device.memory().write_log(),
+                                          /*first_block=*/0);
+    outcome.consistency = analyzer.verdict();
+    for (const auto& rec : device.memory().write_log()) {
+      if (rec.actor != sim::Actor::kApplication) continue;
+      if (rec.time >= measured.t_s && rec.time <= measured.t_r) {
+        ++outcome.writer_attempts_during;
+        if (rec.blocked) ++outcome.writer_blocked_during;
+      }
+    }
+    outcome.writer_availability =
+        outcome.writer_attempts_during == 0
+            ? 1.0
+            : 1.0 - static_cast<double>(outcome.writer_blocked_during) /
+                        static_cast<double>(outcome.writer_attempts_during);
+  };
+
   simulator.schedule_at(t_mp, [&] {
     if (reloc) reloc->on_measurement_start();
     const support::Bytes challenge = verifier.issue_challenge();
@@ -116,23 +139,14 @@ LockScenarioOutcome run_lock_scenario(const LockScenarioConfig& config) {
       outcome.verdict = verifier.verify(result.report, /*expect_challenge=*/true);
       outcome.detected = !outcome.verdict.ok();
       outcome.measurement_duration = result.t_e - result.t_s;
-      locking::ConsistencyAnalyzer analyzer(result, device.memory().write_log(),
-                                            /*first_block=*/0);
-      outcome.consistency = analyzer.verdict();
-
-      // Availability during [t_s, t_r].
-      for (const auto& rec : device.memory().write_log()) {
-        if (rec.actor != sim::Actor::kApplication) continue;
-        if (rec.time >= result.t_s && rec.time <= result.t_r) {
-          ++outcome.writer_attempts_during;
-          if (rec.blocked) ++outcome.writer_blocked_during;
-        }
+      measured = std::move(result);
+      // Without a release delay the lock came off inside the prover's
+      // finish, just before this callback: the window is closed already.
+      if (measured.t_r == measured.t_e) {
+        judge_window();
+      } else {
+        simulator.schedule_at(measured.t_r, judge_window);
       }
-      outcome.writer_availability =
-          outcome.writer_attempts_during == 0
-              ? 1.0
-              : 1.0 - static_cast<double>(outcome.writer_blocked_during) /
-                          static_cast<double>(outcome.writer_attempts_during);
     });
   });
 

@@ -87,38 +87,7 @@ void Measurement::visit_block(std::size_t block, sim::Time now) {
 
 void Measurement::visit_block(std::size_t block, sim::Time now,
                               support::ByteView content) {
-  if (block < coverage_.first_block ||
-      block >= coverage_.first_block + block_digests_.size()) {
-    throw std::out_of_range("visit_block outside coverage");
-  }
-  const std::size_t rel = block - coverage_.first_block;
-  if (!visit_times_[rel]) ++visited_count_;
-  visit_times_[rel] = now;
-
-  // The cache is keyed on live-memory generations, so it only applies
-  // when the content being digested IS the live block (snapshot-based
-  // lock policies redirect reads to their copy and bypass it here).
-  const bool live = cache_ != nullptr && content.size() == memory_.block_size() &&
-                    content.data() == memory_.block_view(block).data();
-  if (live) {
-    const std::uint64_t generation = memory_.block_generation(block);
-    if (const Digest* hit = cache_->lookup(block, generation, hash_, mac_, key_fp_)) {
-      if (journal_ != nullptr) {
-        journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheHit,
-                         block, generation);
-      }
-      block_digests_[rel] = *hit;
-      return;
-    }
-    if (journal_ != nullptr) {
-      journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheMiss,
-                       block, generation);
-    }
-    digester_.digest(content, block_digests_[rel]);
-    cache_->store(block, generation, hash_, mac_, key_fp_, block_digests_[rel]);
-    return;
-  }
-  digester_.digest(content, block_digests_[rel]);
+  visit_blocks_impl({&block, 1}, now, {&content, 1});
 }
 
 void Measurement::visit_blocks(std::span<const std::size_t> blocks, sim::Time now) {
@@ -138,13 +107,10 @@ void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Ti
   batch_contents_.clear();
   batch_outs_.clear();
   batch_stores_.clear();
-  batch_contents_.reserve(blocks.size());
-  batch_outs_.reserve(blocks.size());
-  batch_stores_.reserve(blocks.size());
 
   // Classification pass in caller order: bookkeeping, cache lookups and
-  // journal events happen here, exactly as the scalar loop would emit
-  // them; only the digesting of the misses is deferred into the batch.
+  // journal events happen here, block by block; only the digesting of the
+  // misses is deferred into one batch.
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const std::size_t block = blocks[i];
     if (block < coverage_.first_block ||
@@ -157,10 +123,14 @@ void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Ti
     if (!visit_times_[rel]) ++visited_count_;
     visit_times_[rel] = now;
 
+    // The cache is keyed on live-memory generations, so it only applies
+    // when the content being digested IS the live block (snapshot-based
+    // lock policies redirect reads to their copy and bypass it here).
     const bool live = cache_ != nullptr && content.size() == memory_.block_size() &&
                       content.data() == memory_.block_view(block).data();
+    std::uint64_t generation = 0;
     if (live) {
-      const std::uint64_t generation = memory_.block_generation(block);
+      generation = memory_.block_generation(block);
       if (const Digest* hit = cache_->lookup(block, generation, hash_, mac_, key_fp_)) {
         if (journal_ != nullptr) {
           journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheHit,
@@ -173,15 +143,19 @@ void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Ti
         journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheMiss,
                          block, generation);
       }
-      batch_contents_.push_back(content);
-      batch_outs_.push_back(&block_digests_[rel]);
-      batch_stores_.push_back({block, generation, true});
-      continue;
+    }
+    if (batch_outs_.empty()) {
+      // Sized at the first miss, so a call whose blocks all hit (a warm
+      // round) allocates nothing.
+      batch_contents_.reserve(blocks.size() - i);
+      batch_outs_.reserve(blocks.size() - i);
+      batch_stores_.reserve(blocks.size() - i);
     }
     batch_contents_.push_back(content);
     batch_outs_.push_back(&block_digests_[rel]);
-    batch_stores_.push_back({block, 0, false});
+    batch_stores_.push_back({block, generation, live});
   }
+  if (batch_outs_.empty()) return;
 
   digester_.digest_batch(batch_contents_, batch_outs_);
 

@@ -106,9 +106,10 @@ void OnDemandProtocol::run(std::uint64_t counter,
               request->counter);
       return;
     }
-    if (mp_.busy()) {
-      // A measurement for an earlier request is still running; that
-      // request's report will answer the verifier (or time out upstream).
+    if (mp_.busy() || deferring_) {
+      // An earlier request is still in its deferral or its measurement is
+      // running; that request's report will answer the verifier (or time
+      // out upstream).
       ++ignored_busy_;
       journal(obs::JournalEventKind::kRequestRejected, sim.now(),
               static_cast<std::uint64_t>(obs::RequestRejection::kMeasurementBusy),
@@ -121,9 +122,11 @@ void OnDemandProtocol::run(std::uint64_t counter,
 
     // Deferral: authenticate the request / wind down the previous task.
     ++pending_events_;
+    deferring_ = true;
     sim.schedule_in(kRequestAuthDelay, [this, timings, request = *request,
                                         done = std::move(done)]() mutable {
       --pending_events_;
+      deferring_ = false;
       timings->t_mp_started = device_.sim().now();
       MeasurementContext context{device_.id(), std::move(request.challenge),
                                  request.counter};

@@ -12,10 +12,10 @@
 /// the request" step made explicit) and reports travel as their canonical
 /// serialization, so dropped, duplicated or corrupted messages behave the
 /// way they would on a real network.  The prover rejects requests that
-/// fail authentication, replay an old counter, or arrive while a
-/// measurement is already running — a retry layer above (ReliableSession)
-/// can therefore re-send challenges without tripping the single-flight
-/// measurement process.
+/// fail authentication, replay an old counter, or arrive while an accepted
+/// request is in its deferral or its measurement is running — a retry
+/// layer above (ReliableSession) can therefore re-send challenges without
+/// tripping the single-flight measurement process.
 
 #include <cstdint>
 #include <functional>
@@ -128,6 +128,10 @@ class OnDemandProtocol {
   sim::Link& vrf_to_prv_;
   sim::Link& prv_to_vrf_;
   bool prover_counter_seen_ = false;
+  /// An accepted request is in its deferral: MP is about to start, so
+  /// further requests count as busy.  False whenever pending_events() is
+  /// zero, so hibernation need not save it.
+  bool deferring_ = false;
   std::uint64_t prover_last_counter_ = 0;
   std::size_t rejected_replay_ = 0;
   std::size_t ignored_busy_ = 0;

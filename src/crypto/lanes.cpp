@@ -4,22 +4,13 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "src/crypto/blake2b.hpp"
+#include "src/crypto/blake2s.hpp"
 #include "src/crypto/sha256.hpp"
+#include "src/crypto/sha512.hpp"
 
 #define RASC_LANES_NS lanes_base
 #include "src/crypto/lanes_kernels.hpp"
-
-#if defined(RASC_CRYPTO_HAVE_AVX2)
-#include "src/crypto/lanes_avx2.hpp"
-#endif
-
-// GNU vector extensions back the kSimd lane types; they need no ISA flags
-// (the compiler lowers vector_size(16) to the baseline SIMD of the target,
-// e.g. SSE2 on x86-64, and vector_size(32) to a pair of such ops unless the
-// AVX2 TU takes over).
-#if defined(RASC_CRYPTO_SIMD) && (defined(__GNUC__) || defined(__clang__))
-#define RASC_LANES_VEC 1
-#endif
 
 namespace rasc::crypto {
 
@@ -50,63 +41,17 @@ void blake2s_finish_scalar(std::uint32_t h[8], const std::uint8_t* p, std::size_
 
 namespace {
 
-#if defined(RASC_LANES_VEC)
-typedef std::uint32_t vu32x4 __attribute__((vector_size(16)));
+using lane_detail::LaneKernel;
+
+// A GNU vector type needs no ISA flag: at baseline the compiler lowers
+// each 32-byte op to a pair of the target's 128-bit ops (SSE2 on x86-64);
+// the AVX2 TU compiles the same kernel body to 256-bit ops.
 typedef std::uint32_t vu32x8 __attribute__((vector_size(32)));
-#endif
 
-LaneBackend resolve_backend(LaneBackend backend) noexcept {
-  if (backend == LaneBackend::kPortable) return LaneBackend::kPortable;
-  return simd_compiled() ? LaneBackend::kSimd : LaneBackend::kPortable;
-}
-
-/// Run one pack of `count` (<= N) messages through the N-lane kernel for
-/// the resolved backend.  `kind` must be a lanes_supported() kind.
-template <std::size_t N>
-void run_lanes(HashKind kind, LaneBackend resolved, const support::ByteView* msgs,
-               const support::MutableByteView* outs, std::size_t count) {
-  const bool sha = kind == HashKind::kSha256;
-#if defined(RASC_LANES_VEC)
-  if (resolved == LaneBackend::kSimd) {
-    if constexpr (N == 8) {
-#if defined(RASC_CRYPTO_HAVE_AVX2)
-      if (lane_detail::avx2_runtime()) {
-        if (sha) {
-          lane_detail::sha256_lanes8_avx2(msgs, outs, count);
-        } else {
-          lane_detail::blake2s_lanes8_avx2(msgs, outs, count);
-        }
-        return;
-      }
-#endif
-      if (sha) {
-        lanes_base::sha256_digest_lanes<vu32x8>(msgs, outs, count);
-      } else {
-        lanes_base::blake2s_digest_lanes<vu32x8>(msgs, outs, count);
-      }
-      return;
-    } else if constexpr (N == 4) {
-      if (sha) {
-        lanes_base::sha256_digest_lanes<vu32x4>(msgs, outs, count);
-      } else {
-        lanes_base::blake2s_digest_lanes<vu32x4>(msgs, outs, count);
-      }
-      return;
-    }
-    // N == 2: narrower than any SIMD kernel; fall through to portable.
-  }
-#endif
-  if (sha) {
-    lanes_base::sha256_digest_lanes<lanes_base::U32xN<N>>(msgs, outs, count);
-  } else {
-    lanes_base::blake2s_digest_lanes<lanes_base::U32xN<N>>(msgs, outs, count);
-  }
-}
-
-/// digest_many's SHA-256 path on a SHA-NI host, where one hardware stream
-/// already outruns the widest lane pack: messages go in pairs through the
-/// 2-way kernel over the whole blocks both have, then each finishes on a
-/// Sha256 resumed from its chaining value.
+/// The SHA-NI kernel: one hardware stream already outruns the widest lane
+/// pack, so messages go in pairs through the 2-way kernel over the whole
+/// blocks both have, then each finishes on a Sha256 resumed from its
+/// chaining value.
 void sha256_pairs(const support::ByteView* msgs, const support::MutableByteView* outs,
                   std::size_t count) {
   const auto finish = [](const Sha256::ChainingValue& cv, support::ByteView msg,
@@ -129,117 +74,99 @@ void sha256_pairs(const support::ByteView* msgs, const support::MutableByteView*
   if (i < count) finish(std::to_array(detail::kSha256Iv), msgs[i], 0, outs[i]);
 }
 
-void check_outs(HashKind kind, std::span<const support::ByteView> msgs,
-                std::span<const support::MutableByteView> outs) {
-  if (msgs.size() != outs.size()) {
-    throw std::invalid_argument("lane digest: msgs/outs size mismatch");
+/// The runnable kernels of one hash, fastest first.
+struct KernelList {
+  LaneKernel kernels[3];
+  std::size_t size = 0;
+
+  void add(const LaneKernel& kernel) { kernels[size++] = kernel; }
+};
+
+KernelList sha256_kernels() {
+  KernelList list;
+  if (sha256_hardware_active()) list.add({"sha-ni", 2, &sha256_pairs});
+#if defined(RASC_CRYPTO_HAVE_AVX2)
+  if (lane_detail::avx2_runtime()) {
+    list.add({"avx2", 8, &lane_detail::sha256_lanes8_avx2});
   }
-  const std::size_t want = hash_digest_size(kind);
-  for (const auto& out : outs) {
-    if (out.size() != want) {
-      throw std::invalid_argument("lane digest: output view must be digest_size bytes");
-    }
+#endif
+  list.add({"portable", 4, &lanes_base::sha256_digest_lanes<lanes_base::U32xN<4>>});
+  return list;
+}
+
+KernelList blake2s_kernels() {
+  KernelList list;
+#if defined(RASC_CRYPTO_HAVE_AVX2)
+  if (lane_detail::avx2_runtime()) {
+    list.add({"avx2", 8, &lane_detail::blake2s_lanes8_avx2});
+  }
+#endif
+  list.add({"vector", 8, &lanes_base::blake2s_digest_lanes<vu32x8>});
+  return list;
+}
+
+/// Digest msgs[i] into outs[i] on one H on the stack.
+template <class H>
+void digest_scalar(const support::ByteView* msgs, const support::MutableByteView* outs,
+                   std::size_t count) {
+  H h;
+  for (std::size_t i = 0; i < count; ++i) {
+    h.update(msgs[i]);
+    h.finalize_into(outs[i]);
   }
 }
 
 }  // namespace
 
+std::span<const LaneKernel> lane_detail::runnable_kernels(HashKind kind) noexcept {
+  static const KernelList sha256 = sha256_kernels();
+  static const KernelList blake2s = blake2s_kernels();
+  switch (kind) {
+    case HashKind::kSha256: return {sha256.kernels, sha256.size};
+    case HashKind::kBlake2s: return {blake2s.kernels, blake2s.size};
+    default: return {};
+  }
+}
+
 bool lanes_supported(HashKind kind) noexcept {
-  return kind == HashKind::kSha256 || kind == HashKind::kBlake2s;
+  return !lane_detail::runnable_kernels(kind).empty();
 }
 
-bool simd_compiled() noexcept {
-#if defined(RASC_LANES_VEC)
-  return true;
-#else
-  return false;
-#endif
+const char* lane_kernel_name(HashKind kind) noexcept {
+  const auto kernels = lane_detail::runnable_kernels(kind);
+  return kernels.empty() ? "scalar" : kernels.front().name;
 }
-
-bool avx2_active() noexcept {
-#if defined(RASC_CRYPTO_HAVE_AVX2)
-  return lane_detail::avx2_runtime();
-#else
-  return false;
-#endif
-}
-
-std::size_t preferred_lanes(LaneBackend backend) noexcept {
-  // Portable packs 8-wide: the wider interleave both SLP-vectorizes better
-  // and hides more of the dependency chain (measured on GCC 12 -O2, where
-  // U32xN<8> BLAKE2s runs ~3.5x faster than U32xN<4>).  SIMD packs 8 only
-  // when the AVX2 kernels can actually run; baseline vector codegen is
-  // 128-bit, where 4 lanes avoid doubled register pressure.
-  if (resolve_backend(backend) == LaneBackend::kSimd) return avx2_active() ? 8 : 4;
-  return 8;
-}
-
-const char* lane_backend_name(LaneBackend backend) noexcept {
-  if (resolve_backend(backend) == LaneBackend::kSimd) {
-    return avx2_active() ? "avx2" : "simd";
-  }
-  return "portable";
-}
-
-template <std::size_t N>
-LaneHasher<N>::LaneHasher(HashKind kind, LaneBackend backend)
-    : kind_(kind), backend_(resolve_backend(backend)), digest_size_(hash_digest_size(kind)) {
-  if (!lanes_supported(kind)) {
-    throw std::invalid_argument("LaneHasher: no lane kernel for " + hash_name(kind));
-  }
-}
-
-template <std::size_t N>
-void LaneHasher<N>::digest(std::span<const support::ByteView> msgs,
-                           std::span<const support::MutableByteView> outs) const {
-  if (msgs.size() > N) {
-    throw std::invalid_argument("LaneHasher: more messages than lanes");
-  }
-  check_outs(kind_, msgs, outs);
-  if (msgs.empty()) return;
-  run_lanes<N>(kind_, backend_, msgs.data(), outs.data(), msgs.size());
-}
-
-template class LaneHasher<2>;
-template class LaneHasher<4>;
-template class LaneHasher<8>;
 
 void digest_many(HashKind kind, std::span<const support::ByteView> msgs,
-                 std::span<const support::MutableByteView> outs, LaneBackend backend) {
+                 std::span<const support::MutableByteView> outs) {
   if (msgs.size() != outs.size()) {
     throw std::invalid_argument("digest_many: msgs/outs size mismatch");
   }
-  if (!lanes_supported(kind)) {
-    auto hasher = make_hash(kind);
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      hash_oneshot_into(*hasher, msgs[i], outs[i]);
+  const std::size_t want = hash_digest_size(kind);
+  for (const auto& out : outs) {
+    if (out.size() != want) {
+      throw std::invalid_argument("digest_many: output view must be digest_size bytes");
     }
-    return;
   }
-  check_outs(kind, msgs, outs);
-  if (kind == HashKind::kSha256 && backend == LaneBackend::kAuto &&
-      sha256_hardware_active()) {
-    sha256_pairs(msgs.data(), outs.data(), msgs.size());
-    return;
-  }
-
-  const LaneBackend resolved = resolve_backend(backend);
-  const std::size_t width = preferred_lanes(resolved);
-  std::size_t i = 0;
   const std::size_t n = msgs.size();
-  while (n - i >= 2) {
-    const std::size_t chunk = n - i < width ? n - i : width;
-    if (chunk > 4) {
-      run_lanes<8>(kind, resolved, msgs.data() + i, outs.data() + i, chunk);
-    } else {
-      run_lanes<4>(kind, resolved, msgs.data() + i, outs.data() + i, chunk);
+  std::size_t i = 0;
+  if (const auto kernels = lane_detail::runnable_kernels(kind); !kernels.empty()) {
+    const LaneKernel& kernel = kernels.front();
+    while (n - i >= 2) {
+      const std::size_t pack = std::min(n - i, kernel.width);
+      kernel.digest(msgs.data() + i, outs.data() + i, pack);
+      i += pack;
     }
-    i += chunk;
   }
-  if (i < n) {
-    // Single trailing message: the scalar path beats a mostly-idle pack.
-    auto hasher = make_hash(kind);
-    hash_oneshot_into(*hasher, msgs[i], outs[i]);
+  // What the kernel left — a single trailing message, or every message of
+  // a kind without lanes — goes through a scalar hash.
+  const support::ByteView* rest = msgs.data() + i;
+  const support::MutableByteView* rest_outs = outs.data() + i;
+  switch (kind) {
+    case HashKind::kSha256: return digest_scalar<Sha256>(rest, rest_outs, n - i);
+    case HashKind::kSha512: return digest_scalar<Sha512>(rest, rest_outs, n - i);
+    case HashKind::kBlake2b: return digest_scalar<Blake2b>(rest, rest_outs, n - i);
+    case HashKind::kBlake2s: return digest_scalar<Blake2s>(rest, rest_outs, n - i);
   }
 }
 

@@ -1,10 +1,9 @@
 /// \file lanes_avx2.cpp
 /// 8-lane kernels compiled with -mavx2 so the generic lockstep bodies lower
 /// to 256-bit ops.  Lives in its own TU (and its own RASC_LANES_NS) so no
-/// AVX2-compiled symbol can be ODR-merged into the baseline path; the
-/// dispatcher only calls in after avx2_runtime() says the CPU is capable.
-
-#include "src/crypto/lanes_avx2.hpp"
+/// AVX2-compiled symbol can be ODR-merged into the baseline path; lanes.cpp
+/// lists these kernels only after avx2_runtime() says the CPU is capable.
+/// The entry points are declared in lanes_kernels.hpp.
 
 #define RASC_LANES_NS lanes_avx2_impl
 #include "src/crypto/lanes_kernels.hpp"

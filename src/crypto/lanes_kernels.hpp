@@ -3,7 +3,7 @@
 /// Lockstep lane kernels, templated over a vector-of-uint32 type V.  V only
 /// needs element subscripting and element-wise `+ ^ & | ~ << >>`; both the
 /// portable `U32xN` struct and GNU vector-extension types qualify, so one
-/// kernel body serves every backend.
+/// kernel body serves every lane pack.
 ///
 /// ODR note: this header is included by translation units compiled with
 /// different ISA flags (lanes.cpp at baseline, lanes_avx2.cpp with -mavx2).
@@ -35,6 +35,15 @@ namespace rasc::crypto::lane_detail {
 /// big-endian output).  Defined in lanes.cpp.
 void blake2s_finish_scalar(std::uint32_t h[8], const std::uint8_t* p,
                            std::size_t rem, std::size_t total, std::uint8_t* out32);
+
+/// The AVX2 8-lane TU (lanes_avx2.cpp, compiled with -mavx2 and linked
+/// only where CMake defines RASC_CRYPTO_HAVE_AVX2).  avx2_runtime() says
+/// whether the CPU reports AVX2; the kernels may run only when it holds.
+bool avx2_runtime() noexcept;
+void sha256_lanes8_avx2(const support::ByteView* msgs,
+                        const support::MutableByteView* outs, std::size_t count);
+void blake2s_lanes8_avx2(const support::ByteView* msgs,
+                         const support::MutableByteView* outs, std::size_t count);
 
 }  // namespace rasc::crypto::lane_detail
 

@@ -222,6 +222,31 @@ TEST(Scenario, AvailabilityOrderingMatchesTable1) {
   EXPECT_LT(inc_lock, 1.0);
 }
 
+TEST(Scenario, ExtendedLockCountsWritesUntilRelease) {
+  // All-Lock-Ext keeps every block locked until t_r = t_e + release delay:
+  // the writes of the extension fall in [t_s, t_r] and are all blocked.
+  auto run = [](sim::Duration release_delay) {
+    LockScenarioConfig config;
+    config.blocks = 64;
+    config.block_size = 1024;
+    config.lock = LockMechanism::kAllLockExt;
+    config.release_delay = release_delay;
+    config.writer_enabled = true;
+    return run_lock_scenario(config);
+  };
+  const auto released = run(0);
+  const auto extended = run(5 * sim::kMillisecond);
+  ASSERT_TRUE(released.completed);
+  ASSERT_TRUE(extended.completed);
+  EXPECT_GT(released.writer_attempts_during, 0u);
+  // A writer every 50 us: the 5 ms extension adds about 100 attempts.
+  EXPECT_GE(extended.writer_attempts_during, released.writer_attempts_during + 90);
+  EXPECT_EQ(extended.writer_blocked_during, extended.writer_attempts_during);
+  EXPECT_EQ(released.writer_blocked_during, released.writer_attempts_during);
+  EXPECT_TRUE(extended.consistency.at_ts);
+  EXPECT_TRUE(extended.consistency.at_tr);
+}
+
 // ---- lossy-link reliable sessions ------------------------------------------
 
 TEST(Scenario, NetworkScenarioCleanLinkVerifiesEveryRound) {

@@ -165,5 +165,35 @@ TEST(Protocol, RequestWhileMeasurementBusyIsIgnoredNotFatal) {
             1u);
 }
 
+TEST(Protocol, RequestDuringAnotherRequestsDeferralIsIgnoredAsBusy) {
+  // Request 2 reaches the prover 100 us after request 1, inside request
+  // 1's 300 us deferral and before MP is busy.  It is ignored like a
+  // request that lands mid-measurement; the one completion answers
+  // request 1 and is judged against the verifier's newer challenge.
+  sim::LinkConfig jitterless;
+  jitterless.jitter = 0;
+  SessionHarness fx({.to_prv = jitterless, .to_vrf = jitterless});
+  obs::EventJournal journal;
+  fx.simulator.set_journal(&journal);
+  std::vector<OnDemandTimings> completions;
+  const auto record = [&](const OnDemandTimings& t) { completions.push_back(t); };
+  fx.protocol.run(1, record);
+  fx.simulator.schedule_in(100 * sim::kMicrosecond, [&] { fx.protocol.run(2, record); });
+  fx.simulator.run();
+  ASSERT_EQ(completions.size(), 1u);
+  EXPECT_EQ(completions[0].counter, 1u);
+  EXPECT_TRUE(completions[0].outcome.mac_ok);
+  EXPECT_TRUE(completions[0].outcome.digest_ok);
+  EXPECT_FALSE(completions[0].outcome.challenge_ok);  // stale: request 2's is outstanding
+  EXPECT_EQ(fx.protocol.requests_ignored_busy(), 1u);
+  obs::JournalFilter rejections;
+  rejections.kind = obs::JournalEventKind::kRequestRejected;
+  const auto rejected = journal.select(rejections);
+  ASSERT_EQ(rejected.size(), 1u);
+  EXPECT_EQ(rejected[0].a,
+            static_cast<std::uint64_t>(obs::RequestRejection::kMeasurementBusy));
+  EXPECT_EQ(rejected[0].b, 2u);
+}
+
 }  // namespace
 }  // namespace rasc::attest

@@ -141,6 +141,36 @@ TEST(ReliableSession, EveryRoundResolvesUnderHeavyFaults) {
   EXPECT_EQ(fx.session.counters().rounds_resolved, kRounds);
 }
 
+TEST(ReliableSession, ReorderedRetryLandingInADeferralStillResolves) {
+  // Requests held back by the reorder delay (10 ms) outlive the 9 ms
+  // response timeout, so a superseded attempt's request regularly reaches
+  // the prover inside the deferral of the retry that replaced it (or the
+  // other way round).  Such a request is ignored as busy, and every
+  // chained round still reaches a terminal outcome.
+  sim::LinkConfig reordering;
+  reordering.reorder_probability = 0.5;
+  SessionConfig config = fast_session_config();
+  config.response_timeout = 9 * kMs;
+  config.backoff_base = kMs;
+  config.max_attempts = 4;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    reordering.seed = seed;
+    SessionHarness fx(
+        {.blocks = 64, .block_size = 4096, .to_prv = reordering, .session = config});
+    constexpr std::size_t kRounds = 20;
+    std::size_t resolved = 0;
+    std::function<void()> next = [&] {
+      fx.session.run([&](RoundResult) {
+        if (++resolved < kRounds) fx.simulator.schedule_in(kMs, next);
+      });
+    };
+    fx.simulator.schedule_at(0, next);
+    fx.simulator.run();
+    EXPECT_EQ(resolved, kRounds) << "seed " << seed;
+    EXPECT_EQ(fx.session.counters().rounds_resolved, kRounds) << "seed " << seed;
+  }
+}
+
 TEST(ReliableSession, BackoffGrowsExponentiallyWithJitterBounded) {
   sim::LinkConfig dead;
   dead.drop_probability = 1.0;

@@ -10,6 +10,8 @@
 
 #include "src/crypto/drbg.hpp"
 #include "src/crypto/hmac.hpp"
+#include "src/crypto/lanes.hpp"
+#include "src/support/rng.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -84,6 +86,34 @@ TEST(CryptoAlloc, DrbgGenerateIntoCallerBufferAllocatesNothing) {
     }
   });
   EXPECT_EQ(n, 0u);
+}
+
+TEST(CryptoAlloc, DigestManyAllocatesNothingOnceWarm) {
+  // Any count, single trailing messages and odd tails included, of every
+  // kind: packs go to the lane kernel, the rest to a scalar hash on the
+  // stack.  One warm-up call per count (first use builds the kernel table).
+  std::vector<support::Bytes> messages;
+  for (std::size_t i = 0; i < 17; ++i) {
+    messages.push_back(support::random_bytes(7 + i, 4096 - 61 * i));
+  }
+  std::vector<support::ByteView> views(messages.begin(), messages.end());
+  support::Bytes sink(64 * messages.size());
+  for (HashKind kind : kAllHashKinds) {
+    const std::size_t digest_size = hash_digest_size(kind);
+    std::vector<support::MutableByteView> outs;
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      outs.push_back(support::MutableByteView(sink.data() + digest_size * i, digest_size));
+    }
+    for (std::size_t count = 0; count <= messages.size(); ++count) {
+      const std::span<const support::ByteView> msgs(views.data(), count);
+      const std::span<const support::MutableByteView> dst(outs.data(), count);
+      digest_many(kind, msgs, dst);
+      const std::size_t n = allocations_during([&] {
+        for (int i = 0; i < 8; ++i) digest_many(kind, msgs, dst);
+      });
+      EXPECT_EQ(n, 0u) << hash_name(kind) << " count " << count;
+    }
+  }
 }
 
 }  // namespace
