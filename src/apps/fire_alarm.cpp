@@ -7,12 +7,12 @@ FireAlarmTask::FireAlarmTask(sim::Device& device, FireAlarmConfig config)
 
 void FireAlarmTask::arm(sim::Time until) {
   auto& sim = device_.sim();
-  for (sim::Time t = sim.now() + config_.period; t <= until; t += config_.period) {
-    sim.schedule_at(t, [this, t] {
-      pending_.push_back(t);
-      device_.cpu().make_ready(*this);
-    });
-  }
+  // Every period after now, up to and including `until`.
+  const std::size_t count = until > sim.now() ? (until - sim.now()) / config_.period : 0;
+  sim.schedule_every(sim.now() + config_.period, config_.period, count, [this] {
+    pending_.push_back(device_.sim().now());
+    device_.cpu().make_ready(*this);
+  });
 }
 
 std::optional<sim::Segment> FireAlarmTask::next_segment() {

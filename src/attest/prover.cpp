@@ -87,8 +87,11 @@ void AttestationProcess::restore_process_state(const ProcessState& s) {
   if (busy()) {
     throw std::logic_error("restore_process_state while a measurement is in flight");
   }
+  clear_proof_backlog();
+  // Flat mode never has a backlog; tree mode's finish() sizes the flags
+  // when they are missing, so only a backlog to restore needs them now.
+  if (s.proof_backlog.empty()) return;
   proof_backlog_flag_.assign(device_.memory().block_count(), false);
-  proof_backlog_.clear();
   for (std::uint32_t block : s.proof_backlog) {
     if (block < proof_backlog_flag_.size() && !proof_backlog_flag_[block]) {
       proof_backlog_flag_[block] = true;

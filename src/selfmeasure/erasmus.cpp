@@ -20,9 +20,10 @@ ErasmusProver::ErasmusProver(sim::Device& device, ErasmusConfig config,
 void ErasmusProver::start(sim::Time until) {
   until_ = until;
   auto& sim = device_.sim();
-  for (sim::Time t = sim.now(); t < until; t += config_.period) {
-    sim.schedule_at(t, [this] { tick(); });
-  }
+  // Now, then every T_M strictly before `until`.
+  const std::size_t count =
+      until > sim.now() ? (until - sim.now() - 1) / config_.period + 1 : 0;
+  sim.schedule_every(sim.now(), config_.period, count, [this] { tick(); });
 }
 
 void ErasmusProver::journal(obs::JournalEventKind kind, std::uint64_t a, std::uint64_t b) {

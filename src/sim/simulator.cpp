@@ -18,20 +18,36 @@ std::string format_duration(Duration d) {
   return buf;
 }
 
-EventHandle Simulator::schedule_at(Time t, Callback fn) {
+std::uint32_t Simulator::acquire() {
   std::uint32_t index = free_head_;
   if (index != kNoSlot) {
     free_head_ = slot(index).next_free;
-  } else {
-    if (slot_count_ % kSlotsPerChunk == 0) {
-      chunks_.push_back(std::make_unique<Slot[]>(kSlotsPerChunk));
-    }
-    index = slot_count_++;
+    return index;
   }
+  if (slot_count_ % kSlotsPerChunk == 0) {
+    chunks_.push_back(std::make_unique<Slot[]>(kSlotsPerChunk));
+  }
+  return slot_count_++;
+}
+
+EventHandle Simulator::schedule_at(Time t, Callback fn) {
+  const std::uint32_t index = acquire();
   Slot& s = slot(index);
   s.fn = std::move(fn);
   queue_.push(Entry{t < now_ ? now_ : t, next_seq_++, index, s.generation});
   return EventHandle{this, index, s.generation};
+}
+
+void Simulator::schedule_every(Time first, Duration period, std::size_t count, Callback fn) {
+  if (count == 0) return;
+  const std::uint32_t index = acquire();
+  Slot& s = slot(index);
+  s.fn = std::move(fn);
+  s.period = period;
+  s.unqueued = count - 1;
+  unqueued_ += count - 1;
+  queue_.push(Entry{first < now_ ? now_ : first, next_seq_, index, s.generation});
+  next_seq_ += count;
 }
 
 Simulator::Callback Simulator::release(std::uint32_t index) noexcept {
@@ -56,16 +72,26 @@ bool Simulator::fire_next() {
     const Entry entry = queue_.top();
     queue_.pop();
     if (!live(entry.slot, entry.generation)) continue;  // cancelled
-    // Moved out, and the slot released, before it runs: the callback sees
-    // its handle as no longer pending and may reuse the slot.
-    Callback fn = release(entry.slot);
     now_ = entry.time;
     ++events_fired_;
     if (journal_ != nullptr && events_fired_ % 4096 == 0) {
       journal_->append(now_, journal_->intern("queue"), 0, 0,
-                       obs::JournalEventKind::kSimQueueDepth, queue_.size());
+                       obs::JournalEventKind::kSimQueueDepth, pending_events());
     }
-    fn();
+    Slot& s = slot(entry.slot);
+    if (s.unqueued == 0) {
+      // Moved out, and the slot released, before it runs: the callback
+      // sees its handle as no longer pending and may reuse the slot.
+      Callback fn = release(entry.slot);
+      fn();
+    } else {
+      // A series queues its next arrival on the next reserved sequence
+      // number (pending_events() is unchanged) and runs in place.
+      --s.unqueued;
+      --unqueued_;
+      queue_.push(Entry{now_ + s.period, entry.seq + 1, entry.slot, entry.generation});
+      s.fn();
+    }
     return true;
   }
   return false;

@@ -9,7 +9,9 @@
 /// naming (slot, generation), so a heap sift never moves a callable.
 /// Once the pool is warm, scheduling, firing and cancelling allocate
 /// nothing for callbacks whose captures libstdc++'s std::function keeps
-/// inline (up to 16 B, trivially copyable: `this` plus a word).
+/// inline (up to 16 B, trivially copyable: `this` plus a word).  A
+/// periodic series holds one slot and one queue entry for all of its
+/// arrivals.
 
 #include <cstdint>
 #include <functional>
@@ -69,6 +71,14 @@ class Simulator {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
+  /// Call `fn` `count` times: at `first` (>= now; an earlier time is
+  /// clamped to now), then every `period`.  The call reserves `count`
+  /// consecutive sequence numbers, so arrival k carries the (time, seq)
+  /// of the k-th of `count` schedule_at(first + k * period) calls made
+  /// here, and fires exactly where that call's event would.  The series
+  /// holds one slot and one queue entry, re-queued as each arrival fires.
+  void schedule_every(Time first, Duration period, std::size_t count, Callback fn);
+
   /// Run events until the queue is empty or `limit` events fired.
   /// Returns the number of events processed.
   std::size_t run(std::size_t limit = SIZE_MAX);
@@ -76,10 +86,12 @@ class Simulator {
   /// Run events with time <= t_end; afterwards now() == max(now, t_end).
   std::size_t run_until(Time t_end);
 
-  /// Queued entries, counting cancelled ones not yet reached: a cancelled
-  /// event leaves the queue when it would have fired.
+  /// Events still to come: queued entries, counting cancelled ones not yet
+  /// reached (a cancelled event leaves the queue when it would have
+  /// fired), plus the series arrivals not yet queued.  A series always has
+  /// its next arrival queued, so the queue is empty only when this is 0.
   bool empty() const noexcept { return queue_.empty(); }
-  std::size_t pending_events() const noexcept { return queue_.size(); }
+  std::size_t pending_events() const noexcept { return queue_.size() + unqueued_; }
   std::size_t events_fired() const noexcept { return events_fired_; }
 
   /// Attach a flight-recorder journal (not owned; nullptr to detach).  All
@@ -98,11 +110,14 @@ class Simulator {
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
   /// One pooled callback.  `generation` counts the slot's releases, so an
-  /// entry or handle naming an older generation is stale.
+  /// entry or handle naming an older generation is stale.  A series keeps
+  /// its slot until its last arrival fires.
   struct Slot {
     Callback fn;
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNoSlot;
+    Duration period = 0;       ///< series: time between arrivals
+    std::size_t unqueued = 0;  ///< series: arrivals after the queued one
   };
   struct Entry {
     Time time;
@@ -117,9 +132,10 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
-  /// Slots live in fixed chunks that never move or shrink: the pool grows
-  /// without reallocation peaks, and a long arming burst (the writer task
-  /// pre-arms ~20k arrivals) leaves no large block behind.
+  /// Slots live in fixed chunks that never move or shrink: a series
+  /// callback runs in place in its slot while it schedules more events,
+  /// and a fleet shard's pool grows with its in-flight deliveries and
+  /// timers without reallocation peaks.
   static constexpr std::uint32_t kSlotsPerChunk = 256;
 
   Slot& slot(std::uint32_t i) const noexcept {
@@ -128,6 +144,8 @@ class Simulator {
   bool live(std::uint32_t i, std::uint32_t generation) const noexcept {
     return slot(i).generation == generation;
   }
+  /// Pop a free slot, growing the pool by a chunk when none is left.
+  std::uint32_t acquire();
   void cancel(std::uint32_t index, std::uint32_t generation) noexcept;
   /// Empty a slot, retire its generation and return it to the free list;
   /// returns the callback it held.
@@ -137,6 +155,7 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t events_fired_ = 0;
+  std::size_t unqueued_ = 0;  ///< sum of Slot::unqueued over live series
   obs::EventJournal* journal_ = nullptr;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;

@@ -1,6 +1,5 @@
 #include "src/support/rng.hpp"
 
-#include <bit>
 #include <cmath>
 
 namespace rasc::support {
@@ -17,31 +16,10 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   for (auto& word : s_) word = splitmix64(sm);
 }
 
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Xoshiro256::below(std::uint64_t bound) noexcept {
-  // Lemire's nearly-divisionless method with rejection for exact uniformity.
-  using u128 = unsigned __int128;
-  std::uint64_t x = (*this)();
-  u128 m = static_cast<u128>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<u128>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
+std::uint64_t Xoshiro256::below_rejecting(std::uint64_t bound, unsigned __int128 m) noexcept {
+  const std::uint64_t threshold = -bound % bound;
+  while (static_cast<std::uint64_t>(m) < threshold) {
+    m = static_cast<unsigned __int128>((*this)()) * bound;
   }
   return static_cast<std::uint64_t>(m >> 64);
 }

@@ -5,6 +5,7 @@
 /// lives in src/crypto/drbg.hpp; never use this generator for keys.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -28,10 +29,25 @@ class Xoshiro256 {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Unbiased integer in [0, bound) via Lemire rejection; bound must be > 0.
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  /// Unbiased integer in [0, bound) via Lemire's nearly-divisionless
+  /// method; bound must be > 0.  Inline up to the rare rejection case.
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    const auto m = static_cast<unsigned __int128>((*this)()) * bound;
+    if (static_cast<std::uint64_t>(m) < bound) return below_rejecting(bound, m);
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1).
   double uniform() noexcept;
@@ -55,6 +71,11 @@ class Xoshiro256 {
   }
 
  private:
+  /// below()'s slow path: `m` is the first draw times `bound`, whose low
+  /// word fell under `bound`; redraw while it is under the rejection
+  /// threshold.
+  std::uint64_t below_rejecting(std::uint64_t bound, unsigned __int128 m) noexcept;
+
   std::uint64_t s_[4];
 };
 

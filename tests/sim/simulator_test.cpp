@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <queue>
 #include <type_traits>
@@ -207,6 +208,32 @@ TEST(Simulator, ZeroDelayEventsFollowEarlierEventsDueNow) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
 }
 
+TEST(Simulator, QueueDepthSamplesMatchThePreArmingLoop) {
+  // The journal samples pending_events() every 4096 firings; a series'
+  // arrivals not yet queued count, as the loop's queued events did.
+  const auto depth_samples = [](bool series) {
+    Simulator sim;
+    obs::EventJournal journal;
+    sim.set_journal(&journal);
+    sim.schedule_at(2500, [] {});  // ties with, and fires before, arrival 2500
+    if (series) {
+      sim.schedule_every(1, 1, 9000, [] {});
+    } else {
+      for (Time t = 1; t <= 9000; ++t) sim.schedule_at(t, [] {});
+    }
+    sim.run();
+    obs::JournalFilter depth;
+    depth.kind = obs::JournalEventKind::kSimQueueDepth;
+    std::vector<std::pair<Time, std::uint64_t>> samples;
+    for (const auto& ev : journal.select(depth)) samples.emplace_back(ev.time, ev.a);
+    return samples;
+  };
+  const auto from_series = depth_samples(true);
+  ASSERT_EQ(from_series.size(), 2u);
+  EXPECT_EQ(from_series[0], (std::pair<Time, std::uint64_t>{4095, 4905}));
+  EXPECT_EQ(from_series, depth_samples(false));
+}
+
 /// One fired event as a queue saw it: which, when, and the queue depth
 /// (cancelled entries included) left behind it.
 struct Firing {
@@ -218,8 +245,11 @@ struct Firing {
 
 /// What event `id` does when it fires, the same for any queue whose order
 /// so far agrees: up to three children (zero-delay, clamped from the past,
-/// a near tie, or later) and sometimes a cancel of any id scheduled so
-/// far, which may be pending, cancelled, fired, or the running event.
+/// a near tie, later, or a periodic series of 0-4 arrivals whose first is
+/// due now or in a near tie, between children due at the same times) and
+/// sometimes a cancel of any id scheduled so far, which may be pending,
+/// cancelled, fired, the running event, or a series arrival (which cannot
+/// be cancelled, so both queues ignore it).
 template <class Queue>
 void run_script(Queue& q, std::uint64_t seed, std::size_t id) {
   support::Xoshiro256 script(seed * 1000003 + id);
@@ -227,11 +257,17 @@ void run_script(Queue& q, std::uint64_t seed, std::size_t id) {
   const std::size_t children = script.below(4);
   for (std::size_t c = 0; c < children; ++c) {
     const Time now = q.now();
-    switch (script.below(4)) {
+    switch (script.below(5)) {
       case 0: q.schedule(now); break;
       case 1: q.schedule(now / 2); break;
       case 2: q.schedule(now + 1 + script.below(3)); break;
-      default: q.schedule(now + script.below(1000)); break;
+      case 3: q.schedule(now + script.below(1000)); break;
+      default: {
+        const Time first = now + script.below(3);
+        const Duration period = script.below(4);  // 0: every arrival ties
+        q.schedule_every(first, period, script.below(5));
+        break;
+      }
     }
   }
   if (script.chance(0.3)) q.cancel(script.below(q.scheduled()));
@@ -253,6 +289,15 @@ struct SimulatorUnderTest {
       trace.push_back({id, sim.now(), sim.pending_events()});
       run_script(*this, seed, id);
     }));
+  }
+  /// One series; its arrivals take the next `count` ids, with inert handles.
+  void schedule_every(Time first, Duration period, std::size_t count) {
+    sim.schedule_every(first, period, count, [this, id = handles.size()]() mutable {
+      const std::size_t arrival = id++;
+      trace.push_back({arrival, sim.now(), sim.pending_events()});
+      run_script(*this, seed, arrival);
+    });
+    handles.resize(handles.size() + count);
   }
   void cancel(std::size_t id) { handles[id].cancel(); }
   std::size_t run(std::size_t limit) { return sim.run(limit); }
@@ -277,7 +322,8 @@ struct ReferenceQueue {
   std::uint64_t seed;
   Time clock = 0;
   std::uint64_t next_seq = 0;
-  std::vector<bool> done;  ///< fired or cancelled, by id
+  std::vector<bool> done;      ///< fired or cancelled, by id
+  std::vector<bool> periodic;  ///< scheduled by schedule_every, by id
   std::priority_queue<Entry, std::vector<Entry>, Later> queue;
   std::vector<Firing> trace;
 
@@ -285,11 +331,18 @@ struct ReferenceQueue {
   std::size_t scheduled() const { return done.size(); }
   Time now() const { return clock; }
   std::size_t depth() const { return queue.size(); }
-  void schedule(Time t) {
+  void schedule(Time t, bool series_arrival = false) {
     queue.push(Entry{t < clock ? clock : t, next_seq++, done.size()});
     done.push_back(false);
+    periodic.push_back(series_arrival);
   }
-  void cancel(std::size_t id) { done[id] = true; }
+  /// A series is its arrivals, all queued now: the pre-arming loop.
+  void schedule_every(Time first, Duration period, std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) schedule(first + k * period, true);
+  }
+  void cancel(std::size_t id) {
+    if (!periodic[id]) done[id] = true;
+  }
   bool fire_next() {
     while (!queue.empty()) {
       const Entry e = queue.top();
@@ -333,6 +386,13 @@ TEST(Simulator, MatchesReferenceQueueUnderMixedSchedulesAndCancels) {
       const Time t = rng.below(200);
       sim.schedule(t);
       ref.schedule(t);
+      if (i % 8 == 0) {  // a few series from the start, one of them due now
+        const Time first = i == 0 ? 0 : rng.below(200);
+        const Duration period = 1 + rng.below(30);
+        const std::size_t count = rng.below(6);
+        sim.schedule_every(first, period, count);
+        ref.schedule_every(first, period, count);
+      }
     }
     // Alternate run(k) and run_until(t) calls, as scenarios and fleets do.
     while (sim.depth() > 0 || ref.depth() > 0) {
@@ -351,6 +411,9 @@ TEST(Simulator, MatchesReferenceQueueUnderMixedSchedulesAndCancels) {
       ASSERT_EQ(sim.trace[i], ref.trace[i]) << "firing " << i;
     }
     EXPECT_GT(sim.trace.size(), 2000u);
+    const auto series_arrivals = std::count_if(
+        ref.trace.begin(), ref.trace.end(), [&](const Firing& f) { return ref.periodic[f.id]; });
+    EXPECT_GT(series_arrivals, 200);
   }
 }
 

@@ -78,6 +78,32 @@ TEST(Rng, ExponentialHasRequestedMean) {
   EXPECT_NEAR(sum / kDraws, 4.0, 0.1);
 }
 
+TEST(Rng, KnownAnswerStreamOfSeedOne) {
+  // Every simulated byte stream (writer payloads, device images, link
+  // fates) is a function of these draws: the raw outputs, the
+  // one-draw-per-byte below(256), and a bound whose rejection loop throws
+  // away about half its draws.
+  Xoshiro256 raw(1);
+  for (const std::uint64_t expected :
+       {0xb3f2af6d0fc710c5ULL, 0x853b559647364ceaULL, 0x92f89756082a4514ULL,
+        0x642e1c7bc266a3a7ULL}) {
+    EXPECT_EQ(raw(), expected);
+  }
+  Xoshiro256 bytes(1);
+  for (const std::uint64_t expected : {179, 133, 146, 100, 178, 36, 18, 97}) {
+    EXPECT_EQ(bytes.below(256), expected);
+  }
+  Xoshiro256 wide(1);
+  constexpr std::uint64_t kRejectsHalf = (1ULL << 63) + 1;
+  for (const std::uint64_t expected :
+       {0x429daacb239b2675ULL, 0x497c4bab0415228aULL, 0x32170e3de13351d3ULL,
+        0x30caa6e623d8f44eULL, 0x469e6dc61d52d8e8ULL, 0x7a861ff8f3ebf453ULL}) {
+    EXPECT_EQ(wide.below(kRejectsHalf), expected);
+  }
+  // Those six results took twelve raw draws: the thirteenth comes next.
+  EXPECT_EQ(wide(), 0xeeca3115e23bc8f1ULL);
+}
+
 TEST(Rng, SplitMixAdvancesState) {
   std::uint64_t s = 0;
   const auto a = splitmix64(s);
