@@ -127,7 +127,7 @@ double run_tree_rounds(sim::DeviceMemory& memory, support::ByteView key,
     out.push_back(attest::Measurement::combine_root(
         tree.root_bytes(), crypto::HashKind::kSha256, key,
         attest::MeasurementContext{"prv-micro", {}, round + 1},
-        attest::MacKind::kHmac));
+        attest::MacKind::kHmac).to_bytes());
   }
   return now_seconds() - start;
 }

@@ -31,7 +31,7 @@ void WriterTask::do_write() {
       config_.block_count == 0 ? mem.block_count() - config_.first_block
                                : config_.block_count;
   const std::size_t block = config_.first_block + rng_.below(region_blocks);
-  for (auto& b : buffer_) b = static_cast<std::uint8_t>(rng_.below(256));
+  rng_.fill(buffer_);
   const std::size_t max_off = mem.block_size() - config_.write_size;
   const std::size_t addr = block * mem.block_size() + rng_.below(max_off + 1);
   ++attempts_;

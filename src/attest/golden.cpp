@@ -35,12 +35,12 @@ GoldenMeasurement::GoldenMeasurement(support::ByteView image, std::size_t block_
   tree_->flush();
 }
 
-support::Bytes GoldenMeasurement::expected(const MeasurementContext& context) const {
+Digest GoldenMeasurement::expected_tag(const MeasurementContext& context) const {
   return Measurement::combine(digests_, hash_, key_, context, mac_, &key_schedule_);
 }
 
-support::Bytes GoldenMeasurement::expected_tree(const MeasurementContext& context) const {
-  return Measurement::combine_root(tree_root(), hash_, key_, context, mac_,
+Digest GoldenMeasurement::expected_tree(const MeasurementContext& context) const {
+  return Measurement::combine_root(tree_->root(), hash_, key_, context, mac_,
                                    &key_schedule_);
 }
 

@@ -32,13 +32,17 @@ class GoldenMeasurement {
 
   /// Expected measurement for a context — combiner MAC only, no hashing.
   /// Bit-identical to Measurement::expected on the same image.
-  support::Bytes expected(const MeasurementContext& context) const;
+  Digest expected_tag(const MeasurementContext& context) const;
+  /// expected_tag() as bytes.
+  support::Bytes expected(const MeasurementContext& context) const {
+    return expected_tag(context).to_bytes();
+  }
 
   /// Expected *tree-mode* measurement for a context: the MAC of the
   /// golden Merkle root under the context header
   /// (Measurement::combine_root).  Bit-identical to what a tree-mode
   /// prover over pristine memory produces.
-  support::Bytes expected_tree(const MeasurementContext& context) const;
+  Digest expected_tree(const MeasurementContext& context) const;
 
   /// The key, its schedule and DigestCache::key_fingerprint, derived once
   /// for every stack that shares this golden.

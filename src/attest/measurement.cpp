@@ -1,7 +1,9 @@
 #include "src/attest/measurement.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "src/attest/golden.hpp"
 #include "src/crypto/lanes.hpp"
 
 namespace rasc::attest {
@@ -19,8 +21,7 @@ support::Bytes derive_block_key(support::ByteView key) {
 BlockDigester::BlockDigester(MacKind mac, crypto::HashKind hash, support::ByteView key)
     : mac_(mac), hash_kind_(hash) {
   if (mac_ == MacKind::kHmac) {
-    hash_ = crypto::make_hash(hash);
-    digest_size_ = hash_->digest_size();
+    digest_size_ = crypto::hash_digest_size(hash);
   } else {
     // Derived once here instead of per block.
     auto block_key = derive_block_key(key);
@@ -30,18 +31,13 @@ BlockDigester::BlockDigester(MacKind mac, crypto::HashKind hash, support::ByteVi
   }
 }
 
-void BlockDigester::digest(support::ByteView block, Digest& out) {
-  if (mac_ == MacKind::kHmac) {
-    hash_->update(block);
-    hash_->finalize_into(out.prepare(digest_size_));
-  } else {
-    engine_->update(block);
-    engine_->finalize_into(out.prepare(digest_size_));
-  }
-}
-
 bool BlockDigester::batch_uses_lanes() const noexcept {
   return mac_ == MacKind::kHmac && crypto::lanes_supported(hash_kind_);
+}
+
+void BlockDigester::digest(support::ByteView block, Digest& out) {
+  Digest* const outs[] = {&out};
+  digest_batch({&block, 1}, outs);
 }
 
 void BlockDigester::digest_batch(std::span<const support::ByteView> blocks,
@@ -49,14 +45,23 @@ void BlockDigester::digest_batch(std::span<const support::ByteView> blocks,
   if (blocks.size() != outs.size()) {
     throw std::invalid_argument("digest_batch: blocks/outs size mismatch");
   }
-  if (!batch_uses_lanes()) {
-    for (std::size_t i = 0; i < blocks.size(); ++i) digest(blocks[i], *outs[i]);
+  if (mac_ != MacKind::kHmac) {
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      engine_->update(blocks[i]);
+      engine_->finalize_into(outs[i]->prepare(digest_size_));
+    }
     return;
   }
-  batch_views_.clear();
-  batch_views_.reserve(blocks.size());
-  for (Digest* out : outs) batch_views_.push_back(out->prepare(digest_size_));
-  crypto::digest_many(hash_kind_, blocks, batch_views_);
+  // digest_many takes views of the outputs, built here on the stack a
+  // chunk at a time.  The chunk is a multiple of every kernel's width, so
+  // the packing is the one an unchunked call would choose.
+  constexpr std::size_t kChunk = 64;
+  support::MutableByteView views[kChunk];
+  for (std::size_t at = 0; at < blocks.size(); at += kChunk) {
+    const std::size_t n = std::min(kChunk, blocks.size() - at);
+    for (std::size_t i = 0; i < n; ++i) views[i] = outs[at + i]->prepare(digest_size_);
+    crypto::digest_many(hash_kind_, blocks.subspan(at, n), {views, n});
+  }
 }
 
 Measurement::Measurement(const sim::DeviceMemory& memory, crypto::HashKind hash,
@@ -75,6 +80,12 @@ Measurement::Measurement(const sim::DeviceMemory& memory, crypto::HashKind hash,
   }
   block_digests_.assign(n, {});
   visit_times_.assign(n, std::nullopt);
+}
+
+void Measurement::restart(MeasurementContext context) {
+  context_ = std::move(context);
+  visit_times_.assign(block_digests_.size(), std::nullopt);
+  visited_count_ = 0;
 }
 
 void Measurement::set_digest_cache(DigestCache* cache) {
@@ -104,13 +115,28 @@ void Measurement::visit_blocks(std::span<const std::size_t> blocks, sim::Time no
 
 void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Time now,
                                     std::span<const support::ByteView> contents) {
-  batch_contents_.clear();
-  batch_outs_.clear();
-  batch_stores_.clear();
+  // Classification in caller order: bookkeeping, cache lookups and journal
+  // events happen here, block by block.  Misses are digested a wave at a
+  // time from stack buffers; blocks are distinct, so storing a wave before
+  // classifying the next changes no lookup.
+  constexpr std::size_t kWave = 64;
+  support::ByteView wave_contents[kWave];
+  Digest* wave_outs[kWave];
+  std::size_t wave_blocks[kWave];
+  std::uint64_t wave_generations[kWave];
+  bool wave_store[kWave];  ///< false for snapshot content / detached cache
+  std::size_t waiting = 0;
+  const auto digest_wave = [&] {
+    digester_.digest_batch({wave_contents, waiting}, {wave_outs, waiting});
+    for (std::size_t i = 0; i < waiting; ++i) {
+      if (wave_store[i]) {
+        cache_->store(wave_blocks[i], wave_generations[i], hash_, mac_, key_fp_,
+                      *wave_outs[i]);
+      }
+    }
+    waiting = 0;
+  };
 
-  // Classification pass in caller order: bookkeeping, cache lookups and
-  // journal events happen here, block by block; only the digesting of the
-  // misses is deferred into one batch.
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const std::size_t block = blocks[i];
     if (block < coverage_.first_block ||
@@ -144,27 +170,14 @@ void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Ti
                          block, generation);
       }
     }
-    if (batch_outs_.empty()) {
-      // Sized at the first miss, so a call whose blocks all hit (a warm
-      // round) allocates nothing.
-      batch_contents_.reserve(blocks.size() - i);
-      batch_outs_.reserve(blocks.size() - i);
-      batch_stores_.reserve(blocks.size() - i);
-    }
-    batch_contents_.push_back(content);
-    batch_outs_.push_back(&block_digests_[rel]);
-    batch_stores_.push_back({block, generation, live});
+    wave_contents[waiting] = content;
+    wave_outs[waiting] = &block_digests_[rel];
+    wave_blocks[waiting] = block;
+    wave_generations[waiting] = generation;
+    wave_store[waiting] = live;
+    if (++waiting == kWave) digest_wave();
   }
-  if (batch_outs_.empty()) return;
-
-  digester_.digest_batch(batch_contents_, batch_outs_);
-
-  for (std::size_t i = 0; i < batch_stores_.size(); ++i) {
-    const PendingStore& ps = batch_stores_[i];
-    if (ps.store) {
-      cache_->store(ps.block, ps.generation, hash_, mac_, key_fp_, *batch_outs_[i]);
-    }
-  }
+  if (waiting != 0) digest_wave();
 }
 
 support::Bytes Measurement::block_digest(MacKind mac, crypto::HashKind hash,
@@ -195,28 +208,28 @@ void feed_header(Mac& mac, const MeasurementContext& context) {
 /// from `key_schedule` (derived from `key` when null), anything else
 /// through a MacEngine.
 template <class Feed>
-support::Bytes keyed_tag(crypto::HashKind hash, support::ByteView key, MacKind mac_kind,
-                         const crypto::HmacSha256Key* key_schedule, Feed&& feed) {
+Digest keyed_tag(crypto::HashKind hash, support::ByteView key, MacKind mac_kind,
+                 const crypto::HmacSha256Key* key_schedule, Feed&& feed) {
+  Digest tag;
   if (mac_kind == MacKind::kHmac && hash == crypto::HashKind::kSha256) {
     const crypto::HmacSha256Key derived =
         key_schedule != nullptr ? *key_schedule : crypto::HmacSha256Key(key);
     crypto::Sha256 inner = derived.begin();
     feed(inner);
-    support::Bytes tag(crypto::HmacSha256Key::kTagSize);
-    derived.finish(inner, tag);
+    derived.finish(inner, tag.prepare(crypto::HmacSha256Key::kTagSize));
     return tag;
   }
   MacEngine mac(mac_kind, hash, key);
   feed(mac);
-  return mac.finalize();
+  mac.finalize_into(tag.prepare(mac.tag_size()));
+  return tag;
 }
 
 }  // namespace
 
-support::Bytes Measurement::combine(const std::vector<Digest>& digests,
-                                    crypto::HashKind hash, support::ByteView key,
-                                    const MeasurementContext& context, MacKind mac_kind,
-                                    const crypto::HmacSha256Key* key_schedule) {
+Digest Measurement::combine(const std::vector<Digest>& digests, crypto::HashKind hash,
+                            support::ByteView key, const MeasurementContext& context,
+                            MacKind mac_kind, const crypto::HmacSha256Key* key_schedule) {
   return keyed_tag(hash, key, mac_kind, key_schedule, [&](auto& mac) {
     feed_header(mac, context);
     std::uint8_t count[8];
@@ -226,11 +239,10 @@ support::Bytes Measurement::combine(const std::vector<Digest>& digests,
   });
 }
 
-support::Bytes Measurement::combine_root(support::ByteView tree_root,
-                                         crypto::HashKind hash, support::ByteView key,
-                                         const MeasurementContext& context,
-                                         MacKind mac_kind,
-                                         const crypto::HmacSha256Key* key_schedule) {
+Digest Measurement::combine_root(support::ByteView tree_root, crypto::HashKind hash,
+                                 support::ByteView key, const MeasurementContext& context,
+                                 MacKind mac_kind,
+                                 const crypto::HmacSha256Key* key_schedule) {
   return keyed_tag(hash, key, mac_kind, key_schedule, [&](auto& mac) {
     mac.update(support::bytes_of("mtree-root/v1"));
     feed_header(mac, context);
@@ -238,7 +250,7 @@ support::Bytes Measurement::combine_root(support::ByteView tree_root,
   });
 }
 
-support::Bytes Measurement::finalize(const crypto::HmacSha256Key* key_schedule) const {
+Digest Measurement::finalize_tag(const crypto::HmacSha256Key* key_schedule) const {
   if (!complete()) throw std::logic_error("Measurement::finalize before all blocks visited");
   return combine(block_digests_, hash_, key_, context_, mac_, key_schedule);
 }
@@ -246,22 +258,7 @@ support::Bytes Measurement::finalize(const crypto::HmacSha256Key* key_schedule) 
 support::Bytes Measurement::expected(support::ByteView image, std::size_t block_size,
                                      crypto::HashKind hash, support::ByteView key,
                                      const MeasurementContext& context, MacKind mac) {
-  if (block_size == 0 || image.size() % block_size != 0) {
-    throw std::invalid_argument("golden image size must be a multiple of block_size");
-  }
-  const std::size_t n = image.size() / block_size;
-  BlockDigester digester(mac, hash, key);
-  std::vector<Digest> digests(n);
-  std::vector<support::ByteView> views;
-  std::vector<Digest*> outs;
-  views.reserve(n);
-  outs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    views.push_back(image.subspan(i * block_size, block_size));
-    outs.push_back(&digests[i]);
-  }
-  digester.digest_batch(views, outs);
-  return combine(digests, hash, key, context, mac);
+  return GoldenMeasurement(image, block_size, hash, key, mac).expected(context);
 }
 
 }  // namespace rasc::attest

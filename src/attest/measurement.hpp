@@ -46,14 +46,15 @@ struct Coverage {
 /// Header binding a measurement to its context.
 struct MeasurementContext {
   std::string device_id;
-  support::Bytes challenge;    ///< Vrf nonce (empty for self-measurements)
+  Challenge challenge;         ///< Vrf nonce (empty for self-measurements)
   std::uint64_t counter = 0;   ///< monotonic counter / schedule index
 };
 
 /// Reusable per-block digest engine.  Hoists the work that the naive
 /// per-block path repeated on every block: the CBC-MAC key derivation
-/// (concat(key, "/block")) happens once at construction, and the
-/// hash/MAC state is reset and reused instead of re-instantiated.
+/// (concat(key, "/block")) happens once at construction.  Hash-based F
+/// goes through crypto::digest_many, which keeps its hash state on the
+/// stack, so the engine holds no hash object.
 class BlockDigester {
  public:
   BlockDigester(MacKind mac, crypto::HashKind hash, support::ByteView key);
@@ -62,16 +63,15 @@ class BlockDigester {
   void digest(support::ByteView block, Digest& out);
 
   /// Digest many independent blocks at once (blocks[i] -> *outs[i]).
-  /// Hash-based F over a lane-capable hash packs the blocks into multi-lane
-  /// SIMD waves (byte-identical to digest(), enforced in tests); other
-  /// configurations fall back to the scalar loop.  Allocation-free after
-  /// the first call at a given batch size (reused scratch).
+  /// Hash-based F packs them into multi-lane waves (byte-identical to
+  /// digest(), enforced in tests); CBC-MAC F loops the scalar engine.
+  /// Allocation-free.
   void digest_batch(std::span<const support::ByteView> blocks,
                     std::span<Digest* const> outs);
 
   std::size_t digest_size() const noexcept { return digest_size_; }
 
-  /// True when digest_batch packs lanes rather than looping the scalar
+  /// True when digest_batch packs lanes rather than looping a scalar
   /// engine (benchmarks label rows with this).
   bool batch_uses_lanes() const noexcept;
 
@@ -79,9 +79,7 @@ class BlockDigester {
   MacKind mac_;
   crypto::HashKind hash_kind_;
   std::size_t digest_size_;
-  std::unique_ptr<crypto::Hash> hash_;  ///< hash-based F (unkeyed per-block hash)
-  std::optional<MacEngine> engine_;     ///< encryption-based F (keyed CBC-MAC)
-  std::vector<support::MutableByteView> batch_views_;  ///< digest_batch scratch
+  std::optional<MacEngine> engine_;  ///< encryption-based F (keyed CBC-MAC)
 };
 
 class Measurement {
@@ -159,27 +157,34 @@ class Measurement {
   /// Combine per-block digests into the final authenticated measurement.
   /// Requires complete(); throws std::logic_error otherwise.
   /// `key_schedule` is as for combine().
-  support::Bytes finalize(const crypto::HmacSha256Key* key_schedule = nullptr) const;
+  Digest finalize_tag(const crypto::HmacSha256Key* key_schedule = nullptr) const;
+  /// finalize_tag() as bytes.
+  support::Bytes finalize(const crypto::HmacSha256Key* key_schedule = nullptr) const {
+    return finalize_tag(key_schedule).to_bytes();
+  }
+
+  /// Begin another measurement of the same memory, key and coverage under
+  /// `context`: every block is unvisited again, and the digest table and
+  /// visit-time storage are reused, so a kept measurement allocates
+  /// nothing per round.  Cache and journal attachments stay.
+  void restart(MeasurementContext context);
 
   const MeasurementContext& context() const noexcept { return context_; }
 
-  /// Move the context and the visit times out of a finished measurement
-  /// (after finalize() or combine_root have read the context), so the
-  /// prover's report and result take them without a copy.  The
-  /// measurement is spent afterwards.
-  MeasurementContext take_context() noexcept { return std::move(context_); }
-  std::vector<std::optional<sim::Time>> take_visit_times() noexcept {
-    return std::move(visit_times_);
+  /// Exchange the visit-time buffer with `other` (the prover's result
+  /// takes it at the end of a round and hands it back at the next start).
+  void swap_visit_times(std::vector<std::optional<sim::Time>>& other) noexcept {
+    visit_times_.swap(other);
   }
 
   const Coverage& coverage() const noexcept { return coverage_; }
   crypto::HashKind hash_kind() const noexcept { return hash_; }
   MacKind mac_kind() const noexcept { return mac_; }
 
-  /// Compute the expected measurement for a golden memory image (what the
-  /// verifier compares against).  `image` must be block_size * n bytes.
-  /// Per-context cost is O(image); a verifier validating many reports
-  /// against one image should hold a GoldenMeasurement instead.
+  /// The expected measurement for a golden memory image (what the verifier
+  /// compares against): a one-off GoldenMeasurement's.  `image` must be
+  /// block_size * n bytes.  Per-context cost is O(image); a verifier
+  /// validating many reports against one image holds the golden instead.
   static support::Bytes expected(support::ByteView image, std::size_t block_size,
                                  crypto::HashKind hash, support::ByteView key,
                                  const MeasurementContext& context,
@@ -191,24 +196,23 @@ class Measurement {
                                      support::ByteView key, support::ByteView block);
 
   /// Combine per-block digests (index order) into the authenticated
-  /// measurement.  Shared by finalize(), expected() and GoldenMeasurement.
-  /// `key_schedule`, when given, is the held HMAC-SHA-256 schedule of
-  /// `key`: HMAC-SHA-256 F tags from it instead of deriving one (other F
-  /// ignore it).
-  static support::Bytes combine(const std::vector<Digest>& digests,
-                                crypto::HashKind hash, support::ByteView key,
-                                const MeasurementContext& context, MacKind mac,
-                                const crypto::HmacSha256Key* key_schedule = nullptr);
+  /// measurement.  Shared by finalize_tag(), expected() and
+  /// GoldenMeasurement.  `key_schedule`, when given, is the held
+  /// HMAC-SHA-256 schedule of `key`: HMAC-SHA-256 F tags from it instead of
+  /// deriving one (other F ignore it).
+  static Digest combine(const std::vector<Digest>& digests, crypto::HashKind hash,
+                        support::ByteView key, const MeasurementContext& context,
+                        MacKind mac, const crypto::HmacSha256Key* key_schedule = nullptr);
 
   /// Tree-mode combiner: MAC the context header and the Merkle root
   /// instead of all n block digests — O(1) in the block count, which is
   /// what makes tree-mode finalization constant-cost.  Domain-separated
   /// from combine() by an explicit tag, so a flat measurement can never
   /// collide with a tree measurement over the same memory.
-  static support::Bytes combine_root(support::ByteView tree_root,
-                                     crypto::HashKind hash, support::ByteView key,
-                                     const MeasurementContext& context, MacKind mac,
-                                     const crypto::HmacSha256Key* key_schedule = nullptr);
+  static Digest combine_root(support::ByteView tree_root, crypto::HashKind hash,
+                             support::ByteView key, const MeasurementContext& context,
+                             MacKind mac,
+                             const crypto::HmacSha256Key* key_schedule = nullptr);
 
  private:
   const sim::DeviceMemory& memory_;
@@ -228,16 +232,6 @@ class Measurement {
 
   void visit_blocks_impl(std::span<const std::size_t> blocks, sim::Time now,
                          std::span<const support::ByteView> contents);
-
-  /// visit_blocks scratch (cleared per call, capacity reused).
-  struct PendingStore {
-    std::size_t block;
-    std::uint64_t generation;
-    bool store;  ///< false for snapshot content / detached cache
-  };
-  std::vector<support::ByteView> batch_contents_;
-  std::vector<Digest*> batch_outs_;
-  std::vector<PendingStore> batch_stores_;
 };
 
 }  // namespace rasc::attest

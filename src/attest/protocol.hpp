@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "src/attest/prover.hpp"
 #include "src/attest/verifier.hpp"
@@ -32,7 +33,7 @@ namespace rasc::attest {
 /// prover can drop forged or corrupted requests (Section 2.2 step 2).
 struct ChallengeRequest {
   std::uint64_t counter = 0;
-  support::Bytes challenge;
+  Challenge challenge;
 };
 
 /// Wire = counter || challenge length || challenge || HMAC-SHA-256 tag
@@ -41,8 +42,9 @@ support::Bytes seal_challenge_request(const ChallengeRequest& request,
                                       const crypto::HmacSha256Key& key);
 support::Bytes seal_challenge_request(const ChallengeRequest& request,
                                       support::ByteView key);
-/// Verify and decode a request wire; std::nullopt when truncated or the
-/// MAC does not check out.
+/// Verify and decode a request wire; std::nullopt when truncated, longer
+/// than its length field says, carrying a challenge past Challenge's
+/// capacity, or when the MAC does not check out.
 std::optional<ChallengeRequest> open_challenge_request(support::ByteView wire,
                                                        const crypto::HmacSha256Key& key);
 std::optional<ChallengeRequest> open_challenge_request(support::ByteView wire,
@@ -89,7 +91,7 @@ class OnDemandProtocol {
   /// drops a message the round never completes at this layer; wrap the
   /// protocol in a ReliableSession (session.hpp) for timeout/retry.
   /// `done` fires once per delivered copy of the report, each time with
-  /// the round's one timeline.
+  /// the attempt's one timeline, and may call run() again.
   void run(std::uint64_t counter, std::function<void(const OnDemandTimings&)> done);
 
   /// Prover-side request rejections (diagnostics for the session layer).
@@ -97,7 +99,7 @@ class OnDemandProtocol {
   std::size_t requests_ignored_busy() const noexcept { return ignored_busy_; }
 
   /// Protocol-internal deferral events (request-auth delay, verify delay)
-  /// scheduled but not yet fired.  These lambdas capture `this`, so the
+  /// scheduled but not yet fired.  They call back into `this`, so the
   /// protocol must not be destroyed while any is outstanding — a fleet
   /// only hibernates a stack when this is zero.
   std::size_t pending_events() const noexcept { return pending_events_; }
@@ -118,6 +120,27 @@ class OnDemandProtocol {
   }
 
  private:
+  /// One run(), from its request to the last copy of its report.  Every
+  /// continuation captures {this, slot} (held inline by std::function); a
+  /// late or duplicated copy is judged with its own attempt's record, so
+  /// records are dropped only once the protocol is quiescent.
+  struct Attempt {
+    OnDemandTimings timings;    ///< the instants; each copy's verdict is its own
+    ChallengeRequest accepted;  ///< as the prover opened it
+    std::function<void(const OnDemandTimings&)> done;
+    /// Delivered report copies waiting out kVerifyDelay, oldest first.  The
+    /// prover answers one request per counter, so one report is sent per
+    /// attempt: its original and at most one duplicate.
+    support::Bytes reports[2];
+    std::uint8_t first_report = 0;
+    std::uint8_t waiting_reports = 0;
+  };
+
+  void on_request(std::uint32_t slot, support::ByteView request_wire);
+  void on_report(std::uint32_t slot, support::Bytes report_wire);
+  void verify_report(std::uint32_t slot);
+  /// Drop every attempt record once no copy of any attempt can arrive.
+  void release_if_quiescent() noexcept;
   /// Journal under the prover device's id (no-op without a journal).
   void journal(obs::JournalEventKind kind, sim::Time time, std::uint64_t a,
                std::uint64_t b);
@@ -127,6 +150,7 @@ class OnDemandProtocol {
   AttestationProcess& mp_;
   sim::Link& vrf_to_prv_;
   sim::Link& prv_to_vrf_;
+  std::vector<Attempt> attempts_;
   bool prover_counter_seen_ = false;
   /// An accepted request is in its deferral: MP is about to start, so
   /// further requests count as busy.  False whenever pending_events() is

@@ -62,13 +62,15 @@ sim::Duration AttestationProcess::finalize_cost() const {
 
 void AttestationProcess::ensure_tree() {
   if (tree_) return;
-  tree_digester_.emplace(config_.mac, config_.hash, device_.attestation_key());
+  tree_digester_ =
+      std::make_unique<BlockDigester>(config_.mac, config_.hash, device_.attestation_key());
   // The leaf function only primes (provisioning, outside sim time); a
   // round lands its digests through the measurement and apply_digest.
-  tree_.emplace(device_.memory(), config_.hash,
-                [this](std::size_t, support::ByteView content, Digest& out) {
-                  tree_digester_->digest(content, out);
-                });
+  tree_ = std::make_unique<mtree::IncrementalTree>(
+      device_.memory(), config_.hash,
+      [this](std::size_t, support::ByteView content, Digest& out) {
+        tree_digester_->digest(content, out);
+      });
 }
 
 void AttestationProcess::clear_proof_backlog() noexcept {
@@ -124,15 +126,14 @@ void AttestationProcess::prime_tree_from(std::span<const Digest> leaves) {
   tree_->use_observed_dirty(true);
 }
 
-std::vector<std::size_t> AttestationProcess::make_order() {
-  std::vector<std::size_t> order;
+void AttestationProcess::make_order() {
+  std::vector<std::size_t>& order = result_.order;
   if (config_.use_merkle_tree && tree_->primed()) {
-    // Incremental round: only the blocks written since the last round.
+    // Incremental round: only the blocks written since the last one.
     order = tree_->collect_dirty();
   } else {
     const std::size_t first = config_.coverage.first_block;
-    const std::size_t n = config_.coverage.resolve_count(device_.memory());
-    order.resize(n);
+    order.resize(config_.coverage.resolve_count(device_.memory()));
     std::iota(order.begin(), order.end(), first);
   }
   const std::size_t n = order.size();
@@ -148,11 +149,10 @@ std::vector<std::size_t> AttestationProcess::make_order() {
       std::swap(order[i - 1], order[j]);
     }
   }
-  return order;
 }
 
 void AttestationProcess::start(MeasurementContext context,
-                               std::function<void(AttestationResult)> done) {
+                               std::function<void(const AttestationResult&)> done) {
   if (busy()) throw std::logic_error("AttestationProcess::start while busy");
   if (config_.use_merkle_tree) {
     if (config_.coverage.first_block != 0 ||
@@ -169,8 +169,15 @@ void AttestationProcess::start(MeasurementContext context,
     }
     ensure_tree();
   }
-  measurement_.emplace(device_.memory(), config_.hash, device_.attestation_key(),
-                       std::move(context), config_.coverage, config_.mac);
+  if (measurement_) {
+    // Take back the visit-time buffer the last result carried, so one
+    // buffer moves between the two and neither is reallocated.
+    measurement_->swap_visit_times(result_.visit_times);
+    measurement_->restart(std::move(context));
+  } else {
+    measurement_.emplace(device_.memory(), config_.hash, device_.attestation_key(),
+                         std::move(context), config_.coverage, config_.mac);
+  }
   if (config_.use_digest_cache) {
     DigestCache& cache =
         shared_digest_cache_ != nullptr ? *shared_digest_cache_ : digest_cache_;
@@ -185,10 +192,10 @@ void AttestationProcess::start(MeasurementContext context,
       cache.set_journal(nullptr, 0);
     }
   }
-  order_ = make_order();
-  if (config_.use_merkle_tree) planned_nodes_ = tree_->tree().plan_rehash(order_);
+  make_order();
+  if (config_.use_merkle_tree) planned_nodes_ = tree_->tree().plan_rehash(result_.order);
   next_index_ = 0;
-  result_ = AttestationResult{};
+  result_.t_s = result_.t_e = result_.t_r = 0;
   done_ = std::move(done);
   stage_ = Stage::kLock;
   requested_at_ = device_.sim().now();
@@ -219,7 +226,7 @@ std::optional<sim::Segment> AttestationProcess::next_segment() {
     }
     case Stage::kBlocks:
       if (config_.mode == ExecutionMode::kAtomic) {
-        const std::size_t n = order_.size();
+        const std::size_t n = result_.order.size();
         const sim::Duration total = block_cost() * n + finalize_cost();
         return sim::Segment{total, [this] { complete_atomic(); }};
       }
@@ -243,7 +250,7 @@ void AttestationProcess::complete_lock() {
   if (policy_) policy_->on_start(device_.memory(), config_.coverage);
   // A fully clean tree-mode round has nothing to visit: skip straight to
   // the (root-MAC only) finalization segment.
-  stage_ = order_.empty() ? Stage::kCombine : Stage::kBlocks;
+  stage_ = result_.order.empty() ? Stage::kCombine : Stage::kBlocks;
 }
 
 void AttestationProcess::visit_one(std::size_t block, sim::Time visit_time) {
@@ -272,40 +279,41 @@ void AttestationProcess::complete_atomic() {
   const sim::Time visit_time =
       (policy_ && policy_->snapshots_at_start()) ? result_.t_s : now;
   auto& mem = device_.memory();
+  const std::vector<std::size_t>& order = result_.order;
   if (config_.use_merkle_tree) {
     // Tree mode reads live memory (snapshot policies are rejected at
     // start): batch-visit through the measurement — cache lookups and
     // journal events are bit-identical to the per-block path — then land
     // each digest in the tree exactly as visit_one does.
-    measurement_->visit_blocks(order_, visit_time);
-    for (std::size_t block : order_) {
+    measurement_->visit_blocks(order, visit_time);
+    for (std::size_t block : order) {
       tree_->apply_digest(block, measurement_->visited_digest(block));
     }
   } else if (policy_ != nullptr) {
     batch_contents_.clear();
-    batch_contents_.reserve(order_.size());
-    for (std::size_t block : order_) {
+    batch_contents_.reserve(order.size());
+    for (std::size_t block : order) {
       batch_contents_.push_back(policy_->block_source(mem, block));
     }
-    measurement_->visit_blocks(order_, visit_time, batch_contents_);
+    measurement_->visit_blocks(order, visit_time, batch_contents_);
   } else {
-    measurement_->visit_blocks(order_, visit_time);
+    measurement_->visit_blocks(order, visit_time);
   }
   if (policy_ != nullptr) {
-    for (std::size_t block : order_) policy_->on_block_visited(mem, block);
+    for (std::size_t block : order) policy_->on_block_visited(mem, block);
   }
-  if (observer_) observer_(order_.size(), order_.size());
+  if (observer_) observer_(order.size(), order.size());
   finish();
 }
 
 void AttestationProcess::complete_block() {
-  const std::size_t block = order_[next_index_];
+  const std::size_t block = result_.order[next_index_];
   const sim::Time visit_time =
       (policy_ && policy_->snapshots_at_start()) ? result_.t_s : device_.sim().now();
   visit_one(block, visit_time);
   ++next_index_;
-  if (observer_) observer_(next_index_, order_.size());
-  if (next_index_ == order_.size()) stage_ = Stage::kCombine;
+  if (observer_) observer_(next_index_, result_.order.size());
+  if (next_index_ == result_.order.size()) stage_ = Stage::kCombine;
 }
 
 void AttestationProcess::complete_combine() { finish(); }
@@ -315,10 +323,11 @@ void AttestationProcess::finish() {
   result_.t_e = device_.sim().now();
   if (policy_) policy_->on_end(mem, config_.coverage);
 
-  Report report;
+  Report& report = result_.report;
   report.t_start = result_.t_s;
   report.t_end = result_.t_e;
   report.hash = config_.hash;
+  report.proofs.clear();
   if (config_.use_merkle_tree) {
     const mtree::RehashStats stats = tree_->flush_tree();
     auto* journal = device_.sim().journal();
@@ -327,7 +336,7 @@ void AttestationProcess::finish() {
       journal->append(result_.t_e, actor, 0, 0, obs::JournalEventKind::kMtreeRehash,
                       stats.dirty_leaves, stats.nodes_rehashed);
     }
-    report.tree_root = tree_->root_bytes();
+    report.tree_root = tree_->root();
     report.measurement = Measurement::combine_root(
         report.tree_root, config_.hash, device_.attestation_key(),
         measurement_->context(), config_.mac, &device_.attestation_key_schedule());
@@ -340,7 +349,7 @@ void AttestationProcess::finish() {
       proof_backlog_flag_.assign(device_.memory().block_count(), false);
       proof_backlog_.clear();
     }
-    for (std::size_t block : order_) {
+    for (std::size_t block : result_.order) {
       if (!proof_backlog_flag_[block]) {
         proof_backlog_flag_[block] = true;
         proof_backlog_.push_back(static_cast<std::uint32_t>(block));
@@ -365,20 +374,19 @@ void AttestationProcess::finish() {
       i = j;
     }
   } else {
-    report.measurement = measurement_->finalize(&device_.attestation_key_schedule());
+    report.tree_root.clear();
+    report.measurement = measurement_->finalize_tag(&device_.attestation_key_schedule());
   }
-  // The measurement is combined and about to be destroyed: its context and
-  // visit times move into the report and the result.
-  MeasurementContext context = measurement_->take_context();
-  report.device_id = std::move(context.device_id);
-  report.challenge = std::move(context.challenge);
+  // The report keeps its strings' storage across rounds, so this copy
+  // allocates nothing once warm; the visit times trade buffers.
+  const MeasurementContext& context = measurement_->context();
+  report.device_id = context.device_id;
+  report.challenge = context.challenge;
   report.counter = context.counter;
   authenticate_report(report, device_.attestation_key_schedule());
+  report.signature.clear();
   if (signer_ != nullptr && config_.signature) sign_report(report, *signer_);
-
-  result_.report = std::move(report);
-  result_.order = std::move(order_);
-  result_.visit_times = measurement_->take_visit_times();
+  measurement_->swap_visit_times(result_.visit_times);
 
   const sim::Duration delay = policy_ ? policy_->release_delay() : 0;
   result_.t_r = result_.t_e + delay;
@@ -387,7 +395,7 @@ void AttestationProcess::finish() {
     // then the measurement (t_s -> t_e, lock held until t_r).
     const std::uint32_t actor = j->intern(device_.id());
     j->append(requested_at_, actor, 0, 0, obs::JournalEventKind::kProverSession,
-              result_.report.counter, result_.t_e - requested_at_);
+              report.counter, result_.t_e - requested_at_);
     j->append(result_.t_s, actor, 0, 0, obs::JournalEventKind::kProverMeasure, delay,
               result_.t_e - result_.t_s);
   }
@@ -403,12 +411,11 @@ void AttestationProcess::finish() {
 
   stage_ = Stage::kIdle;
   total_measure_time_ += result_.t_e - result_.t_s;
-  measurement_.reset();
   if (done_) {
     // Move out first: the callback may start a new measurement.
     auto done = std::move(done_);
     done_ = nullptr;
-    done(std::move(result_));
+    done(result_);
   }
 }
 

@@ -19,6 +19,7 @@
 /// only measurement-internal information the adversary models receive.
 
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "src/attest/lock_policy.hpp"
@@ -115,9 +116,13 @@ class AttestationProcess final : public sim::Process {
     shared_digest_cache_ = cache;
   }
 
-  /// Begin a measurement; `done` fires at t_e with the full result.
-  /// Throws std::logic_error if a measurement is already in flight.
-  void start(MeasurementContext context, std::function<void(AttestationResult)> done);
+  /// Begin a measurement; `done` fires at t_e with the full result, held
+  /// by the process and valid until the next start() (the process keeps
+  /// its measurement, traversal order, visit times and report across
+  /// rounds, so a round reuses their storage).  Throws std::logic_error if
+  /// a measurement is already in flight.
+  void start(MeasurementContext context,
+             std::function<void(const AttestationResult&)> done);
 
   /// Tree mode only: build the tree from current memory host-side (a
   /// provisioning step, outside simulated time), wire the memory's
@@ -138,7 +143,7 @@ class AttestationProcess final : public sim::Process {
   /// prime_tree(); nullptr otherwise) — exposed for benches and the fleet
   /// aggregation layer.
   const mtree::IncrementalTree* tree() const noexcept {
-    return tree_ ? &*tree_ : nullptr;
+    return tree_.get();
   }
 
   /// Tree mode: drop the proof backlog.  Reports prove every block dirtied
@@ -183,7 +188,7 @@ class AttestationProcess final : public sim::Process {
   void complete_block();
   void complete_combine();
   void finish();
-  std::vector<std::size_t> make_order();
+  void make_order();
   void ensure_tree();
   void visit_one(std::size_t block, sim::Time visit_time);
 
@@ -198,18 +203,22 @@ class AttestationProcess final : public sim::Process {
 
   Stage stage_ = Stage::kIdle;
   sim::Duration total_measure_time_ = 0;
-  std::optional<Measurement> measurement_;
-  std::optional<mtree::IncrementalTree> tree_;     ///< persists across rounds
-  std::optional<BlockDigester> tree_digester_;     ///< host-side priming path
+  std::optional<Measurement> measurement_;  ///< built by the first start(), then kept
+  /// Tree mode only, built by its first round or priming and kept: behind
+  /// pointers, so a flat-mode process (every fleet stack) carries 16 bytes
+  /// for them instead of ~380.
+  std::unique_ptr<mtree::IncrementalTree> tree_;
+  std::unique_ptr<BlockDigester> tree_digester_;  ///< host-side priming path
   std::size_t planned_nodes_ = 0;  ///< tree nodes this round will re-hash
   std::vector<bool> proof_backlog_flag_;       ///< block -> in backlog
   std::vector<std::uint32_t> proof_backlog_;   ///< unacknowledged dirty blocks
-  std::vector<std::size_t> order_;
   std::vector<support::ByteView> batch_contents_;  ///< complete_atomic scratch
   std::size_t next_index_ = 0;
   sim::Time requested_at_ = 0;  ///< start() time, opens the journaled session span
+  /// The round's result, built in place; its `order` is the traversal the
+  /// round follows.
   AttestationResult result_;
-  std::function<void(AttestationResult)> done_;
+  std::function<void(const AttestationResult&)> done_;
 };
 
 }  // namespace rasc::attest

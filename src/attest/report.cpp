@@ -1,5 +1,7 @@
 #include "src/attest/report.hpp"
 
+#include <cstring>
+
 namespace rasc::attest {
 
 namespace {
@@ -8,41 +10,83 @@ namespace {
 /// start a MAC section with it: the value is far above any real MAC
 /// length, so the parser's peek is unambiguous.
 constexpr std::uint32_t kMtreeMagic = 0x4d545245;
+
+/// Feed the canonical body — everything the MAC and signature cover — to
+/// `sink` (called with one support::ByteView per piece, valid only during
+/// the call).  The one encoding: the wire writes it, the MAC hashes it and
+/// serialize_body() collects it.
+template <class Sink>
+void encode_body(const Report& report, Sink&& sink) {
+  std::uint8_t word[8];
+  const auto u32 = [&](std::uint32_t v) {
+    support::put_u32_be(word, v);
+    sink(support::ByteView(word, 4));
+  };
+  const auto u64 = [&](std::uint64_t v) {
+    support::put_u64_be(word, v);
+    sink(support::ByteView(word, 8));
+  };
+  const auto field = [&](support::ByteView bytes) {
+    u32(static_cast<std::uint32_t>(bytes.size()));
+    sink(bytes);
+  };
+  field(support::bytes_of(report.device_id));
+  field(report.challenge);
+  u64(report.counter);
+  u64(report.t_start);
+  u64(report.t_end);
+  u32(static_cast<std::uint32_t>(report.hash));
+  field(report.measurement);
+  if (!report.tree_root.empty()) {
+    u32(kMtreeMagic);
+    field(report.tree_root);
+    u32(static_cast<std::uint32_t>(report.proofs.size()));
+    for (const auto& proof : report.proofs) field(proof.serialize());
+  }
 }
 
-support::Bytes Report::serialize_body() const {
-  support::Bytes out;
-  // Room for the flat body plus the MAC and signature sections that
-  // serialize_report_wire appends: one allocation on either path.
-  out.reserve(4 + device_id.size() + 4 + challenge.size() + 3 * 8 + 4 + 4 +
-              measurement.size() + 4 + mac.size() + 4 + signature.size());
-  support::append_u32_be(out, static_cast<std::uint32_t>(device_id.size()));
-  out.insert(out.end(), device_id.begin(), device_id.end());
-  support::append_u32_be(out, static_cast<std::uint32_t>(challenge.size()));
-  support::append(out, challenge);
-  support::append_u64_be(out, counter);
-  support::append_u64_be(out, t_start);
-  support::append_u64_be(out, t_end);
-  support::append_u32_be(out, static_cast<std::uint32_t>(hash));
-  support::append_u32_be(out, static_cast<std::uint32_t>(measurement.size()));
-  support::append(out, measurement);
-  if (!tree_root.empty()) {
-    support::append_u32_be(out, kMtreeMagic);
-    support::append_u32_be(out, static_cast<std::uint32_t>(tree_root.size()));
-    support::append(out, tree_root);
-    support::append_u32_be(out, static_cast<std::uint32_t>(proofs.size()));
-    for (const auto& proof : proofs) {
-      const support::Bytes wire = proof.serialize();
-      support::append_u32_be(out, static_cast<std::uint32_t>(wire.size()));
-      support::append(out, wire);
+/// HMAC-SHA-256 of the body, its fields streamed into the key schedule.
+/// The short fields are gathered on the stack first, so the hash sees one
+/// update per 128 bytes rather than one per field.
+ReportMac body_mac(const Report& report, const crypto::HmacSha256Key& key) {
+  crypto::Sha256 inner = key.begin();
+  std::uint8_t gathered[128];
+  std::size_t used = 0;
+  encode_body(report, [&](support::ByteView piece) {
+    if (used + piece.size() > sizeof gathered) {
+      inner.update({gathered, used});
+      used = 0;
     }
-  }
+    if (piece.size() > sizeof gathered) {
+      inner.update(piece);
+    } else if (!piece.empty()) {
+      std::memcpy(gathered + used, piece.data(), piece.size());
+      used += piece.size();
+    }
+  });
+  inner.update({gathered, used});
+  ReportMac mac;
+  key.finish(inner, mac.prepare(crypto::HmacSha256Key::kTagSize));
+  return mac;
+}
+
+/// Append what encode_body feeds (and then `extra` bytes) to an exactly
+/// reserved buffer.
+support::Bytes collect_body(const Report& report, std::size_t extra) {
+  std::size_t size = extra;
+  encode_body(report, [&size](support::ByteView piece) { size += piece.size(); });
+  support::Bytes out;
+  out.reserve(size);
+  encode_body(report, [&out](support::ByteView piece) { support::append(out, piece); });
   return out;
 }
 
+}  // namespace
+
+support::Bytes Report::serialize_body() const { return collect_body(*this, 0); }
+
 void authenticate_report(Report& report, const crypto::HmacSha256Key& key) {
-  report.mac.resize(crypto::HmacSha256Key::kTagSize);
-  key.tag(report.serialize_body(), report.mac);
+  report.mac = body_mac(report, key);
 }
 
 void authenticate_report(Report& report, support::ByteView key) {
@@ -54,9 +98,7 @@ void sign_report(Report& report, crypto::Signer& signer) {
 }
 
 bool report_mac_valid(const Report& report, const crypto::HmacSha256Key& key) {
-  std::uint8_t tag[crypto::HmacSha256Key::kTagSize];
-  key.tag(report.serialize_body(), tag);
-  return support::ct_equal(tag, report.mac);
+  return support::ct_equal(body_mac(report, key), report.mac);
 }
 
 bool report_mac_valid(const Report& report, support::ByteView key) {
@@ -70,7 +112,8 @@ bool report_signature_valid(const Report& report, const crypto::Signer& signer) 
 }
 
 support::Bytes serialize_report_wire(const Report& report) {
-  support::Bytes out = report.serialize_body();
+  support::Bytes out =
+      collect_body(report, 4 + report.mac.size() + 4 + report.signature.size());
   support::append_u32_be(out, static_cast<std::uint32_t>(report.mac.size()));
   support::append(out, report.mac);
   support::append_u32_be(out, static_cast<std::uint32_t>(report.signature.size()));
@@ -80,7 +123,8 @@ support::Bytes serialize_report_wire(const Report& report) {
 
 namespace {
 
-/// Bounds-checked sequential reader over a wire buffer.
+/// Bounds-checked sequential reader over a wire buffer.  A failed read
+/// clears `ok` and returns an empty value; every later read fails too.
 struct WireReader {
   support::ByteView wire;
   std::size_t pos = 0;
@@ -108,15 +152,25 @@ struct WireReader {
     return v;
   }
 
-  support::Bytes bytes(std::size_t n) noexcept {
+  support::ByteView bytes(std::size_t n) noexcept {
     if (!has(n)) {
       ok = false;
       return {};
     }
-    support::Bytes out(wire.begin() + static_cast<std::ptrdiff_t>(pos),
-                       wire.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    const support::ByteView out = wire.subspan(pos, n);
     pos += n;
     return out;
+  }
+
+  /// A length-prefixed field.
+  support::ByteView field() noexcept { return bytes(u32()); }
+
+  /// A length-prefixed field into an inline value; fails past its capacity.
+  template <std::size_t N>
+  void field(FixedBytes<N>& out) noexcept {
+    const support::ByteView bytes = field();
+    if (bytes.size() > N) ok = false;
+    if (ok) out.assign(bytes);
   }
 };
 
@@ -125,46 +179,39 @@ struct WireReader {
 std::optional<Report> parse_report_wire(support::ByteView wire) {
   WireReader r{wire};
   Report report;
-  const std::uint32_t id_len = r.u32();
-  report.device_id = support::to_string(r.bytes(id_len));
-  const std::uint32_t challenge_len = r.u32();
-  report.challenge = r.bytes(challenge_len);
+  const support::ByteView id = r.field();
+  if (!id.empty()) {
+    report.device_id.assign(reinterpret_cast<const char*>(id.data()), id.size());
+  }
+  r.field(report.challenge);
   report.counter = r.u64();
   report.t_start = r.u64();
   report.t_end = r.u64();
   report.hash = static_cast<crypto::HashKind>(r.u32());
-  const std::uint32_t measurement_len = r.u32();
-  report.measurement = r.bytes(measurement_len);
+  r.field(report.measurement);
   // Tree-mode trailer?  A peek is safe because a MAC length can never
   // equal the magic (MACs are tens of bytes, the magic is > 10^9).
   if (r.has(4) && support::get_u32_be(r.wire.subspan(r.pos, 4)) == kMtreeMagic) {
     r.pos += 4;
-    const std::uint32_t root_len = r.u32();
-    report.tree_root = r.bytes(root_len);
+    r.field(report.tree_root);
     const std::uint32_t proof_count = r.u32();
     for (std::uint32_t i = 0; r.ok && i < proof_count; ++i) {
-      const std::uint32_t proof_len = r.u32();
-      if (!r.has(proof_len)) {
-        r.ok = false;
-        break;
-      }
+      const support::ByteView proof_wire = r.field();
+      if (!r.ok) break;
       std::size_t proof_pos = 0;
-      auto proof =
-          mtree::MtreeProof::parse(r.wire.subspan(r.pos, proof_len), proof_pos);
-      if (!proof || proof_pos != proof_len) {
+      auto proof = mtree::MtreeProof::parse(proof_wire, proof_pos);
+      if (!proof || proof_pos != proof_wire.size()) {
         r.ok = false;
         break;
       }
       report.proofs.push_back(std::move(*proof));
-      r.pos += proof_len;
     }
     if (report.tree_root.empty()) r.ok = false;  // would not round-trip
   }
-  const std::uint32_t mac_len = r.u32();
-  report.mac = r.bytes(mac_len);
-  const std::uint32_t sig_len = r.u32();
-  report.signature = r.bytes(sig_len);
+  r.field(report.mac);
+  const support::ByteView signature = r.field();
   if (!r.ok || r.pos != wire.size()) return std::nullopt;
+  report.signature.assign(signature.begin(), signature.end());
   return report;
 }
 

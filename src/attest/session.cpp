@@ -50,13 +50,13 @@ void ReliableSession::journal(obs::JournalEventKind kind, std::uint64_t round,
 }
 
 void ReliableSession::run(std::function<void(RoundResult)> done) {
-  if (state_ != nullptr) {
+  if (state_) {
     throw std::logic_error("ReliableSession: a round is already in flight");
   }
   if (config_.max_attempts == 0) {
     throw std::invalid_argument("ReliableSession: max_attempts must be >= 1");
   }
-  state_ = std::make_unique<RoundState>();
+  state_.emplace();
   state_->round_seq = next_round_seq_++;
   state_->result.t_started = device_.sim().now();
   state_->measure_time_at_start = mp_.total_measure_time();
@@ -83,7 +83,7 @@ void ReliableSession::start_attempt() {
 
 void ReliableSession::on_attempt_report(std::uint64_t round_seq,
                                         const OnDemandTimings& timings) {
-  if (state_ == nullptr || state_->round_seq != round_seq) {
+  if (!state_ || state_->round_seq != round_seq) {
     // The round already resolved (e.g. a duplicated copy of the winning
     // report, or an answer that outlived its whole round): reject without
     // touching verifier state again.
@@ -128,7 +128,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
 }
 
 void ReliableSession::on_attempt_timeout(std::uint64_t round_seq) {
-  if (state_ == nullptr || state_->round_seq != round_seq) return;
+  if (!state_ || state_->round_seq != round_seq) return;
   if (!state_->waiting_response) return;  // superseded by a corrupt-retry
   RoundResult& result = state_->result;
   ++result.attempt_timeouts;
@@ -176,7 +176,7 @@ void ReliableSession::schedule_retry() {
           result.attempts, backoff);
   const std::uint64_t seq = state_->round_seq;
   state_->retry = sim.schedule_in(backoff, [this, seq] {
-    if (state_ == nullptr || state_->round_seq != seq) return;
+    if (!state_ || state_->round_seq != seq) return;
     start_attempt();
   });
 }

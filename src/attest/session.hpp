@@ -25,7 +25,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "src/attest/protocol.hpp"
@@ -114,13 +114,13 @@ class ReliableSession {
   /// std::invalid_argument on a zero-attempt config.
   void run(std::function<void(RoundResult)> done);
 
-  bool busy() const noexcept { return state_ != nullptr; }
+  bool busy() const noexcept { return state_.has_value(); }
 
   /// True when no round is in flight and the wrapped protocol has no
   /// deferral event outstanding — the only state in which this session
   /// (and the device stack owning it) may be torn down for hibernation.
   bool quiescent() const noexcept {
-    return state_ == nullptr && protocol_.pending_events() == 0;
+    return !state_ && protocol_.pending_events() == 0;
   }
 
   /// Session-and-protocol state that must survive hibernation: the jitter
@@ -181,7 +181,7 @@ class ReliableSession {
   obs::ActorId journal_session_;   ///< this session's id (interned label)
   std::uint64_t next_counter_ = 1;
   std::uint64_t next_round_seq_ = 1;
-  std::unique_ptr<RoundState> state_;  ///< null when idle
+  std::optional<RoundState> state_;  ///< empty when idle
   SessionCounters counters_;
 };
 

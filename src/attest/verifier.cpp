@@ -57,13 +57,12 @@ void Verifier::derive_challenge(std::uint64_t index, std::size_t size) {
   outstanding_size_ = static_cast<std::uint8_t>(size);
 }
 
-support::Bytes Verifier::issue_challenge(std::size_t size) {
+Challenge Verifier::issue(std::size_t size) {
   if (size == 0 || size > kMaxChallengeSize) {
     throw std::invalid_argument("Verifier: challenge size must be 1..32 bytes");
   }
   derive_challenge(issue_index_++, size);
-  const support::ByteView challenge = outstanding();
-  return {challenge.begin(), challenge.end()};
+  return Challenge(outstanding());
 }
 
 void Verifier::restore_session_state(const SessionState& s) {
@@ -87,7 +86,7 @@ VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
 
   MeasurementContext context{report.device_id, report.challenge, report.counter};
   if (report.tree_root.empty()) {
-    out.digest_ok = support::ct_equal(report.measurement, golden_->expected(context));
+    out.digest_ok = support::ct_equal(report.measurement, golden_->expected_tag(context));
   } else {
     out.used_tree = true;
     out.total_blocks = golden_->block_count();

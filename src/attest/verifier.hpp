@@ -106,7 +106,11 @@ class Verifier {
 
   /// The next challenge (also remembered as the expected one).  Throws
   /// std::invalid_argument unless 1 <= size <= kMaxChallengeSize.
-  support::Bytes issue_challenge(std::size_t size = kChallengeSize);
+  Challenge issue(std::size_t size = kChallengeSize);
+  /// issue() as bytes.
+  support::Bytes issue_challenge(std::size_t size = kChallengeSize) {
+    return issue(size).to_bytes();
+  }
 
   /// Validate a report.  If `expect_challenge` is true the report must
   /// carry the most recently issued challenge (on-demand RA); if false
@@ -151,6 +155,8 @@ class Verifier {
   VerifierCounters counters_;
 };
 
+static_assert(Challenge::kMaxSize == Verifier::kMaxChallengeSize,
+              "a challenge is carried inline at its largest size");
 static_assert(std::is_trivially_copyable_v<Verifier::SessionState>,
               "a hibernation record carries the verifier session by value, no heap");
 

@@ -24,6 +24,27 @@ std::uint64_t Xoshiro256::below_rejecting(std::uint64_t bound, unsigned __int128
   return static_cast<std::uint64_t>(m >> 64);
 }
 
+void Xoshiro256::fill(MutableByteView out) noexcept {
+  std::uint64_t s0 = s_[0];
+  std::uint64_t s1 = s_[1];
+  std::uint64_t s2 = s_[2];
+  std::uint64_t s3 = s_[3];
+  for (std::uint8_t& byte : out) {
+    byte = static_cast<std::uint8_t>((std::rotl(s1 * 5, 7) * 9) >> 56);
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = std::rotl(s3, 45);
+  }
+  s_[0] = s0;
+  s_[1] = s1;
+  s_[2] = s2;
+  s_[3] = s3;
+}
+
 double Xoshiro256::uniform() noexcept {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
@@ -44,7 +65,7 @@ double Xoshiro256::exponential(double mean) noexcept {
 Bytes random_bytes(std::uint64_t seed, std::size_t n) {
   Xoshiro256 rng(seed);
   Bytes bytes(n);
-  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
+  rng.fill(bytes);
   return bytes;
 }
 

@@ -49,6 +49,11 @@ class Xoshiro256 {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
+  /// One draw per byte of `out`, each byte the draw's top 8 bits: exactly
+  /// a below(256) loop (whose single draw never rejects), but with the
+  /// state in locals, so the byte stores cannot force it back to memory.
+  void fill(MutableByteView out) noexcept;
+
   /// Uniform double in [0, 1).
   double uniform() noexcept;
 
@@ -79,8 +84,8 @@ class Xoshiro256 {
   std::uint64_t s_[4];
 };
 
-/// `n` bytes, one below(256) draw each from Xoshiro256(seed): the
-/// deterministic image every provisioning path loads.
+/// `n` bytes of Xoshiro256(seed).fill(), i.e. one below(256) draw each:
+/// the deterministic image every provisioning path loads.
 Bytes random_bytes(std::uint64_t seed, std::size_t n);
 
 }  // namespace rasc::support

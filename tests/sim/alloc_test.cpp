@@ -11,6 +11,10 @@
 
 #include "src/apps/scenario.hpp"
 #include "src/attest/stack.hpp"
+#include "src/exp/grid.hpp"
+#include "src/exp/seeding.hpp"
+#include "src/fleet/campaign.hpp"
+#include "src/fleet/fleet.hpp"
 #include "src/sim/cpu.hpp"
 #include "src/sim/network.hpp"
 #include "src/sim/simulator.hpp"
@@ -144,10 +148,13 @@ TEST(SimAlloc, LockMatrixTrialStaysUnderEighty) {
   RecordProperty("allocations", static_cast<int>(n));
 }
 
-TEST(SimAlloc, WarmCleanSessionRoundStaysUnderThirtySix) {
+TEST(SimAlloc, WarmCleanSessionRoundStaysAtThree) {
   // One round of a warm attest::Stack over lossless links, sized like a
   // fleet device: challenge, sealed request, measurement, report wire and
-  // verdict.  Each layer hands its result up once, by move or const&.
+  // verdict.  What is left is the two wires the links carry and the
+  // protocol's attempt record, released when the stack goes quiet (28
+  // while continuations, challenges, reports and the measurement each
+  // allocated).
   Simulator sim;
   const support::Bytes image = support::random_bytes(3, 4 * 64);
   attest::StackConfig config;
@@ -166,13 +173,16 @@ TEST(SimAlloc, WarmCleanSessionRoundStaysUnderThirtySix) {
   bool verified = false;
   const std::size_t n = allocations_during([&] { verified = round(); });
   EXPECT_TRUE(verified);
-  EXPECT_LE(n, 36u);
+  EXPECT_LE(n, 3u);
   RecordProperty("allocations", static_cast<int>(n));
 }
 
 /// Allocations of the second of two measurements of a 4 x 64 B prover, no
-/// session around it (warm: pools filled, every block a cache hit).
-std::size_t warm_prover_round_allocations(attest::ExecutionMode mode) {
+/// session around it.  Warm: pools filled, every block a cache hit; with
+/// `rewrite_between`, every block is rewritten before the counted round,
+/// so each one misses the cache and is digested (a cold measurement).
+std::size_t prover_round_allocations(attest::ExecutionMode mode,
+                                     bool rewrite_between = false) {
   Simulator sim;
   const support::Bytes image = support::random_bytes(5, 4 * 64);
   attest::StackConfig config;
@@ -185,7 +195,7 @@ std::size_t warm_prover_round_allocations(attest::ExecutionMode mode) {
   const auto round = [&] {
     bool done = false;
     stack.mp.start(attest::MeasurementContext{"prv-alloc", challenge, ++counter},
-                   [&done](attest::AttestationResult result) {
+                   [&done](const attest::AttestationResult& result) {
                      done = result.visit_times.size() == 4 &&
                             result.report.challenge.size() == 32;
                    });
@@ -193,28 +203,63 @@ std::size_t warm_prover_round_allocations(attest::ExecutionMode mode) {
     return done;
   };
   EXPECT_TRUE(round());  // warm-up
+  if (rewrite_between) {
+    DeviceMemory& memory = stack.device.memory();
+    const support::Bytes patch(64, 0x5a);
+    for (std::size_t b = 0; b < memory.block_count(); ++b) {
+      EXPECT_TRUE(memory.write(b * 64, patch, sim.now(), Actor::kApplication));
+    }
+  }
+  const std::size_t misses = stack.mp.digest_cache().misses();
   bool done = false;
   const std::size_t n = allocations_during([&] { done = round(); });
   EXPECT_TRUE(done);
+  EXPECT_EQ(stack.mp.digest_cache().misses() - misses, rewrite_between ? 4u : 0u);
   return n;
 }
 
-TEST(SimAlloc, WarmProverRoundMovesContextAndVisitTimesOut) {
-  // One atomic measurement: the finished measurement's challenge and visit
-  // times move into the report and the result instead of being copied just
-  // before it is destroyed.
-  const std::size_t n = warm_prover_round_allocations(attest::ExecutionMode::kAtomic);
-  EXPECT_LE(n, 12u);  // 14 while finish() copied the two
-  RecordProperty("allocations", static_cast<int>(n));
+TEST(SimAlloc, WarmAtomicProverRoundAllocatesNothing) {
+  // One atomic measurement.  The process keeps its measurement, traversal
+  // order and report, and hands the visit-time buffer back and forth with
+  // its result (9 while each round built a fresh measurement).
+  EXPECT_EQ(prover_round_allocations(attest::ExecutionMode::kAtomic), 0u);
 }
 
-TEST(SimAlloc, WarmInterruptibleProverRoundStaysAtNine) {
+TEST(SimAlloc, WarmInterruptibleProverRoundAllocatesNothing) {
   // Interruptible: every block is its own CPU segment and goes through
   // Measurement::visit_block, the per-block path.
-  const std::size_t n =
-      warm_prover_round_allocations(attest::ExecutionMode::kInterruptible);
-  EXPECT_LE(n, 9u);
-  RecordProperty("allocations", static_cast<int>(n));
+  EXPECT_EQ(prover_round_allocations(attest::ExecutionMode::kInterruptible), 0u);
+}
+
+TEST(SimAlloc, ColdInterruptibleProverRoundAllocatesNothing) {
+  // Every block misses and is digested through the per-block path, from
+  // stack buffers (13 while each round built a measurement with its own
+  // batch scratch).
+  EXPECT_EQ(prover_round_allocations(attest::ExecutionMode::kInterruptible, true), 0u);
+}
+
+TEST(SimAlloc, FleetLossyRoundStaysUnderTwenty) {
+  // perfbench's fleet_lossy cell: 20k devices, 20% drop, uniform stagger,
+  // 4096 live stacks, so most second-epoch rounds wake a hibernated stack.
+  // Counted around run() only: stack builds and wakes (about 8 a round)
+  // count, fleet construction does not.  41.65 a round while protocol
+  // continuations, report codec, challenges and per-round measurements
+  // allocated.
+  exp::ParamGrid grid;
+  grid.axis("devices", {std::int64_t{20000}});
+  grid.axis("drop_pct", {std::int64_t{20}});
+  grid.axis("stagger", {std::string("uniform")});
+  fleet::FleetConfig config =
+      fleet::fleet_config_for(grid.point(0), exp::derive_trial_seed(1, 0, 0));
+  config.enforce_invariants = true;
+  fleet::FleetVerifier verifier(config);
+  fleet::FleetResult result;
+  const std::size_t n = allocations_during([&] { result = verifier.run(); });
+  ASSERT_EQ(result.rounds_resolved, 40000u);
+  const double per_round =
+      static_cast<double>(n) / static_cast<double>(result.rounds_resolved);
+  EXPECT_LE(per_round, 20.0);
+  RecordProperty("allocations_per_round_x100", static_cast<int>(per_round * 100));
 }
 
 TEST(SimAlloc, RestoringAnEmptyProofBacklogAllocatesNothing) {

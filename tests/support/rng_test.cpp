@@ -104,6 +104,25 @@ TEST(Rng, KnownAnswerStreamOfSeedOne) {
   EXPECT_EQ(wide(), 0xeeca3115e23bc8f1ULL);
 }
 
+TEST(Rng, FillMatchesOneBelow256DrawPerByte) {
+  // fill() is the byte loop it replaced, byte for byte, and leaves the
+  // generator where the loop would: the writer's payloads and every
+  // random_bytes image depend on both.
+  for (const std::uint64_t seed : {1ULL, 7ULL, 0xdeadbeefULL, 0x9e3779b97f4a7c15ULL}) {
+    for (std::size_t n = 0; n <= 130; ++n) {
+      Xoshiro256 looped(seed);
+      Xoshiro256 filled(seed);
+      Bytes expected(n);
+      for (auto& b : expected) b = static_cast<std::uint8_t>(looped.below(256));
+      Bytes got(n, 0xa5);
+      filled.fill(got);
+      ASSERT_EQ(got, expected) << "seed " << seed << " length " << n;
+      ASSERT_EQ(filled.state(), looped.state()) << "seed " << seed << " length " << n;
+    }
+  }
+  EXPECT_EQ(random_bytes(1, 8), (Bytes{179, 133, 146, 100, 178, 36, 18, 97}));
+}
+
 TEST(Rng, SplitMixAdvancesState) {
   std::uint64_t s = 0;
   const auto a = splitmix64(s);
