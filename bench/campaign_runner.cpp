@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <string>
 
@@ -90,7 +91,8 @@ void usage(const char* argv0) {
       "JOURNAL_<name>_<grid_index>.trace.json and print a timeline.  The\n"
       "replay is seeded from the campaign coordinates, so the artifacts are\n"
       "byte-identical for any --threads.  Campaigns whose trials record no\n"
-      "journal (all but network_reliability and fleet_scale) ignore it.\n\n"
+      "journal (all but mtree, network_reliability and fleet_scale) ignore\n"
+      "it.\n\n"
       "campaigns:\n",
       argv0);
   for (const Campaign& c : kCampaigns) std::printf("  %-23s %s\n", c.name, c.summary);
@@ -197,6 +199,19 @@ int main(int argc, char** argv) {
     exp::CampaignSpec spec = campaign->build(options);
     for (auto& axis : exp::parse_grid_spec(options.grid_override)) {
       spec.grid.set_axis(axis.name, std::move(axis.values));
+    }
+    // A missing destination fails before any trial runs; the writes after
+    // the run still check for I/O errors.
+    if (!options.out_dir.empty() && !std::filesystem::is_directory(options.out_dir)) {
+      std::fprintf(stderr, "campaign_runner: cannot write BENCH json under '%s'\n",
+                   options.out_dir.c_str());
+      return 2;
+    }
+    if (!options.journal_dir.empty() &&
+        !std::filesystem::is_directory(options.journal_dir)) {
+      std::fprintf(stderr, "campaign_runner: cannot write journals under '%s'\n",
+                   options.journal_dir.c_str());
+      return 2;
     }
 
     std::printf("=== campaign %s: %zu cells x %zu trials (seed %llu) ===\n",

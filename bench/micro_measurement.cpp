@@ -10,12 +10,15 @@
 /// noise, and exits non-zero.
 ///
 /// A third column runs the same sweep through the Merkle-tree incremental
-/// path (src/mtree): per round only the dirty blocks are re-digested and
-/// O(dirty * log n) tree nodes re-hashed, and the *root* stands in for the
-/// flat digest.  Tree and flat measurements live in different MAC domains
-/// so their bytes differ by design; what must agree byte-for-byte is the
-/// per-round *verdict* (measurement == the golden expectation for that
-/// context), plus the incremental root must equal a from-scratch rebuild.
+/// path (src/mtree) with the tree-mode prover's loop: per round the tree
+/// names the blocks written since the last one (collect_dirty), those are
+/// digested in one multi-lane batch and landed (apply_digest), and
+/// O(dirty * log n) tree nodes are re-hashed (flush_tree); the *root*
+/// stands in for the flat digest.  Tree and flat measurements live in
+/// different MAC domains so their bytes differ by design; what must agree
+/// byte-for-byte is the per-round *verdict* (measurement == the golden
+/// expectation for that context), plus the incremental root must equal a
+/// from-scratch MerkleTree::rebuild() over fresh digests.
 ///
 /// Each column of a sweep point times all its rounds as one pass and keeps
 /// the best of three passes, each from the same initial state.
@@ -80,6 +83,27 @@ void dirty_round(sim::DeviceMemory& memory, support::Xoshiro256& rng,
   }
 }
 
+std::vector<std::size_t> every_block() {
+  std::vector<std::size_t> all(kBlocks);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
+}
+
+/// Digest `blocks` of `memory` in one multi-lane batch into `out`
+/// (resized to blocks.size(), block i's digest at out[i]).
+void digest_blocks(const sim::DeviceMemory& memory,
+                   const std::vector<std::size_t>& blocks,
+                   attest::BlockDigester& digester, std::vector<attest::Digest>& out) {
+  std::vector<support::ByteView> views;
+  std::vector<attest::Digest*> outs;
+  out.resize(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    views.push_back(memory.block_view(blocks[i]));
+    outs.push_back(&out[i]);
+  }
+  digester.digest_batch(views, outs);
+}
+
 /// One sweep point: run `kRounds` measure-dirty-measure cycles, returning
 /// elapsed seconds; every round's measurement is appended to `out`.
 /// `batch` routes visitation through the multi-lane visit_blocks path
@@ -90,8 +114,7 @@ double run_rounds(sim::DeviceMemory& memory, attest::DigestCache* cache,
                   attest::MacKind mac = attest::MacKind::kHmac,
                   bool batch = false) {
   support::Xoshiro256 rng(rng_seed);
-  std::vector<std::size_t> all_blocks(kBlocks);
-  std::iota(all_blocks.begin(), all_blocks.end(), std::size_t{0});
+  const std::vector<std::size_t> all_blocks = every_block();
   const double start = now_seconds();
   for (std::size_t round = 0; round < kRounds; ++round) {
     // Dirty a random subset, then measure the whole memory.
@@ -111,19 +134,25 @@ double run_rounds(sim::DeviceMemory& memory, attest::DigestCache* cache,
 }
 
 /// Same sweep point through the Merkle-tree incremental path: the same
-/// dirtying stream, but each round re-digests only the dirty blocks
-/// (observed via the generation observer), flushes O(dirty * log n) tree
-/// nodes and MACs the root.  Appends the per-round tree measurement to
-/// `out`; returns elapsed seconds.
-double run_tree_rounds(sim::DeviceMemory& memory, support::ByteView key,
-                       std::size_t dirty_blocks, std::uint64_t rng_seed,
-                       std::vector<support::Bytes>& out,
+/// dirtying stream, but each round re-digests only the blocks the tree
+/// noted (one batch), flushes O(dirty * log n) tree nodes and MACs the
+/// root — the tree-mode prover's loop.  Appends the per-round tree
+/// measurement to `out`; returns elapsed seconds.
+double run_tree_rounds(sim::DeviceMemory& memory, attest::BlockDigester& digester,
+                       support::ByteView key, std::size_t dirty_blocks,
+                       std::uint64_t rng_seed, std::vector<support::Bytes>& out,
                        mtree::IncrementalTree& tree) {
   support::Xoshiro256 rng(rng_seed);
+  std::vector<attest::Digest> digests;
   const double start = now_seconds();
   for (std::size_t round = 0; round < kRounds; ++round) {
     dirty_round(memory, rng, dirty_blocks, round);
-    tree.refresh();
+    const std::vector<std::size_t> dirty = tree.collect_dirty();
+    digest_blocks(memory, dirty, digester, digests);
+    for (std::size_t i = 0; i < dirty.size(); ++i) {
+      tree.apply_digest(dirty[i], digests[i]);
+    }
+    tree.flush_tree();
     out.push_back(attest::Measurement::combine_root(
         tree.root_bytes(), crypto::HashKind::kSha256, key,
         attest::MeasurementContext{"prv-micro", {}, round + 1},
@@ -159,10 +188,6 @@ int main() {
                                      key);
     attest::BlockDigester digester(attest::MacKind::kHmac, crypto::HashKind::kSha256,
                                    key);
-    const auto digest_block = [&digester](std::size_t, support::ByteView content,
-                                          attest::Digest& out) {
-      digester.digest(content, out);
-    };
     // Every column keeps its best of kRepeats, each repeat from the same
     // initial state, so one stalled pass cannot decide a ratio.
     double cached_s = 1e300, uncached_s = 1e300, batch_s = 1e300, tree_s = 1e300;
@@ -196,15 +221,14 @@ int main() {
                                              attest::MacKind::kHmac, /*batch=*/true));
 
       // Tree column: primed once outside the timed loop (the prover primes
-      // at deployment), then dirty discovery through the generation
-      // observer, exactly as the tree-mode prover runs.
-      mtree::IncrementalTree tree(tree_mem, crypto::HashKind::kSha256, digest_block);
-      tree.rebuild();
-      tree_mem.set_generation_observer(
-          [&tree](std::size_t block) { tree.note_block_changed(block); });
-      tree.use_observed_dirty(true);
-      tree_s = std::min(tree_s, run_tree_rounds(tree_mem, key, dirty_blocks, stream_seed,
-                                                tree_results, tree));
+      // at deployment), then the blocks the tree noted through the memory's
+      // generation observer, exactly as the tree-mode prover runs.
+      std::vector<attest::Digest> leaves;
+      digest_blocks(tree_mem, every_block(), digester, leaves);
+      mtree::IncrementalTree tree(tree_mem, crypto::HashKind::kSha256);
+      tree.prime_with(leaves);
+      tree_s = std::min(tree_s, run_tree_rounds(tree_mem, digester, key, dirty_blocks,
+                                                stream_seed, tree_results, tree));
 
       identical &=
           cached_results == uncached_results && batch_results == uncached_results;
@@ -212,7 +236,9 @@ int main() {
       // The incremental root must equal a from-scratch rebuild over the
       // final memory state — incrementality is an optimization, never a
       // different answer.
-      mtree::IncrementalTree reference(tree_mem, crypto::HashKind::kSha256, digest_block);
+      digest_blocks(tree_mem, every_block(), digester, leaves);
+      mtree::MerkleTree reference(kBlocks, crypto::HashKind::kSha256);
+      for (std::size_t b = 0; b < kBlocks; ++b) reference.set_leaf(b, leaves[b]);
       reference.rebuild();
       root_matches_rebuild &= tree.root_bytes() == reference.root_bytes();
 

@@ -1,5 +1,6 @@
 #include "src/apps/campaign.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -255,6 +256,7 @@ exp::CampaignSpec make_mtree_campaign(const MtreeCampaignOptions& options) {
     const support::Bytes key = support::to_bytes("mtree-campaign-key");
 
     sim::Simulator simulator;
+    simulator.set_journal(ctx.journal);
     sim::Device device(simulator, sim::DeviceConfig{"dev-mtree", kBlocks * kBlockSize,
                                                     kBlockSize, key});
     const support::Bytes image =
@@ -271,11 +273,13 @@ exp::CampaignSpec make_mtree_campaign(const MtreeCampaignOptions& options) {
     exp::TrialOutput out;
 
     // Healthy churn: rewrite dirty_pct% of the blocks with their *own*
-    // bytes.  Generations bump and the tree re-hashes those leaves, but
-    // every digest is unchanged, so this must stay Verified.
+    // bytes, at least one block for a nonzero percentage (1% of 64 blocks
+    // rounds down to none).  Generations bump and the tree re-hashes those
+    // leaves, but every digest is unchanged, so this must stay Verified.
     sim::DeviceMemory& memory = device.memory();
+    const std::size_t dirty_pct = static_cast<std::size_t>(point.i64("dirty_pct"));
     const std::size_t dirty =
-        kBlocks * static_cast<std::size_t>(point.i64("dirty_pct")) / 100;
+        dirty_pct == 0 ? 0 : std::max<std::size_t>(1, kBlocks * dirty_pct / 100);
     std::vector<std::size_t> order(kBlocks);
     std::iota(order.begin(), order.end(), std::size_t{0});
     for (std::size_t i = 0; i < dirty; ++i) {

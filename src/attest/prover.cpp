@@ -61,16 +61,9 @@ sim::Duration AttestationProcess::finalize_cost() const {
 }
 
 void AttestationProcess::ensure_tree() {
-  if (tree_) return;
-  tree_digester_ =
-      std::make_unique<BlockDigester>(config_.mac, config_.hash, device_.attestation_key());
-  // The leaf function only primes (provisioning, outside sim time); a
-  // round lands its digests through the measurement and apply_digest.
-  tree_ = std::make_unique<mtree::IncrementalTree>(
-      device_.memory(), config_.hash,
-      [this](std::size_t, support::ByteView content, Digest& out) {
-        tree_digester_->digest(content, out);
-      });
+  if (!tree_) {
+    tree_ = std::make_unique<mtree::IncrementalTree>(device_.memory(), config_.hash);
+  }
 }
 
 void AttestationProcess::clear_proof_backlog() noexcept {
@@ -107,11 +100,17 @@ void AttestationProcess::prime_tree() {
     throw std::logic_error("prime_tree without use_merkle_tree");
   }
   if (busy()) throw std::logic_error("prime_tree while a measurement is in flight");
-  ensure_tree();
-  tree_->rebuild();
-  device_.memory().set_generation_observer(
-      [this](std::size_t block) { tree_->note_block_changed(block); });
-  tree_->use_observed_dirty(true);
+  const sim::DeviceMemory& memory = device_.memory();
+  std::vector<support::ByteView> blocks(memory.block_count());
+  std::vector<Digest> leaves(memory.block_count());
+  std::vector<Digest*> outs(memory.block_count());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    blocks[b] = memory.block_view(b);
+    outs[b] = &leaves[b];
+  }
+  BlockDigester(config_.mac, config_.hash, device_.attestation_key())
+      .digest_batch(blocks, outs);
+  prime_tree_from(leaves);
 }
 
 void AttestationProcess::prime_tree_from(std::span<const Digest> leaves) {
@@ -121,9 +120,6 @@ void AttestationProcess::prime_tree_from(std::span<const Digest> leaves) {
   if (busy()) throw std::logic_error("prime_tree_from while a measurement is in flight");
   ensure_tree();
   tree_->prime_with(leaves);
-  device_.memory().set_generation_observer(
-      [this](std::size_t block) { tree_->note_block_changed(block); });
-  tree_->use_observed_dirty(true);
 }
 
 void AttestationProcess::make_order() {

@@ -124,11 +124,10 @@ class AttestationProcess final : public sim::Process {
   void start(MeasurementContext context,
              std::function<void(const AttestationResult&)> done);
 
-  /// Tree mode only: build the tree from current memory host-side (a
-  /// provisioning step, outside simulated time), wire the memory's
-  /// generation observer to it, and switch dirty discovery to observed
-  /// mode.  After priming, a round with no intervening writes visits zero
-  /// blocks.  Claims the device memory's single observer slot.
+  /// Tree mode only: digest current memory host-side in one batch (a
+  /// provisioning step, outside simulated time) and prime_tree_from() it.
+  /// After priming, a round with no intervening writes visits zero blocks;
+  /// an unprimed prover's first round visits every block instead.
   void prime_tree();
 
   /// As prime_tree(), but seed the leaves from externally computed digests
@@ -136,7 +135,8 @@ class AttestationProcess final : public sim::Process {
   /// fleet verifier primes a whole shard wave from the shard's golden
   /// digests in one multi-lane batch.  The caller must guarantee
   /// leaves[b] digests block b's *current* content under this prover's
-  /// (mac, hash, key) configuration.
+  /// (mac, hash, key) configuration.  The tree, built by the first round
+  /// or priming, claims the device memory's single observer slot.
   void prime_tree_from(std::span<const Digest> leaves);
 
   /// The incremental tree (tree mode, after the first round or
@@ -205,10 +205,9 @@ class AttestationProcess final : public sim::Process {
   sim::Duration total_measure_time_ = 0;
   std::optional<Measurement> measurement_;  ///< built by the first start(), then kept
   /// Tree mode only, built by its first round or priming and kept: behind
-  /// pointers, so a flat-mode process (every fleet stack) carries 16 bytes
-  /// for them instead of ~380.
+  /// a pointer, so a flat-mode process (every fleet stack) carries 8 bytes
+  /// for it instead of the whole tree.
   std::unique_ptr<mtree::IncrementalTree> tree_;
-  std::unique_ptr<BlockDigester> tree_digester_;  ///< host-side priming path
   std::size_t planned_nodes_ = 0;  ///< tree nodes this round will re-hash
   std::vector<bool> proof_backlog_flag_;       ///< block -> in backlog
   std::vector<std::uint32_t> proof_backlog_;   ///< unacknowledged dirty blocks

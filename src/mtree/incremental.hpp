@@ -1,26 +1,23 @@
 #pragma once
 /// \file incremental.hpp
 /// Binds a MerkleTree to a sim::DeviceMemory through the per-block
-/// generation counters PR 4 introduced: refresh() re-digests exactly the
-/// blocks whose generation moved since they were last hashed, feeds the
-/// new digests into the tree, and flushes the invalidated paths —
-/// O(dirty * log n) hashing per measurement round.
+/// generation counters: a round re-digests exactly the blocks whose
+/// generation moved since they were last landed, feeds the new digests
+/// into the tree, and flushes the invalidated paths — O(dirty * log n)
+/// hashing per measurement round.
 ///
-/// Dirty discovery has two modes:
-///  - generation scan (default): refresh() compares all n stored
-///    generations against the memory's — O(n) integer compares, zero
-///    coupling to the memory's observer slot;
-///  - observed: when wired to DeviceMemory::set_generation_observer via
-///    note_block_changed(), refresh() walks only the noted blocks — true
-///    O(dirty * log n) end to end (what the tree-mode prover uses).
-/// Both modes produce bit-identical trees; which blocks are *re-hashed*
-/// depends only on generations, never on the discovery mode.
+/// The tree subscribes to the memory's generation observer (the RATA-style
+/// last-modified signal) at construction and notes every block whose
+/// content changes, so dirty discovery walks only the noted blocks — true
+/// O(dirty * log n) end to end.  It never digests anything itself: the
+/// owner lands digests it computed (the tree-mode prover, through its
+/// measurement), so one round is
 ///
-/// The leaf digest function is injected so this module never depends on
-/// attest (the prover passes its BlockDigester, optionally backed by the
-/// shared DigestCache).
+///   collect_dirty() -> digest those blocks -> apply_digest() each -> flush_tree()
+///
+/// and priming is prime_with() over one digest per block.
 
-#include <functional>
+#include <span>
 
 #include "src/mtree/mtree.hpp"
 #include "src/sim/memory.hpp"
@@ -29,42 +26,25 @@ namespace rasc::mtree {
 
 class IncrementalTree {
  public:
-  /// Digest one block's live content into `out` (same contract as
-  /// attest::BlockDigester::digest, type-erased to avoid the dependency).
-  using LeafDigestFn =
-      std::function<void(std::size_t block, support::ByteView content, Digest& out)>;
+  /// The memory must outlive the tree.  Claims the memory's single
+  /// generation-observer slot until destruction.  The tree starts
+  /// unprimed: prime_with(), or land every block with apply_digest() and
+  /// flush_tree(), before the first collect_dirty() or root().
+  IncrementalTree(sim::DeviceMemory& memory, crypto::HashKind hash);
+  ~IncrementalTree();
+  IncrementalTree(const IncrementalTree&) = delete;
+  IncrementalTree& operator=(const IncrementalTree&) = delete;
 
-  /// The memory must outlive the tree.  The tree starts unprimed: call
-  /// refresh() (or rebuild()) once before root().
-  IncrementalTree(const sim::DeviceMemory& memory, crypto::HashKind hash,
-                  LeafDigestFn leaf_fn);
-
-  /// Record an externally observed content change (wire this to
-  /// DeviceMemory::set_generation_observer).  Cheap and idempotent.
-  void note_block_changed(std::size_t block);
-
-  /// Switch dirty discovery to the observed-blocks list.  Until the first
-  /// refresh() after enabling, a full scan still runs (the list only
-  /// covers changes observed since wiring).
-  void use_observed_dirty(bool enabled) noexcept { observed_mode_ = enabled; }
-
-  /// Blocks whose generation differs from the last-hashed one right now
-  /// (ascending block order, independent of discovery mode).
+  /// Blocks whose generation differs from the last-landed one right now,
+  /// ascending — an O(n) scan of the generation table, the reference the
+  /// noted blocks are tested against.
   std::vector<std::size_t> dirty_blocks() const;
 
-  /// Re-digest dirty blocks, update the tree, flush invalidated paths.
-  RehashStats refresh();
-
-  /// Ignore generations and re-digest everything (priming / reference).
-  RehashStats rebuild();
-
-  // --- split refresh, for callers that interleave per-block work (the
-  // tree-mode prover visits blocks over simulated time, one per step) ---
-
-  /// The blocks a refresh would re-digest right now, ascending.  In
-  /// observed mode the note for each returned block *survives* until
-  /// apply_digest() lands it, so an aborted round can never strand a stale
-  /// leaf; notes for blocks whose generation already matches are dropped.
+  /// The noted blocks a round must re-digest, ascending.  Requires every
+  /// leaf landed once (primed()).  The note for each returned block
+  /// *survives* until a later collect_dirty() finds its digest landed, so
+  /// an aborted round can never strand a stale leaf; notes for blocks
+  /// whose generation already matches are dropped.
   std::vector<std::size_t> collect_dirty();
 
   /// Land an externally computed digest for `block` and mark its tree
@@ -75,10 +55,10 @@ class IncrementalTree {
   void apply_digest(std::size_t block, const Digest& digest);
 
   /// Prime every leaf from externally computed digests (one per block, in
-  /// block order) and rebuild — rebuild() minus the n leaf_fn calls, with
-  /// identical postconditions.  The caller must guarantee leaves[b] is the
-  /// digest of block b's current content (fleet priming batches golden
-  /// digests across a shard wave before any infection is applied).
+  /// block order) and rebuild the whole tree.  The caller must guarantee
+  /// leaves[b] is the digest of block b's current content (fleet priming
+  /// batches golden digests across a shard wave before any infection is
+  /// applied).
   RehashStats prime_with(std::span<const Digest> leaves);
 
   /// Flush the tree paths dirtied by apply_digest() calls.
@@ -89,7 +69,7 @@ class IncrementalTree {
   support::Bytes root_bytes() const { return tree_.root_bytes(); }
   const MerkleTree& tree() const noexcept { return tree_; }
 
-  /// Generation each leaf was last hashed at (leaf order) — the snapshot
+  /// Generation each leaf was last landed at (leaf order) — the snapshot
   /// prove_range() embeds in proofs.
   const std::vector<std::uint64_t>& leaf_generations() const noexcept {
     return hashed_generations_;
@@ -101,16 +81,12 @@ class IncrementalTree {
   std::size_t memory_bytes() const noexcept;
 
  private:
-  void refresh_block(std::size_t block);
+  void note_block_changed(std::size_t block);
 
-  const sim::DeviceMemory& memory_;
-  LeafDigestFn leaf_fn_;
+  sim::DeviceMemory& memory_;
   MerkleTree tree_;
   std::vector<std::uint64_t> hashed_generations_;
-  std::vector<bool> hashed_once_;
   bool primed_ = false;
-  bool observed_mode_ = false;
-  bool scan_needed_ = true;  ///< observed list incomplete until next refresh
   std::vector<std::uint32_t> observed_;  ///< noted dirty blocks, deduplicated
   std::vector<bool> observed_flag_;
 };

@@ -103,7 +103,7 @@ class DeviceMemory {
   /// zero_region, load) — i.e. exactly when that block's generation is
   /// bumped, so MPU-rejected writes never fire it.  This is the RATA-style
   /// last-modified signal the Merkle measurement layer subscribes to
-  /// (mtree::IncrementalTree::note_block_changed): it turns dirty-block
+  /// (mtree::IncrementalTree, at construction): it turns dirty-block
   /// discovery from an O(n) generation scan into O(writes).
   using GenerationObserver = std::function<void(std::size_t block)>;
   void set_generation_observer(GenerationObserver observer) {

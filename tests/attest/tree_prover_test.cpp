@@ -101,6 +101,36 @@ TEST(TreeProver, PrimedRoundVisitsOnlyDirtyBlocks) {
   EXPECT_EQ(verdict.localized[1].count, 1u);
 }
 
+TEST(TreeProver, UnprimedProverVisitsEverythingOnceThenOnlyWrittenBlocks) {
+  Fixture fx;
+  AttestationProcess mp(fx.device, tree_config());
+  const auto r1 = run_one(fx, mp, 1);
+  EXPECT_EQ(r1.order.size(), kBlocks);
+
+  // Round 2 visits exactly the blocks written since round 1, whatever
+  // order they were written in.
+  fx.infect(21);
+  fx.infect(6);
+  const auto r2 = run_one(fx, mp, 2);
+  EXPECT_EQ(r2.order, (std::vector<std::size_t>{6, 21}));
+
+  // The same tree a prover primed over the same content holds.
+  Fixture same;
+  same.infect(21);
+  same.infect(6);
+  AttestationProcess primed(same.device, tree_config());
+  primed.prime_tree();
+  EXPECT_EQ(mp.tree()->root_bytes(), primed.tree()->root_bytes());
+
+  const VerifyOutcome verdict = fx.verifier.verify(r2.report);
+  EXPECT_FALSE(verdict.ok());
+  ASSERT_EQ(verdict.localized.size(), 2u);
+  EXPECT_EQ(verdict.localized[0].first, 6u);
+  EXPECT_EQ(verdict.localized[0].count, 1u);
+  EXPECT_EQ(verdict.localized[1].first, 21u);
+  EXPECT_EQ(verdict.localized[1].count, 1u);
+}
+
 TEST(TreeProver, LocalizesContiguousInfectedRangeExactly) {
   Fixture fx;
   AttestationProcess mp(fx.device, tree_config());
