@@ -7,7 +7,9 @@
 ///     staggered per-lane lengths, must produce digests byte-identical to
 ///     the scalar path through digest_many and through every lane kernel
 ///     this host runs that takes the pack (lane_detail::runnable_kernels:
-///     the baseline packs always, AVX2 and the SHA-NI pairs where active).
+///     the baseline packs always, AVX2, the SHA-NI pairs and the AVX-512
+///     16-lane kernel where active).  Packs of 16 reach the AVX-512 kernel
+///     through digest_many as well.
 ///     The cell count and a fingerprint of the scalar digests are the same
 ///     on every host, so the baseline gate catches silent digest drift
 ///     across platforms, not just lane/scalar divergence.
@@ -19,9 +21,9 @@
 ///     scalar reference is the portable core, explicitly: that is what the
 ///     2x bar was set against, while Sha256 itself runs the SHA-NI kernel
 ///     on CPUs with the SHA extensions.  There, the SHA-NI rows (one
-///     stream through Sha256, pairs through the lane kernel) are
-///     informational and kept out of the committed baseline, which a CPU
-///     without SHA-NI must also meet.
+///     stream through Sha256, pairs through the lane kernel) and, on CPUs
+///     with AVX-512, the avx512 x16 row are informational and kept out of
+///     the committed baseline, which a CPU without them must also meet.
 ///  3. Per-block MAC cost — CBC-MAC vs HMAC-SHA256 vs BLAKE2s through
 ///     BlockDigester::digest at the exact measurement block sizes (64 B
 ///     fleet blocks, 4096 B micro_measurement blocks), in blocks/s.
@@ -207,8 +209,8 @@ std::function<void()> scalar_rep(crypto::HashKind kind, const support::Bytes& po
 std::function<void()> kernel_rep(crypto::HashKind kind, const LaneKernel& kernel,
                                  const support::Bytes& pool, support::Bytes& sink) {
   return [&kernel, &pool, &sink, digest_size = crypto::hash_digest_size(kind)] {
-    support::ByteView views[8];
-    support::MutableByteView outs[8];
+    support::ByteView views[16];
+    support::MutableByteView outs[16];
     for (std::size_t m = 0; m + kernel.width <= kMsgCount; m += kernel.width) {
       for (std::size_t l = 0; l < kernel.width; ++l) {
         views[l] = support::ByteView(pool.data() + (m + l) * kMsgBytes, kMsgBytes);
@@ -252,13 +254,19 @@ int main() {
   std::printf("=== multi-lane digest gate ===\n");
   std::printf("sha-256 kernel: %s\n", crypto::sha256_kernel_name());
   for (const auto kind : kinds) {
+    const auto kernels = crypto::lane_detail::runnable_kernels(kind);
     std::string names;
-    for (const LaneKernel& kernel : crypto::lane_detail::runnable_kernels(kind)) {
+    for (const LaneKernel& kernel : kernels) {
       names += (names.empty() ? "" : ", ") + std::string(kernel.name) + " x" +
                std::to_string(kernel.width);
     }
+    // A kernel that waits for full packs leaves the rest to the next one.
+    std::string runs = kernels.front().name;
+    if (kernels.front().min_pack > 2) {
+      runs += " on full packs, " + std::string(kernels[1].name) + " on the rest";
+    }
     std::printf("%s lane kernels: %s (digest_many runs %s)\n", hash_label(kind).c_str(),
-                names.c_str(), crypto::lane_kernel_name(kind));
+                names.c_str(), runs.c_str());
   }
   std::printf("\n");
 
@@ -272,7 +280,7 @@ int main() {
   std::size_t failures = 0;
   std::uint64_t fingerprint = 0;
   for (const auto kind : kinds) {
-    for (const std::size_t pack : {2, 4, 8}) {
+    for (const std::size_t pack : {2, 4, 8, 16}) {
       cells += identity_cells(kind, pack, lens, failures, fingerprint);
     }
   }

@@ -1,6 +1,7 @@
 #include "src/attest/measurement.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "src/attest/golden.hpp"
@@ -204,6 +205,48 @@ void feed_header(Mac& mac, const MeasurementContext& context) {
   mac.update(word);
 }
 
+/// Digests per gathered run: 2 KiB of SHA-256 digests, 4 KiB of SHA-512.
+constexpr std::size_t kGatherRun = 64;
+
+/// Feed `digests` into `mac` as runs of up to kGatherRun copied side by
+/// side, one update per run: the MAC sees the same bytes as from one
+/// update per digest, in far fewer calls.  Each copy is of the
+/// compile-time size kSize (a memcpy of a runtime length compiles to a
+/// slow `rep movs`); a digest of another size flushes the run and goes
+/// alone.
+template <std::size_t kSize, class Mac>
+void feed_gathered(Mac& mac, const std::vector<Digest>& digests) {
+  std::uint8_t run[kGatherRun * kSize];
+  std::size_t filled = 0;
+  const auto flush = [&] {
+    if (filled != 0) mac.update(support::ByteView(run, filled * kSize));
+    filled = 0;
+  };
+  for (const Digest& d : digests) {
+    if (d.size() != kSize) {
+      flush();
+      mac.update(d.view());
+      continue;
+    }
+    std::memcpy(run + filled * kSize, d.data(), kSize);
+    if (++filled == kGatherRun) flush();
+  }
+  flush();
+}
+
+/// Feed `digests` at the size of the first (every digest of a measurement
+/// or golden has its F's size).
+template <class Mac>
+void feed_digests(Mac& mac, const std::vector<Digest>& digests) {
+  switch (digests.empty() ? 0 : digests.front().size()) {
+    case 16: return feed_gathered<16>(mac, digests);  // AES-CBC-MAC
+    case 32: return feed_gathered<32>(mac, digests);  // SHA-256, BLAKE2s
+    case 64: return feed_gathered<64>(mac, digests);  // SHA-512, BLAKE2b
+    default:
+      for (const Digest& d : digests) mac.update(d.view());
+  }
+}
+
 /// Run `feed` over the MAC F selects and return the tag: HMAC-SHA-256
 /// from `key_schedule` (derived from `key` when null), anything else
 /// through a MacEngine.
@@ -235,7 +278,7 @@ Digest Measurement::combine(const std::vector<Digest>& digests, crypto::HashKind
     std::uint8_t count[8];
     support::put_u64_be(count, digests.size());
     mac.update(count);
-    for (const auto& d : digests) mac.update(d.view());
+    feed_digests(mac, digests);
   });
 }
 

@@ -12,6 +12,10 @@
 #define RASC_LANES_NS lanes_base
 #include "src/crypto/lanes_kernels.hpp"
 
+#if defined(RASC_CRYPTO_HAVE_AVX512)
+#include "src/crypto/sha256_avx512.hpp"
+#endif
+
 namespace rasc::crypto {
 
 namespace lane_detail {
@@ -48,18 +52,22 @@ using lane_detail::LaneKernel;
 // the AVX2 TU compiles the same kernel body to 256-bit ops.
 typedef std::uint32_t vu32x8 __attribute__((vector_size(32)));
 
-/// The SHA-NI kernel: one hardware stream already outruns the widest lane
+/// Finish `msg` on a Sha256 resumed from `cv`, its chaining value after
+/// the first `done` bytes (whole blocks): the rest of the blocks and the
+/// padded tail run on the active block kernel.
+void finish(const Sha256::ChainingValue& cv, support::ByteView msg, std::size_t done,
+            support::MutableByteView out) {
+  Sha256 h(cv, done);
+  h.update(msg.subspan(done));
+  h.finalize_into(out);
+}
+
+/// The SHA-NI kernel: one hardware stream already outruns the 8-lane
 /// pack, so messages go in pairs through the 2-way kernel over the whole
 /// blocks both have, then each finishes on a Sha256 resumed from its
 /// chaining value.
 void sha256_pairs(const support::ByteView* msgs, const support::MutableByteView* outs,
                   std::size_t count) {
-  const auto finish = [](const Sha256::ChainingValue& cv, support::ByteView msg,
-                         std::size_t done, support::MutableByteView out) {
-    Sha256 h(cv, done);
-    h.update(msg.subspan(done));
-    h.finalize_into(out);
-  };
   std::size_t i = 0;
   for (; i + 1 < count; i += 2) {
     const support::ByteView a = msgs[i];
@@ -74,9 +82,36 @@ void sha256_pairs(const support::ByteView* msgs, const support::MutableByteView*
   if (i < count) finish(std::to_array(detail::kSha256Iv), msgs[i], 0, outs[i]);
 }
 
+#if defined(RASC_CRYPTO_HAVE_AVX512)
+/// The AVX-512 kernel: sixteen messages in lockstep over the whole blocks
+/// all of them have, then each finishes on a Sha256 resumed from its
+/// chaining value.  A short pack costs a full one (the missing lanes hash
+/// copies of message 0), so digest_many hands it only full packs.
+void sha256_x16(const support::ByteView* msgs, const support::MutableByteView* outs,
+                std::size_t count) {
+  constexpr std::size_t kLanes = 16;
+  const std::uint8_t* blocks[kLanes];
+  std::size_t common = msgs[0].size();
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const support::ByteView msg = msgs[l < count ? l : 0];
+    blocks[l] = msg.data();
+    common = std::min(common, msg.size());
+  }
+  const std::size_t nblocks = common / Sha256::kBlockSize;
+  alignas(64) std::uint32_t state[8][kLanes];
+  for (std::size_t i = 0; i < 8; ++i) std::fill_n(state[i], kLanes, detail::kSha256Iv[i]);
+  detail::sha256_blocks_avx512_x16(state, blocks, nblocks);
+  for (std::size_t l = 0; l < count; ++l) {
+    Sha256::ChainingValue cv;
+    for (std::size_t i = 0; i < 8; ++i) cv[i] = state[i][l];
+    finish(cv, msgs[l], nblocks * Sha256::kBlockSize, outs[l]);
+  }
+}
+#endif
+
 /// The runnable kernels of one hash, fastest first.
 struct KernelList {
-  LaneKernel kernels[3];
+  LaneKernel kernels[4];
   std::size_t size = 0;
 
   void add(const LaneKernel& kernel) { kernels[size++] = kernel; }
@@ -84,13 +119,16 @@ struct KernelList {
 
 KernelList sha256_kernels() {
   KernelList list;
-  if (sha256_hardware_active()) list.add({"sha-ni", 2, &sha256_pairs});
+#if defined(RASC_CRYPTO_HAVE_AVX512)
+  if (detail::avx512_runtime()) list.add({"avx512", 16, 16, &sha256_x16});
+#endif
+  if (sha256_hardware_active()) list.add({"sha-ni", 2, 2, &sha256_pairs});
 #if defined(RASC_CRYPTO_HAVE_AVX2)
   if (lane_detail::avx2_runtime()) {
-    list.add({"avx2", 8, &lane_detail::sha256_lanes8_avx2});
+    list.add({"avx2", 8, 2, &lane_detail::sha256_lanes8_avx2});
   }
 #endif
-  list.add({"portable", 4, &lanes_base::sha256_digest_lanes<lanes_base::U32xN<4>>});
+  list.add({"portable", 4, 2, &lanes_base::sha256_digest_lanes<lanes_base::U32xN<4>>});
   return list;
 }
 
@@ -98,10 +136,10 @@ KernelList blake2s_kernels() {
   KernelList list;
 #if defined(RASC_CRYPTO_HAVE_AVX2)
   if (lane_detail::avx2_runtime()) {
-    list.add({"avx2", 8, &lane_detail::blake2s_lanes8_avx2});
+    list.add({"avx2", 8, 2, &lane_detail::blake2s_lanes8_avx2});
   }
 #endif
-  list.add({"vector", 8, &lanes_base::blake2s_digest_lanes<vu32x8>});
+  list.add({"vector", 8, 2, &lanes_base::blake2s_digest_lanes<vu32x8>});
   return list;
 }
 
@@ -128,6 +166,14 @@ std::span<const LaneKernel> lane_detail::runnable_kernels(HashKind kind) noexcep
   }
 }
 
+bool lane_detail::sha256_avx512_compiled() noexcept {
+#if defined(RASC_CRYPTO_HAVE_AVX512)
+  return true;
+#else
+  return false;
+#endif
+}
+
 bool lanes_supported(HashKind kind) noexcept {
   return !lane_detail::runnable_kernels(kind).empty();
 }
@@ -150,16 +196,17 @@ void digest_many(HashKind kind, std::span<const support::ByteView> msgs,
   }
   const std::size_t n = msgs.size();
   std::size_t i = 0;
-  if (const auto kernels = lane_detail::runnable_kernels(kind); !kernels.empty()) {
-    const LaneKernel& kernel = kernels.front();
-    while (n - i >= 2) {
+  // Full 16-packs to AVX-512 where it runs, then everything else of two
+  // or more to the next kernel (whose min_pack is 2).
+  for (const LaneKernel& kernel : lane_detail::runnable_kernels(kind)) {
+    while (n - i >= kernel.min_pack) {
       const std::size_t pack = std::min(n - i, kernel.width);
       kernel.digest(msgs.data() + i, outs.data() + i, pack);
       i += pack;
     }
   }
-  // What the kernel left — a single trailing message, or every message of
-  // a kind without lanes — goes through a scalar hash.
+  // What the kernels left — a single trailing message, or every message
+  // of a kind without lanes — goes through a scalar hash.
   const support::ByteView* rest = msgs.data() + i;
   const support::MutableByteView* rest_outs = outs.data() + i;
   switch (kind) {

@@ -14,9 +14,10 @@
 /// functions (sha256_core.hpp / blake2s_core.hpp), so identity is
 /// structural.
 ///
-/// One kernel per hash runs on a given host, fixed by the build and CPUID:
-///  - SHA-256: the SHA-NI pairs when active, else the AVX2 8-lane kernel,
-///    else the portable 4-lane pack (`U32xN<4>`);
+/// The kernels are fixed by the build and CPUID:
+///  - SHA-256: the AVX-512 16-lane kernel, when active, takes every full
+///    pack of 16; the rest goes to the SHA-NI pairs when active, else the
+///    AVX2 8-lane kernel, else the portable 4-lane pack (`U32xN<4>`);
 ///  - BLAKE2s: the AVX2 8-lane kernel when active, else the 8-lane GNU
 ///    vector pack compiled at baseline flags.
 
@@ -32,15 +33,16 @@ namespace rasc::crypto {
 /// kinds are digested scalar inside digest_many().
 bool lanes_supported(HashKind kind) noexcept;
 
-/// The kernel digest_many() runs for `kind` on this host, for bench
-/// labels: "sha-ni", "avx2", "portable" or "vector"; "scalar" for kinds
-/// without lane kernels.
+/// The first kernel digest_many() runs for `kind` on this host, for bench
+/// labels: "avx512", "sha-ni", "avx2", "portable" or "vector"; "scalar"
+/// for kinds without lane kernels.
 const char* lane_kernel_name(HashKind kind) noexcept;
 
-/// Digest any number of independent messages: every pack of 2 up to the
-/// active kernel's width goes to that kernel, a single trailing message to
-/// a scalar hash on the stack.  msgs and outs must have equal sizes and
-/// outs[i] must be exactly hash_digest_size(kind) bytes, else
+/// Digest any number of independent messages: each runnable kernel in
+/// turn takes every pack of at least its min_pack messages (up to its
+/// width) that the kernels before it left, and a single trailing message
+/// goes to a scalar hash on the stack.  msgs and outs must have equal
+/// sizes and outs[i] must be exactly hash_digest_size(kind) bytes, else
 /// std::invalid_argument.  Kinds without lane kernels are digested scalar,
 /// so callers need no capability check.  Allocates nothing.
 void digest_many(HashKind kind, std::span<const support::ByteView> msgs,
@@ -53,15 +55,22 @@ namespace lane_detail {
 struct LaneKernel {
   const char* name;
   std::size_t width;
+  /// The smallest pack digest_many() hands it: `width` for a kernel that
+  /// costs a full pack whatever the count, else 2.
+  std::size_t min_pack;
   void (*digest)(const support::ByteView* msgs, const support::MutableByteView* outs,
                  std::size_t count);
 };
 
-/// Every kernel for `kind` compiled into this build that this CPU can run:
-/// the one digest_many() runs first, the baseline pack last; empty for
-/// kinds without lane kernels.  The identity tests and the lanes bench
-/// reach every kernel through it.
+/// Every kernel for `kind` compiled into this build that this CPU can run,
+/// in the order digest_many() offers them packs, the baseline pack last;
+/// empty for kinds without lane kernels.  The identity tests and the
+/// lanes bench reach every kernel through it.
 std::span<const LaneKernel> runnable_kernels(HashKind kind) noexcept;
+
+/// True when the AVX-512 SHA-256 unit is compiled in (x86 toolchain that
+/// accepts -mavx512f -mavx512bw, RASC_ENABLE_SIMD=ON).
+bool sha256_avx512_compiled() noexcept;
 
 }  // namespace lane_detail
 

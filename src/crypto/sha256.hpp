@@ -40,7 +40,9 @@ class Sha256 final : public Hash {
 
  private:
   ChainingValue state_{};
-  std::array<std::uint8_t, kBlockSize> buffer_{};
+  /// Only the first buffered_ bytes are ever read, so it is left
+  /// uninitialized: a zero-fill would cost every HMAC tag two stores.
+  std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffered_ = 0;
   std::uint64_t total_len_ = 0;
 };

@@ -10,6 +10,11 @@ IncrementalTree::IncrementalTree(sim::DeviceMemory& memory, crypto::HashKind has
       tree_(memory.block_count(), hash),
       hashed_generations_(memory.block_count(), 0),
       observed_flag_(memory.block_count(), false) {
+  if (memory_.has_generation_observer()) {
+    // Taking the slot would silence the holder: its notes would stop and
+    // its root go stale without an error.
+    throw std::logic_error("IncrementalTree: the memory's generation observer is taken");
+  }
   memory_.set_generation_observer(
       [this](std::size_t block) { note_block_changed(block); });
 }

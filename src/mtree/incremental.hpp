@@ -27,7 +27,8 @@ namespace rasc::mtree {
 class IncrementalTree {
  public:
   /// The memory must outlive the tree.  Claims the memory's single
-  /// generation-observer slot until destruction.  The tree starts
+  /// generation-observer slot until destruction; throws std::logic_error
+  /// when another subscriber (say, a second tree) holds it.  The tree starts
   /// unprimed: prime_with(), or land every block with apply_digest() and
   /// flush_tree(), before the first collect_dirty() or root().
   IncrementalTree(sim::DeviceMemory& memory, crypto::HashKind hash);

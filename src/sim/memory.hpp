@@ -109,6 +109,10 @@ class DeviceMemory {
   void set_generation_observer(GenerationObserver observer) {
     generation_observer_ = std::move(observer);
   }
+  /// True while a subscriber holds the one generation-observer slot.
+  bool has_generation_observer() const noexcept {
+    return static_cast<bool>(generation_observer_);
+  }
 
   // -- write log ---------------------------------------------------------------
   /// Oldest-first; bounded at write_log_capacity() records (the oldest

@@ -165,6 +165,55 @@ TEST(Measurement, ExpectedValidatesImageSize) {
                std::invalid_argument);
 }
 
+/// The combine's message, serialized independently: device id ‖
+/// be32(challenge length) ‖ challenge ‖ be64(counter) ‖ be64(count) ‖
+/// every digest in order.
+support::Bytes combine_message(const MeasurementContext& context,
+                               const std::vector<Digest>& digests) {
+  support::Bytes msg = to_bytes(context.device_id);
+  support::append_u32_be(msg, static_cast<std::uint32_t>(context.challenge.size()));
+  support::append(msg, context.challenge.view());
+  support::append_u64_be(msg, context.counter);
+  support::append_u64_be(msg, digests.size());
+  for (const Digest& d : digests) support::append(msg, d.view());
+  return msg;
+}
+
+TEST(Measurement, CombineMatchesOneShotMacOverSerializedDigests) {
+  // Counts around the combine's gathered runs of 64 digests; every F.  A
+  // last batch mixes in digests of other sizes, which leave the run.
+  const support::Bytes key = support::random_bytes(0xc0b, 32);
+  const crypto::HmacSha256Key schedule(key);
+  const MeasurementContext context = ctx(42);
+  struct F {
+    MacKind mac;
+    crypto::HashKind hash;
+  };
+  std::vector<F> fs = {{MacKind::kCbcMac, crypto::HashKind::kSha256}};
+  for (const auto hash : crypto::kAllHashKinds) fs.push_back({MacKind::kHmac, hash});
+  for (const F& f : fs) {
+    const std::size_t size =
+        f.mac == MacKind::kCbcMac ? 16 : crypto::hash_digest_size(f.hash);
+    for (const std::size_t count : {0, 1, 63, 64, 65, 127, 128, 129, 2048, 130}) {
+      std::vector<Digest> digests(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        const bool odd_size = count == 130 && (i == 0 || i == 64 || i == 100);
+        digests[i] = support::random_bytes(count * 7919 + i, odd_size ? size / 2 : size);
+      }
+      const support::Bytes expected = MacEngine::compute(
+          f.mac, f.hash, key, combine_message(context, digests));
+      EXPECT_EQ(Measurement::combine(digests, f.hash, key, context, f.mac).to_bytes(),
+                expected)
+          << mac_kind_name(f.mac) << "-" << crypto::hash_name(f.hash) << " count " << count;
+      EXPECT_EQ(
+          Measurement::combine(digests, f.hash, key, context, f.mac, &schedule).to_bytes(),
+          expected)
+          << "with the key schedule: " << mac_kind_name(f.mac) << "-"
+          << crypto::hash_name(f.hash) << " count " << count;
+    }
+  }
+}
+
 class MeasurementAllHashes : public ::testing::TestWithParam<crypto::HashKind> {};
 INSTANTIATE_TEST_SUITE_P(Kinds, MeasurementAllHashes,
                          ::testing::ValuesIn(crypto::kAllHashKinds));

@@ -1,5 +1,6 @@
 /// Multi-lane digest identity: every lane kernel compiled into the build
-/// and runnable on this CPU (the baseline packs, AVX2, the SHA-NI pairs),
+/// and runnable on this CPU (the baseline packs, AVX2, the SHA-NI pairs,
+/// the AVX-512 16-lane kernel),
 /// and digest_many on the one it picks, must produce byte-identical digests
 /// to the scalar path for every (hash, pack size, length) cell, including
 /// staggered per-lane lengths and randomized fuzz — plus the concurrency
@@ -110,11 +111,15 @@ TEST(DigestMany, SupportedKindsAndErrors) {
 }
 
 TEST(DigestMany, KernelTableFollowsBuildAndCpuid) {
-  // digest_many runs the first runnable kernel; the baseline pack, which
-  // needs no ISA flag, is always there and always last.
+  // digest_many offers packs to the runnable kernels in table order; the
+  // baseline pack, which needs no ISA flag, is always there and always
+  // last.  Only the AVX-512 kernel waits for a full pack.
   bool cpu_has_avx2 = false;
+  bool cpu_has_avx512 = false;
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  __builtin_cpu_init();
   cpu_has_avx2 = __builtin_cpu_supports("avx2");
+  cpu_has_avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
 #endif
   for (const auto kind : kLaneKinds) {
     const auto kernels = crypto::lane_detail::runnable_kernels(kind);
@@ -125,9 +130,19 @@ TEST(DigestMany, KernelTableFollowsBuildAndCpuid) {
     EXPECT_EQ(kernels.back().width, sha ? 4u : 8u);
     for (const LaneKernel& kernel : kernels) {
       EXPECT_TRUE(std::strcmp(kernel.name, "avx2") != 0 || cpu_has_avx2);
+      const bool avx512 = std::strcmp(kernel.name, "avx512") == 0;
+      EXPECT_EQ(kernel.min_pack, avx512 ? kernel.width : 2u) << kernel.name;
     }
   }
-  const auto sha256 = crypto::lane_detail::runnable_kernels(crypto::HashKind::kSha256);
+  auto sha256 = crypto::lane_detail::runnable_kernels(crypto::HashKind::kSha256);
+  const bool avx512_first = std::strcmp(sha256.front().name, "avx512") == 0;
+  EXPECT_EQ(avx512_first, crypto::lane_detail::sha256_avx512_compiled() && cpu_has_avx512);
+  if (avx512_first) {
+    EXPECT_EQ(sha256.front().width, 16u);
+    sha256 = sha256.subspan(1);
+  }
+  // What the full packs leave goes where it went without AVX-512.
+  ASSERT_FALSE(sha256.empty());
   EXPECT_EQ(std::strcmp(sha256.front().name, "sha-ni") == 0,
             crypto::sha256_hardware_active());
 }
@@ -135,10 +150,11 @@ TEST(DigestMany, KernelTableFollowsBuildAndCpuid) {
 TEST(DigestMany, MatchesScalarForAnyCountAndKind) {
   // digest_many packs lane-capable kinds and digests the rest on a scalar
   // hash — identical bytes either way, for any batch size (including sizes
-  // that leave a single message behind full packs).
+  // that leave a single message behind full packs, and one, two or no
+  // full 16-packs with every remainder after them).
   for (const auto kind : crypto::kAllHashKinds) {
     const std::size_t digest_size = crypto::hash_digest_size(kind);
-    for (std::size_t count = 0; count <= 17; ++count) {
+    for (std::size_t count = 0; count <= 40; ++count) {
       std::vector<support::Bytes> messages;
       std::vector<support::Bytes> actual(count, support::Bytes(digest_size));
       std::vector<support::ByteView> views;

@@ -122,5 +122,37 @@ TEST(Sha256Kernel, DigestManyMatchesPortableOneShotOnUnequalPairs) {
   }
 }
 
+TEST(Sha256Kernel, DigestManyMatchesPortableOneShotOnFullPacks) {
+  // Batches of one full 16-pack, and of two plus a single message: the
+  // AVX-512 kernel where it runs, the SHA-NI pairs or the lane packs
+  // otherwise.  Equal lengths, then lengths staggered from lens[pick] up,
+  // so the pack's common block count (0, 1 or 64) is the shortest
+  // message's and the longer ones finish past it.
+  const std::size_t lens[] = {0, 1, 55, 56, 63, 64, 65, 4096, 5000};
+  constexpr std::size_t kLens = std::size(lens);
+  for (const std::size_t count : {16, 33}) {
+    for (std::size_t pick = 0; pick < kLens; ++pick) {
+      for (const bool staggered : {false, true}) {
+        std::vector<support::Bytes> msgs(count);
+        std::vector<support::ByteView> views(count);
+        std::vector<support::Bytes> digests(count, support::Bytes(Sha256::kDigestSize));
+        std::vector<support::MutableByteView> outs(count);
+        for (std::size_t i = 0; i < count; ++i) {
+          const std::size_t len = lens[staggered ? pick + i % (kLens - pick) : pick];
+          msgs[i] = support::random_bytes(0x16 * count + 131 * pick + i, len);
+          views[i] = msgs[i];
+          outs[i] = digests[i];
+        }
+        digest_many(HashKind::kSha256, views, outs);
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(digests[i], portable_digest(msgs[i]))
+              << "count " << count << (staggered ? " staggered" : " equal") << " message "
+              << i << " (" << msgs[i].size() << " B)";
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rasc::crypto

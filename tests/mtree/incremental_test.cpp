@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 
 #include "src/crypto/hash.hpp"
 #include "src/support/rng.hpp"
@@ -175,6 +176,24 @@ TEST(IncrementalTree, HandsTheObserverSlotBackWhenDestroyed) {
   memory.write(5 * kBlockSize, support::Bytes{0x02}, /*now=*/0,
                sim::Actor::kApplication);
   EXPECT_EQ(tree.collect_dirty(), (std::vector<std::size_t>{5}));
+}
+
+TEST(IncrementalTree, SecondTreeOverTheSameMemoryThrows) {
+  sim::DeviceMemory memory{kBlocks * kBlockSize, kBlockSize};
+  std::optional<IncrementalTree> first;
+  first.emplace(memory, crypto::HashKind::kSha256);
+  first->prime_with(all_leaf_digests(memory));
+  EXPECT_TRUE(memory.has_generation_observer());
+  EXPECT_THROW(IncrementalTree(memory, crypto::HashKind::kSha256), std::logic_error);
+  // The refused tree left the first one's subscription in place.
+  memory.write(3 * kBlockSize, support::Bytes{0x03}, /*now=*/0, sim::Actor::kApplication);
+  EXPECT_EQ(first->collect_dirty(), (std::vector<std::size_t>{3}));
+  first.reset();
+  EXPECT_FALSE(memory.has_generation_observer());
+  IncrementalTree next(memory, crypto::HashKind::kSha256);
+  next.prime_with(all_leaf_digests(memory));
+  memory.write(6 * kBlockSize, support::Bytes{0x06}, /*now=*/0, sim::Actor::kApplication);
+  EXPECT_EQ(next.collect_dirty(), (std::vector<std::size_t>{6}));
 }
 
 TEST(IncrementalTree, ProveRangeCarriesLiveGenerations) {
