@@ -17,6 +17,16 @@ support::Bytes derive_block_key(support::ByteView key) {
   return support::concat({key, support::to_bytes("/block")});
 }
 
+/// Stack storage for N views that is not zero-filled: a plain array of
+/// std::span is value-initialized on every call (a 1 KiB `rep stos` for
+/// 64 of them), though only the entries a wave fills are ever read.
+/// Assigning an entry starts the array's lifetime (spans copy trivially).
+template <class View, std::size_t N>
+union ViewScratch {
+  ViewScratch() {}
+  View items[N];
+};
+
 }  // namespace
 
 BlockDigester::BlockDigester(MacKind mac, crypto::HashKind hash, support::ByteView key)
@@ -57,11 +67,13 @@ void BlockDigester::digest_batch(std::span<const support::ByteView> blocks,
   // chunk at a time.  The chunk is a multiple of every kernel's width, so
   // the packing is the one an unchunked call would choose.
   constexpr std::size_t kChunk = 64;
-  support::MutableByteView views[kChunk];
+  ViewScratch<support::MutableByteView, kChunk> views;
   for (std::size_t at = 0; at < blocks.size(); at += kChunk) {
     const std::size_t n = std::min(kChunk, blocks.size() - at);
-    for (std::size_t i = 0; i < n; ++i) views[i] = outs[at + i]->prepare(digest_size_);
-    crypto::digest_many(hash_kind_, blocks.subspan(at, n), {views, n});
+    for (std::size_t i = 0; i < n; ++i) {
+      views.items[i] = outs[at + i]->prepare(digest_size_);
+    }
+    crypto::digest_many(hash_kind_, blocks.subspan(at, n), {views.items, n});
   }
 }
 
@@ -72,15 +84,31 @@ Measurement::Measurement(const sim::DeviceMemory& memory, crypto::HashKind hash,
       hash_(hash),
       key_(key.begin(), key.end()),
       context_(std::move(context)),
-      coverage_(coverage),
       mac_(mac),
       digester_(mac, hash, key) {
-  const std::size_t n = coverage_.resolve_count(memory);
-  if (coverage_.first_block + n > memory.block_count()) {
+  reseat(hash, key, coverage, mac);
+}
+
+void Measurement::reseat(crypto::HashKind hash, support::ByteView key, Coverage coverage,
+                         MacKind mac) {
+  const std::size_t n = coverage.resolve_count(memory_);
+  if (coverage.first_block + n > memory_.block_count()) {
     throw std::out_of_range("Measurement coverage exceeds memory");
   }
+  if (hash != hash_ || mac != mac_ || !std::ranges::equal(key, key_)) {
+    digester_ = BlockDigester(mac, hash, key);
+    key_.assign(key.begin(), key.end());
+    hash_ = hash;
+    mac_ = mac;
+  }
+  coverage_ = coverage;
+  cache_ = nullptr;
+  journal_ = nullptr;
+  journal_actor_ = 0;
+  key_fp_ = 0;
   block_digests_.assign(n, {});
   visit_times_.assign(n, std::nullopt);
+  visited_count_ = 0;
 }
 
 void Measurement::restart(MeasurementContext context) {
@@ -121,14 +149,14 @@ void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Ti
   // time from stack buffers; blocks are distinct, so storing a wave before
   // classifying the next changes no lookup.
   constexpr std::size_t kWave = 64;
-  support::ByteView wave_contents[kWave];
+  ViewScratch<support::ByteView, kWave> wave_contents;
   Digest* wave_outs[kWave];
   std::size_t wave_blocks[kWave];
   std::uint64_t wave_generations[kWave];
   bool wave_store[kWave];  ///< false for snapshot content / detached cache
   std::size_t waiting = 0;
   const auto digest_wave = [&] {
-    digester_.digest_batch({wave_contents, waiting}, {wave_outs, waiting});
+    digester_.digest_batch({wave_contents.items, waiting}, {wave_outs, waiting});
     for (std::size_t i = 0; i < waiting; ++i) {
       if (wave_store[i]) {
         cache_->store(wave_blocks[i], wave_generations[i], hash_, mac_, key_fp_,
@@ -171,7 +199,7 @@ void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Ti
                          block, generation);
       }
     }
-    wave_contents[waiting] = content;
+    wave_contents.items[waiting] = content;
     wave_outs[waiting] = &block_digests_[rel];
     wave_blocks[waiting] = block;
     wave_generations[waiting] = generation;

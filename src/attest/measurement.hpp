@@ -169,6 +169,16 @@ class Measurement {
   /// nothing per round.  Cache and journal attachments stay.
   void restart(MeasurementContext context);
 
+  /// Start over as a measurement of the same memory freshly built with
+  /// these parameters (the context stays until the next restart()): every
+  /// block unvisited, no cache or journal attached, and the per-block
+  /// engine re-keyed when the key, hash or MAC changed.  The memory may
+  /// have been resized since; storage is reused, so a reseat at the same
+  /// key and size allocates nothing.  Throws std::out_of_range as the
+  /// constructor does.
+  void reseat(crypto::HashKind hash, support::ByteView key, Coverage coverage,
+              MacKind mac);
+
   const MeasurementContext& context() const noexcept { return context_; }
 
   /// Exchange the visit-time buffer with `other` (the prover's result

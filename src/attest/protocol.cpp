@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <string_view>
 
 #include "src/crypto/hmac.hpp"
@@ -73,7 +74,21 @@ OnDemandProtocol::OnDemandProtocol(sim::Device& prover_device, Verifier& verifie
       verifier_(verifier),
       mp_(mp),
       vrf_to_prv_(vrf_to_prv),
-      prv_to_vrf_(prv_to_vrf) {}
+      prv_to_vrf_(prv_to_vrf) {
+  reseat();
+}
+
+void OnDemandProtocol::reseat() {
+  if (pending_events_ != 0) {
+    throw std::logic_error("OnDemandProtocol::reseat with deferral events pending");
+  }
+  attempts_.clear();
+  prover_counter_seen_ = false;
+  deferring_ = false;
+  prover_last_counter_ = 0;
+  rejected_replay_ = 0;
+  ignored_busy_ = 0;
+}
 
 void OnDemandProtocol::journal(obs::JournalEventKind kind, sim::Time time,
                                std::uint64_t a, std::uint64_t b) {

@@ -84,6 +84,11 @@ class OnDemandProtocol {
                    AttestationProcess& mp, sim::Link& vrf_to_prv,
                    sim::Link& prv_to_vrf);
 
+  /// Start over as a protocol freshly built over the same objects: no
+  /// attempt records, no replay floor, zero rejection counts.  Only while
+  /// pending_events() is zero (std::logic_error otherwise).
+  void reseat();
+
   /// Run one attestation round; `done` fires at t_verified with the
   /// verdict of the wire-delivered report.  Counters must be strictly
   /// increasing across calls on one protocol instance — the prover

@@ -14,18 +14,53 @@ std::string traversal_order_name(TraversalOrder order) {
   return order == TraversalOrder::kSequential ? "sequential" : "shuffled";
 }
 
-AttestationProcess::AttestationProcess(sim::Device& device, ProverConfig config,
+AttestationProcess::AttestationProcess(sim::Device& device)
+    : sim::Process({}, ProverConfig{}.priority), device_(device) {}
+
+AttestationProcess::AttestationProcess(sim::Device& device, const ProverConfig& config,
                                        LockPolicy* policy)
     : AttestationProcess(device, config, policy,
                          DigestCache::key_fingerprint(device.attestation_key())) {}
 
-AttestationProcess::AttestationProcess(sim::Device& device, ProverConfig config,
+AttestationProcess::AttestationProcess(sim::Device& device, const ProverConfig& config,
                                        LockPolicy* policy, std::uint64_t key_fingerprint)
-    : sim::Process("attest/" + execution_mode_name(config.mode), config.priority),
-      device_(device),
-      config_(config),
-      policy_(policy),
-      key_fp_(key_fingerprint) {}
+    : AttestationProcess(device) {
+  reseat(config, policy, key_fingerprint);
+}
+
+void AttestationProcess::reseat(const ProverConfig& config, LockPolicy* policy,
+                                std::uint64_t key_fingerprint) {
+  if (busy()) throw std::logic_error("AttestationProcess::reseat while busy");
+  // "attest/" + execution_mode_name(mode), spelled out so no string is built.
+  set_name(config.mode == ExecutionMode::kAtomic ? "attest/atomic"
+                                                 : "attest/interruptible");
+  set_priority(config.priority);
+  config_ = config;
+  policy_ = policy;
+  key_fp_ = key_fingerprint;
+  digest_cache_ = DigestCache{};
+  shared_digest_cache_ = nullptr;
+  signer_ = nullptr;
+  observer_ = nullptr;
+  total_measure_time_ = 0;
+  if (measurement_) {
+    // Between rounds the visit-time buffer rests in the result (start()
+    // takes it back): lend it to the re-seat and return it, so no second
+    // buffer is grown.
+    measurement_->swap_visit_times(result_.visit_times);
+    measurement_->reseat(config_.hash, device_.attestation_key(), config_.coverage,
+                         config_.mac);
+    measurement_->swap_visit_times(result_.visit_times);
+  }
+  // Releases the memory's generation-observer slot for the next tree.
+  tree_.reset();
+  planned_nodes_ = 0;
+  proof_backlog_flag_.clear();
+  proof_backlog_.clear();
+  next_index_ = 0;
+  requested_at_ = 0;
+  done_ = nullptr;
+}
 
 sim::Duration AttestationProcess::block_cost() const {
   const std::size_t block_size = device_.memory().block_size();

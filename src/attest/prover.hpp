@@ -82,14 +82,28 @@ struct AttestationResult {
 
 class AttestationProcess final : public sim::Process {
  public:
+  /// Unseated: reseat() before the first start().
+  explicit AttestationProcess(sim::Device& device);
+
   /// `policy` may be nullptr (No-Lock).  The device, policy and signer
   /// must outlive the process.
-  AttestationProcess(sim::Device& device, ProverConfig config,
+  AttestationProcess(sim::Device& device, const ProverConfig& config,
                      LockPolicy* policy = nullptr);
 
   /// `key_fingerprint` is the device key's, derived by the caller.
-  AttestationProcess(sim::Device& device, ProverConfig config, LockPolicy* policy,
+  AttestationProcess(sim::Device& device, const ProverConfig& config, LockPolicy* policy,
                      std::uint64_t key_fingerprint);
+
+  /// Start over as a process freshly built over the same device by the
+  /// constructor above: idle, no tree, no proof backlog, an empty own
+  /// digest cache and no shared one, no observer or signer, zero measure
+  /// time.  The kept measurement, if any, is re-keyed to the device's
+  /// current key and size (Measurement::reseat) — so re-seat the device
+  /// first — and the round's result keeps its storage: a warm flat-mode
+  /// reseat allocates nothing.  Only while idle (std::logic_error
+  /// otherwise).
+  void reseat(const ProverConfig& config, LockPolicy* policy,
+              std::uint64_t key_fingerprint);
 
   /// Per-block progress hook: called as (blocks_done, total_blocks) after
   /// every visited block in interruptible mode, and once with (n, n) after
@@ -162,7 +176,7 @@ class AttestationProcess final : public sim::Process {
 
   /// Cross-round process state for hibernation: the unacknowledged proof
   /// backlog (tree mode), not total_measure_time().  Capture only while
-  /// idle; restore into a freshly constructed process after re-provisioning
+  /// idle; restore into a freshly seated process after re-provisioning
   /// (and, in tree mode, after the tree is re-primed from the rebuilt
   /// memory).
   struct ProcessState {
@@ -194,10 +208,10 @@ class AttestationProcess final : public sim::Process {
 
   sim::Device& device_;
   ProverConfig config_;
-  LockPolicy* policy_;
+  LockPolicy* policy_ = nullptr;
   DigestCache digest_cache_;
   DigestCache* shared_digest_cache_ = nullptr;
-  std::uint64_t key_fp_;  ///< DigestCache::key_fingerprint of the device key
+  std::uint64_t key_fp_ = 0;  ///< DigestCache::key_fingerprint of the device key
   crypto::Signer* signer_ = nullptr;
   std::function<void(std::size_t, std::size_t)> observer_;
 

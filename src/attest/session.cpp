@@ -30,12 +30,28 @@ SessionCounters& SessionCounters::operator+=(const SessionCounters& other) noexc
 
 ReliableSession::ReliableSession(sim::Device& prover_device, Verifier& verifier,
                                  AttestationProcess& mp, sim::Link& vrf_to_prv,
-                                 sim::Link& prv_to_vrf, SessionConfig config)
+                                 sim::Link& prv_to_vrf, const SessionConfig& config)
     : device_(prover_device),
       mp_(mp),
-      config_(std::move(config)),
-      protocol_(prover_device, verifier, mp, vrf_to_prv, prv_to_vrf),
-      rng_(config_.seed) {}
+      protocol_(prover_device, verifier, mp, vrf_to_prv, prv_to_vrf) {
+  reseat(config);
+}
+
+void ReliableSession::reseat(const SessionConfig& config) {
+  if (!quiescent()) {
+    throw std::logic_error("ReliableSession: reseat while not quiescent");
+  }
+  protocol_.reseat();
+  config_ = config;
+  rng_ = support::Xoshiro256(config_.seed);
+  health_ = nullptr;
+  journal_label_.clear();
+  journal_actor_ = {};
+  journal_session_ = {};
+  next_counter_ = 1;
+  next_round_seq_ = 1;
+  counters_ = {};
+}
 
 void ReliableSession::journal(obs::JournalEventKind kind, std::uint64_t round,
                               std::uint64_t a, std::uint64_t b) {

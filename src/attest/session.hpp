@@ -106,7 +106,15 @@ class ReliableSession {
   /// callbacks into it).
   ReliableSession(sim::Device& prover_device, Verifier& verifier,
                   AttestationProcess& mp, sim::Link& vrf_to_prv,
-                  sim::Link& prv_to_vrf, SessionConfig config = {});
+                  sim::Link& prv_to_vrf, const SessionConfig& config = {});
+
+  /// Start over as a session freshly built over the same objects from
+  /// `config`, its protocol re-seated with it: idle, the jitter RNG
+  /// re-seeded, counters and round sequences from 1, zero counts, no
+  /// health rollup, and the journal label rebuilt on first use (the
+  /// device id may have changed).  Only while quiescent()
+  /// (std::logic_error otherwise).  Allocates nothing.
+  void reseat(const SessionConfig& config);
 
   /// Run one reliable round; `done` fires exactly once with a terminal
   /// outcome — there is no code path that leaks the callback.  Throws
@@ -126,7 +134,7 @@ class ReliableSession {
   /// Session-and-protocol state that must survive hibernation: the jitter
   /// RNG position, the monotonic counter/round sequences and the prover's
   /// replay-protection watermark (not counters()).  Capture only while
-  /// quiescent(); restore into a freshly constructed session with the same
+  /// quiescent(); restore into a freshly seated session with the same
   /// config before its next run().
   struct State {
     support::Xoshiro256::State rng{};

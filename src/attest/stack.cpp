@@ -1,27 +1,42 @@
 #include "src/attest/stack.hpp"
 
+#include <stdexcept>
 #include <string>
 
 namespace rasc::attest {
 
-Stack::Stack(sim::Simulator& sim, StackConfig config, support::ByteView image)
-    : Stack(sim, config, image,
-            config.golden != nullptr
-                ? config.golden
-                : std::make_shared<const GoldenMeasurement>(
-                      image, config.device.block_size, config.prover.hash,
-                      config.device.attestation_key, config.prover.mac)) {}
+Stack::Stack(sim::Simulator& sim)
+    : device(sim),
+      mp(device),
+      vrf_to_prv(sim),
+      prv_to_vrf(sim),
+      session(device, verifier, mp, vrf_to_prv, prv_to_vrf) {}
 
-// The verifier throws before a mismatched golden's schedule is ever used.
-Stack::Stack(sim::Simulator& sim, StackConfig& config, support::ByteView image,
-             std::shared_ptr<const GoldenMeasurement> golden)
-    : device(sim, std::move(config.device), golden->key_schedule()),
-      verifier(golden, device.attestation_key(), std::move(config.challenge_key),
-               config.challenge_domain),
-      mp(device, config.prover, nullptr, golden->key_fingerprint()),
-      vrf_to_prv(sim, std::move(config.to_prv)),
-      prv_to_vrf(sim, std::move(config.to_vrf)),
-      session(device, verifier, mp, vrf_to_prv, prv_to_vrf, config.session) {
+Stack::Stack(sim::Simulator& sim, const StackConfig& config, support::ByteView image)
+    : Stack(sim) {
+  reseat(config, image);
+}
+
+void Stack::reseat(const StackConfig& config, support::ByteView image) {
+  if (!quiescent()) {
+    throw std::logic_error("Stack::reseat while a round or delivery is in flight");
+  }
+  std::shared_ptr<const GoldenMeasurement> golden =
+      config.golden != nullptr
+          ? config.golden
+          : std::make_shared<const GoldenMeasurement>(
+                image, config.device.block_size, config.prover.hash,
+                config.device.attestation_key, config.prover.mac);
+  // The verifier validates the key and K_chal first, before any member
+  // has changed.  The process re-keys its kept measurement from the
+  // re-seated device, so it follows the device.
+  verifier.reseat(golden, config.device.attestation_key, config.challenge_key,
+                  config.challenge_domain);
+  device.reseat(config.device, golden->key_schedule());
+  mp.reseat(config.prover, nullptr, golden->key_fingerprint());
+  vrf_to_prv.reseat(config.to_prv);
+  prv_to_vrf.reseat(config.to_vrf);
+  session.reseat(config.session);
   device.memory().load(image);
 }
 

@@ -15,6 +15,13 @@
 /// in-flight events capture references into them, so a Stack neither
 /// copies nor moves.
 ///
+/// One initialization path: the constructor builds every member unseated
+/// and then calls reseat(), which re-seats each member in place and loads
+/// the image.  A quiescent stack can therefore be re-seated for another
+/// device — another key, image, golden, K_chal and seeds — and behaves
+/// exactly like one freshly built for it, keeping its storage (the fleet
+/// recycles hibernated stacks this way).
+///
 /// The members count into plain structs and know nothing of
 /// obs::MetricsRegistry.  A driver publishes the counts once, after the
 /// simulator has run, through export_metrics — the one place the "net.*",
@@ -60,12 +67,29 @@ struct StackCounters {
 };
 
 struct Stack {
-  /// Build every member on `sim`, then load `image` — the golden's
-  /// content — into device memory.  Throws std::invalid_argument without
-  /// a challenge key or when a shared golden's key is not the device's.
-  Stack(sim::Simulator& sim, StackConfig config, support::ByteView image);
+  /// Every member built unseated on `sim`; reseat() before the first round.
+  explicit Stack(sim::Simulator& sim);
+  /// Stack(sim), then reseat(config, image).
+  Stack(sim::Simulator& sim, const StackConfig& config, support::ByteView image);
   Stack(const Stack&) = delete;
   Stack& operator=(const Stack&) = delete;
+
+  /// Seat every member from `config` in place, then load `image` — the
+  /// golden's content — into device memory.  Throws std::invalid_argument
+  /// without a challenge key or when a shared golden's key is not the
+  /// device's (before changing anything), and std::logic_error unless
+  /// quiescent().  With a shared golden and the sizes, key length and
+  /// names the stack already holds, a flat-mode reseat allocates nothing.
+  void reseat(const StackConfig& config, support::ByteView image);
+
+  /// Nothing can still call into the stack: no round in flight, no
+  /// measurement running, no protocol deferral pending, nothing in flight
+  /// on either link.  The only state a stack may be re-seated or
+  /// destroyed in.
+  bool quiescent() const noexcept {
+    return session.quiescent() && !mp.busy() && vrf_to_prv.in_flight() == 0 &&
+           prv_to_vrf.in_flight() == 0;
+  }
 
   StackCounters counters() const noexcept;
 
@@ -81,10 +105,6 @@ struct Stack {
   sim::Link vrf_to_prv;
   sim::Link prv_to_vrf;
   ReliableSession session;
-
- private:
-  Stack(sim::Simulator& sim, StackConfig& config, support::ByteView image,
-        std::shared_ptr<const GoldenMeasurement> golden);
 };
 
 /// "net.*" from the summed links, "verifier.*", and "session.*": the

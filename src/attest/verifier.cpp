@@ -37,16 +37,29 @@ Verifier::Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::Byt
 
 Verifier::Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::ByteView key,
                    std::shared_ptr<const crypto::HmacSha256Key> challenge_key,
-                   std::uint64_t challenge_domain)
-    : golden_(std::move(golden)),
-      challenge_key_(std::move(challenge_key)),
-      challenge_domain_(challenge_domain) {
-  if (golden_ == nullptr || challenge_key_ == nullptr) {
+                   std::uint64_t challenge_domain) {
+  reseat(std::move(golden), key, std::move(challenge_key), challenge_domain);
+}
+
+void Verifier::reseat(std::shared_ptr<const GoldenMeasurement> golden,
+                      support::ByteView key,
+                      std::shared_ptr<const crypto::HmacSha256Key> challenge_key,
+                      std::uint64_t challenge_domain) {
+  if (golden == nullptr || challenge_key == nullptr) {
     throw std::invalid_argument("Verifier: null golden or challenge key");
   }
-  if (!std::ranges::equal(key, golden_->key())) {
+  if (!std::ranges::equal(key, golden->key())) {
     throw std::invalid_argument("Verifier: key differs from the golden's key");
   }
+  golden_ = std::move(golden);
+  challenge_key_ = std::move(challenge_key);
+  challenge_domain_ = challenge_domain;
+  issue_index_ = 0;
+  last_counter_ = 0;
+  outstanding_ = {};
+  outstanding_size_ = 0;
+  last_counter_seen_ = false;
+  counters_ = {};
 }
 
 void Verifier::derive_challenge(std::uint64_t index, std::size_t size) {

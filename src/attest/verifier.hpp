@@ -84,6 +84,9 @@ class Verifier {
     bool last_counter_seen = false;
   };
 
+  /// Unseated: no golden and no K_chal until reseat().
+  Verifier() = default;
+
   /// `golden_image` is the expected content of the covered region
   /// (block_size * n bytes).
   Verifier(crypto::HashKind hash, support::ByteView key, support::ByteView golden_image,
@@ -103,6 +106,13 @@ class Verifier {
   Verifier(std::shared_ptr<const GoldenMeasurement> golden, support::ByteView key,
            std::shared_ptr<const crypto::HmacSha256Key> challenge_key,
            std::uint64_t challenge_domain);
+
+  /// Start over as a verifier freshly built by the constructor above: no
+  /// challenge issued or outstanding, no report accepted, zero counters.
+  /// Throws as that constructor does, before changing anything.
+  void reseat(std::shared_ptr<const GoldenMeasurement> golden, support::ByteView key,
+              std::shared_ptr<const crypto::HmacSha256Key> challenge_key,
+              std::uint64_t challenge_domain);
 
   /// The next challenge (also remembered as the expected one).  Throws
   /// std::invalid_argument unless 1 <= size <= kMaxChallengeSize.
@@ -146,7 +156,7 @@ class Verifier {
 
   std::shared_ptr<const GoldenMeasurement> golden_;
   std::shared_ptr<const crypto::HmacSha256Key> challenge_key_;  ///< K_chal
-  std::uint64_t challenge_domain_;
+  std::uint64_t challenge_domain_ = 0;
   std::uint64_t issue_index_ = 0;
   std::uint64_t last_counter_ = 0;
   std::array<std::uint8_t, kMaxChallengeSize> outstanding_{};

@@ -102,8 +102,8 @@ constexpr std::size_t kPerDeviceStringBytes = 128;
 constexpr std::size_t kKeyBytes = 16;
 
 /// Order-independent stamp over the memory's generation counters.  A
-/// rebuilt stack must reproduce it exactly (same load, same infection
-/// patch): a mismatch means the rebuild diverged from the original
+/// woken device's stack must reproduce it exactly (same load, same
+/// infection patch): a mismatch means the wake diverged from the original
 /// provisioning and the shared digest cache's generation keys are no
 /// longer sound for this device.
 std::uint64_t generation_summary(const sim::DeviceMemory& memory) {
@@ -114,14 +114,14 @@ std::uint64_t generation_summary(const sim::DeviceMemory& memory) {
   return h;
 }
 
-/// Compact between-rounds seed record of one device: everything a rebuilt
+/// Compact between-rounds seed record of one device: everything a re-seated
 /// stack cannot re-derive from (FleetConfig, shard state, device id) —
 /// a few hundred bytes against ~3 kB for a live DeviceStack, which is
 /// what makes the 1M tier fit in host RAM.  Counters are not kept here,
 /// and in flat mode nothing here owns heap.
 struct HibernatedDevice {
   bool valid = false;
-  std::uint32_t wakes = 0;              ///< rebuilds consumed so far
+  std::uint32_t wakes = 0;              ///< wakes consumed so far
   std::uint64_t key_fingerprint = 0;    ///< shard golden's key fingerprint
   std::uint64_t generation_summary = 0; ///< memory generations at capture
   attest::ReliableSession::State session;
@@ -157,57 +157,66 @@ ShardState make_shard_state(const FleetConfig& config, std::size_t shard) {
   return state;
 }
 
-/// Device `index`'s stack: the shard's key, image, golden and K_chal (the
-/// index is the challenge domain) and the per-device seeds.  Link latency
-/// and jitter are sim::LinkConfig's.
-attest::StackConfig make_stack_config(const FleetConfig& config,
-                                      const ShardState& shard, std::size_t index) {
-  attest::StackConfig stack;
-  stack.device = {"prv-" + std::to_string(index), config.blocks * config.block_size,
-                  config.block_size, shard.key};
+/// Device `index`'s stack config, written into `stack`: the shard's key,
+/// image, golden and K_chal (the index is the challenge domain) and the
+/// per-device seeds.  Link latency and jitter are sim::LinkConfig's.  Only
+/// the fields set here differ between devices, so refilling one config
+/// reuses its strings and key buffer.
+void fill_stack_config(attest::StackConfig& stack, const FleetConfig& config,
+                       const ShardState& shard, std::size_t index) {
+  stack.device.id = "prv-" + std::to_string(index);
+  stack.device.memory_size = config.blocks * config.block_size;
+  stack.device.block_size = config.block_size;
+  stack.device.attestation_key = shard.key;
   stack.golden = shard.golden;
   stack.challenge_key = shard.challenge_key;
   stack.challenge_domain = index;
   stack.prover.hash = config.hash;
   stack.prover.mode = config.mode;
   stack.prover.use_merkle_tree = config.use_merkle_tree;
+  for (sim::LinkConfig* link : {&stack.to_prv, &stack.to_vrf}) {
+    link->drop_probability = config.drop_probability;
+    link->duplicate_probability = config.duplicate_probability;
+    link->corrupt_probability = config.corrupt_probability;
+    link->reorder_probability = config.reorder_probability;
+  }
   stack.to_prv.name = "vrf->prv";
-  stack.to_prv.drop_probability = config.drop_probability;
-  stack.to_prv.duplicate_probability = config.duplicate_probability;
-  stack.to_prv.corrupt_probability = config.corrupt_probability;
-  stack.to_prv.reorder_probability = config.reorder_probability;
   stack.to_prv.seed = device_stream(config.seed, index, kLinkForwardSalt);
-  stack.to_vrf = stack.to_prv;
   stack.to_vrf.name = "prv->vrf";
   stack.to_vrf.seed = device_stream(config.seed, index, kLinkReverseSalt);
   stack.session = config.session;
   stack.session.seed = device_stream(config.seed, index, kSessionSalt);
-  return stack;
 }
 
 /// One prover and everything the verifier keeps to talk to it; the shard
 /// lends it the golden and the prover-side digest cache.  CPU segment
 /// completions and link deliveries capture references into the stack, so
-/// it may only be torn down while quiescent() — no round in flight, no
-/// measurement running, no protocol deferral pending, nothing in flight on
-/// either link.  Built on its device's first admission, a stack stays
-/// alive until the run ends unless hibernation (max_live_stacks) collapses
-/// it, idle and quiescent, to a HibernatedDevice record that the next
-/// admission rebuilds.  The admission window bounds *concurrent
-/// sessions*, not live objects.
+/// it may only be re-seated or torn down while quiescent().  Seated on its
+/// device's first admission, a stack stays with that device until the run
+/// ends unless hibernation (max_live_stacks) collapses the device, idle
+/// and quiescent, to a HibernatedDevice record and returns the stack to
+/// the fleet's free pool; the next admission of any device re-seats a
+/// free stack.  The admission window bounds *concurrent sessions*, not
+/// live objects.
 struct DeviceStack : attest::Stack {
-  DeviceStack(sim::Simulator& sim, const FleetConfig& config, ShardState& shard,
-              std::size_t index)
-      : attest::Stack(sim, make_stack_config(config, shard, index), shard.image) {
+  explicit DeviceStack(sim::Simulator& sim) : attest::Stack(sim) {}
+
+  /// Seat on device `index` of `shard`, exactly as a fresh build for it;
+  /// `scratch` carries the config between seats so that a warm seat
+  /// allocates nothing.
+  void seat(attest::StackConfig& scratch, const FleetConfig& config, ShardState& shard,
+            std::size_t index) {
+    fill_stack_config(scratch, config, shard, index);
+    reseat(scratch, shard.image);
     mp.set_shared_digest_cache(&shard.cache);
     session.set_health(&shard.health);
   }
 
-  /// First-build provisioning; a stack rebuilt from a HibernatedDevice
-  /// record takes restore() instead.  The order is fixed: prime from the
-  /// *clean* image strictly before the infection patch lands, so the
-  /// infection is the only dirtiness the first round sees and the subtree
-  /// proofs localize exactly the infected range.
+  /// First-admission provisioning; a device woken from its
+  /// HibernatedDevice record takes restore() instead.  The order is fixed:
+  /// prime from the *clean* image strictly before the infection patch
+  /// lands, so the infection is the only dirtiness the first round sees
+  /// and the subtree proofs localize exactly the infected range.
   void provision(const FleetConfig& config, bool infected) {
     if (config.use_merkle_tree) {
       // The golden already holds every block digest of the clean image,
@@ -226,23 +235,14 @@ struct DeviceStack : attest::Stack {
   /// any round.  Required both for soundly sharing the shard digest cache
   /// (the infected content at generation 2 is one value shard-wide) and
   /// for the roster's ground truth (correct verdict = kCompromised).  A
-  /// rebuilt stack replays exactly these writes so its generation
-  /// counters match the first build's (see generation_summary).
+  /// woken device replays exactly these writes so its generation
+  /// counters match its first provisioning's (see generation_summary).
   void patch_infection(const FleetConfig& config, bool infected) {
     if (!infected) return;
     const auto [first, count] = detail::infection_range(config);
     for (std::size_t block = first; block < first + count; ++block) {
       infect(block * config.block_size);
     }
-  }
-
-  /// Safe-to-tear-down check: every event that could still reference this
-  /// stack has fired.  Link in_flight covers deliveries; mp.busy covers
-  /// CPU segments and the measurement callback chain; session.quiescent
-  /// covers round state and the protocol's deferral events.
-  bool quiescent() const noexcept {
-    return session.quiescent() && !mp.busy() && vrf_to_prv.in_flight() == 0 &&
-           prv_to_vrf.in_flight() == 0;
   }
 
   /// Collapse to the seed record.  Caller guarantees quiescent().
@@ -260,15 +260,13 @@ struct DeviceStack : attest::Stack {
     return h;
   }
 
-  /// Rebuild-from-seed path (the constructor already loaded the clean
-  /// shard image): replay the infection patch, then — tree mode only —
-  /// re-prime the tree from the *current* (patched) content.  The
-  /// persistent stack's tree was already consistent with that content, so
-  /// re-priming from the golden digests here would spuriously re-dirty the
-  /// infected blocks and change the next round's visit set.  Finally
-  /// restore the protocol positions; their objects seed only a xoshiro256
-  /// or hold counters on construction, so overwriting them costs nothing
-  /// worth a second constructor.
+  /// Wake path (seat() already loaded the clean shard image): replay the
+  /// infection patch, then — tree mode only — re-prime the tree from the
+  /// *current* (patched) content.  The persistent stack's tree was already
+  /// consistent with that content, so re-priming from the golden digests
+  /// here would spuriously re-dirty the infected blocks and change the
+  /// next round's visit set.  Finally restore the protocol positions over
+  /// the freshly seated ones.
   void restore(const FleetConfig& config, bool infected,
                const HibernatedDevice& h) {
     patch_infection(config, infected);
@@ -299,6 +297,12 @@ struct FleetVerifier::Impl {
   std::vector<ShardState> shards;
   /// Null slots are hibernated (or not yet admitted) devices.
   std::vector<std::unique_ptr<DeviceStack>> stacks;
+  /// Stacks of hibernated devices, last returned on top.  One pool for
+  /// every shard: ensure_stack re-seats the top one for whichever device
+  /// it admits, so a run builds at most live_stacks_high_water stacks.
+  std::vector<std::unique_ptr<DeviceStack>> free_stacks;
+  /// ensure_stack's config, kept so each seat reuses its buffers.
+  attest::StackConfig seat_config;
   std::vector<HibernatedDevice> hibernated;  ///< sized N iff hibernation
   std::size_t live_stacks = 0;
   /// Counters of every stack torn down so far (finalize() adds the rest).
@@ -367,17 +371,26 @@ struct FleetVerifier::Impl {
     }
   }
 
-  /// Live stack for device d — the one place a fleet builds a DeviceStack.
-  /// A device's first admission builds and provisions it; building
-  /// journals nothing, so when it happens is unobservable.  A wake
-  /// rebuilds from the HibernatedDevice record, verifying the rebuild
-  /// reproduced the captured key fingerprint and generation summary.
+  /// Live stack for device d — the one place a fleet gets a DeviceStack.
+  /// It re-seats the top of the free pool, and builds a new stack only
+  /// when the pool is empty; seating journals nothing, so which stack a
+  /// device gets is unobservable.  A device's first admission provisions
+  /// the seated stack; a wake restores it from the HibernatedDevice
+  /// record, verifying the wake reproduced the captured key fingerprint
+  /// and generation summary.
   DeviceStack& ensure_stack(std::size_t d) {
     if (stacks[d]) return *stacks[d];
     const std::size_t s = shard_of(d);
     HibernatedDevice* woken =
         hibernation && hibernated[d].valid ? &hibernated[d] : nullptr;
-    auto stack = std::make_unique<DeviceStack>(simulator, config, shards[s], d);
+    std::unique_ptr<DeviceStack> stack;
+    if (free_stacks.empty()) {
+      stack = std::make_unique<DeviceStack>(simulator);
+    } else {
+      stack = std::move(free_stacks.back());
+      free_stacks.pop_back();
+    }
+    stack->seat(seat_config, config, shards[s], d);
     ++live_stacks;
     result.live_stacks_high_water =
         std::max(result.live_stacks_high_water, live_stacks);
@@ -386,11 +399,11 @@ struct FleetVerifier::Impl {
       stack->restore(config, roster.infected(d), h);
       if (generation_summary(stack->device.memory()) != h.generation_summary) {
         violation("device " + std::to_string(d) +
-                  " rebuilt with mismatched generation summary");
+                  " woke with mismatched generation summary");
       }
       if (shards[s].golden->key_fingerprint() != h.key_fingerprint) {
         violation("device " + std::to_string(d) +
-                  " rebuilt with mismatched key fingerprint");
+                  " woke with mismatched key fingerprint");
       }
       h.valid = false;
       ++h.wakes;
@@ -403,12 +416,17 @@ struct FleetVerifier::Impl {
     return *stacks[d];
   }
 
+  /// Collapse device d to its record and return its stack to the pool.
+  /// This may run inside the stack's own verdict callback (on_round_done
+  /// -> pump -> shrink_pool): the stack then stays untouched in the pool
+  /// until a later admission re-seats it, by which time that callback
+  /// chain has unwound — nothing in it touches the stack after done().
   void hibernate_stack(std::size_t d) {
     hibernated[d] = stacks[d]->hibernate(hibernated[d].wakes);
     hibernated_counters += stacks[d]->counters();
     journal_fleet(obs::JournalEventKind::kFleetHibernate, d, recs[d].rounds_done,
                   live_stacks - 1);
-    stacks[d].reset();
+    free_stacks.push_back(std::move(stacks[d]));
     --live_stacks;
     ++result.hibernations;
   }
@@ -854,7 +872,9 @@ std::vector<obs::RoundOutcome> replay_device(
   replay_config.metrics = nullptr;
   replay_config.journal = nullptr;
   ShardState shard = make_shard_state(replay_config, shard_index);
-  DeviceStack stack(simulator, replay_config, shard, device);
+  DeviceStack stack(simulator);
+  attest::StackConfig stack_config;
+  stack.seat(stack_config, replay_config, shard, device);
   stack.provision(replay_config, roster.infected(device));
 
   std::vector<obs::RoundOutcome> outcomes;

@@ -76,12 +76,13 @@ struct FleetConfig {
   std::size_t max_in_flight = 1024;
 
   /// Stack hibernation (the 1M tier): bound the pool of live DeviceStacks
-  /// (0 = never hibernate).  Every stack is built on its device's first
-  /// admission.  Between rounds an idle, fully quiescent stack is torn
-  /// down to a compact HibernatedDevice seed record and rebuilt from the
-  /// shard state at its next admission; verdicts, journals and health
-  /// rollups are byte-identical either way (chaos-tested).  The cap is
-  /// soft: admission always wakes the device it needs, then the pool
+  /// (0 = never hibernate).  A device gets its stack at its first
+  /// admission.  Between rounds an idle, fully quiescent device collapses
+  /// to a compact HibernatedDevice seed record and its stack goes back to
+  /// the fleet's free stacks; its next admission re-seats a free stack
+  /// from the shard state and restores the record.  Verdicts, journals and
+  /// health rollups are byte-identical either way (chaos-tested).  The cap
+  /// is soft: admission always wakes the device it needs, then the pool
   /// shrinks back by hibernating least-recently-idle stacks, so liveness
   /// never depends on the cap.
   std::size_t max_live_stacks = 0;
@@ -176,9 +177,10 @@ struct FleetMemoryStats {
   std::size_t shared_bytes = 0;
   std::size_t per_device_bytes = 0;
   std::size_t roster_bytes = 0;
-  /// Live-stack pool under hibernation: high-water live stacks times the
-  /// full stack footprint.  Zero when stacks are persistent (the full
-  /// footprint is then inside per_device_bytes).
+  /// Stacks under hibernation, live and free together: a run builds at
+  /// most its live high-water of them, each charged the full stack
+  /// footprint.  Zero when stacks are persistent (the full footprint is
+  /// then inside per_device_bytes).
   std::size_t pool_bytes = 0;
   std::size_t total_bytes() const noexcept {
     return shared_bytes + per_device_bytes + roster_bytes + pool_bytes;
@@ -219,8 +221,9 @@ struct FleetResult {
   std::size_t admission_events = 0;
 
   /// Stack hibernation accounting (all zero when max_live_stacks == 0).
-  /// `wakes` counts rebuilds from a HibernatedDevice record only; the
-  /// first construction of a stack is not a wake.
+  /// `wakes` counts restores from a HibernatedDevice record only; a
+  /// device's first admission is not a wake.  A run builds at most
+  /// live_stacks_high_water stacks: a wake re-seats a free one.
   std::size_t hibernations = 0;
   std::size_t wakes = 0;
   std::size_t live_stacks_high_water = 0;

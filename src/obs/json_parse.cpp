@@ -99,8 +99,18 @@ class Parser {
       return std::nullopt;
     }
     switch (text_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          fail("nesting deeper than kMaxJsonDepth");
+          return std::nullopt;
+        }
+        ++depth_;
+        std::optional<JsonValue> nested =
+            text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': {
         std::string s;
         if (!parse_string(s)) return std::nullopt;
@@ -247,6 +257,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open around pos_
   std::string error_;
 };
 

@@ -59,9 +59,14 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+/// Deepest nesting of arrays and objects parse_json accepts (a top-level
+/// `[]` is depth 1).  The parser recurses once per level, so deeper input
+/// is a parse error rather than a stack overflow.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parse one JSON document.  On failure returns nullopt and, if `error` is
 /// non-null, stores a message with the byte offset.  Trailing whitespace
-/// is allowed; trailing garbage is an error.
+/// is allowed; trailing garbage and nesting past kMaxJsonDepth are errors.
 std::optional<JsonValue> parse_json(std::string_view text, std::string* error = nullptr);
 
 }  // namespace rasc::obs

@@ -1,8 +1,19 @@
 #include "src/sim/cpu.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace rasc::sim {
+
+void Cpu::reseat(std::string_view owner) {
+  if (running_ != nullptr || dispatch_pending_) {
+    throw std::logic_error("Cpu::reseat while a segment runs or a dispatch is pending");
+  }
+  owner_ = owner;
+  ready_.clear();
+  segment_start_ = 0;
+  segment_ = {};
+}
 
 void Cpu::make_ready(Process& p) {
   const auto listed = [&p](const Ready& r) { return r.process == &p; };
@@ -12,33 +23,6 @@ void Cpu::make_ready(Process& p) {
     ready_.push_back({&p, running_ != nullptr ? sim_.now() : kNotWaiting});
   }
   schedule_dispatch();
-}
-
-void Cpu::remove(Process& p) {
-  std::erase_if(ready_, [&p](const Ready& r) { return r.process == &p; });
-}
-
-Duration Cpu::consumed(const std::string& name) const {
-  for (const auto& [n, total] : consumed_) {
-    if (n == name) return total;
-  }
-  return 0;
-}
-
-Duration& Cpu::consumed_total(std::string_view name) {
-  const auto named = [this](std::string_view n) {
-    return std::find_if(consumed_.begin(), consumed_.end(),
-                        [n](const auto& entry) { return entry.first == n; });
-  };
-  auto it = named(name);
-  // Bounded: once kMaxConsumedEntries distinct names exist, new names
-  // aggregate under "(other)".
-  if (it == consumed_.end() && consumed_.size() >= kMaxConsumedEntries) {
-    name = "(other)";
-    it = named(name);
-  }
-  if (it == consumed_.end()) return consumed_.emplace_back(name, 0).second;
-  return it->second;
 }
 
 void Cpu::journal_span(obs::JournalEventKind kind, Time start, const Process& p,
@@ -59,7 +43,6 @@ void Cpu::schedule_dispatch() {
 }
 
 void Cpu::complete_segment() {
-  consumed_total(running_->name()) += segment_.duration;
   journal_span(obs::JournalEventKind::kCpuSegment, segment_start_, *running_,
                segment_.duration);
   running_ = nullptr;

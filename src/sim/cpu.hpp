@@ -48,6 +48,10 @@ class Process {
   int priority() const noexcept { return priority_; }
   void set_priority(int p) noexcept { priority_ = p; }
 
+ protected:
+  /// Rename in place (the storage is reused when the name fits).
+  void set_name(std::string_view name) { name_.assign(name); }
+
  private:
   std::string name_;
   int priority_;
@@ -56,32 +60,26 @@ class Process {
 class Cpu {
  public:
   /// `owner` names the core in the journal (a Device passes its id); it
-  /// must outlive the Cpu.  Every executed segment and every wait for the
-  /// core is journaled as a span (kCpuSegment / kCpuWait) when a journal
-  /// is attached to the simulator.
-  explicit Cpu(Simulator& sim, std::string_view owner = "cpu")
-      : sim_(sim), owner_(owner) {}
+  /// must outlive the Cpu, or its next reseat().  Every executed segment
+  /// and every wait for the core is journaled as a span (kCpuSegment /
+  /// kCpuWait) when a journal is attached to the simulator.
+  explicit Cpu(Simulator& sim, std::string_view owner = "cpu") : sim_(sim) {
+    reseat(owner);
+  }
+
+  /// Start over as a fresh core named `owner`: nothing ready, nothing
+  /// running.  Only while idle — no segment running and no dispatch
+  /// pending — else std::logic_error.  Allocates nothing.
+  void reseat(std::string_view owner);
 
   /// Add a process to the ready set (no-op if already ready) and dispatch
   /// as soon as the core is free.
   void make_ready(Process& p);
 
-  /// Remove from the ready set without running (e.g. task cancelled).  A
-  /// currently-running segment still completes.
-  void remove(Process& p);
-
   bool busy() const noexcept { return running_ != nullptr; }
   Process* running() const noexcept { return running_; }
   /// End time of the current segment (valid when busy()).
   Time busy_until() const noexcept { return segment_start_ + segment_.duration; }
-
-  /// Total CPU time consumed per process name.  At most
-  /// kMaxConsumedEntries distinct names are tracked; beyond that, time is
-  /// aggregated under "(other)" so dynamically-named processes cannot grow
-  /// the table without bound in long-running scenarios.
-  Duration consumed(const std::string& name) const;
-
-  static constexpr std::size_t kMaxConsumedEntries = 4096;
 
  private:
   /// A member of the ready set.  `waiting_since` is when it was made
@@ -96,7 +94,6 @@ class Cpu {
   void schedule_dispatch();
   void dispatch();
   void complete_segment();
-  Duration& consumed_total(std::string_view name);
 
   void journal_span(obs::JournalEventKind kind, Time start, const Process& p,
                     Duration duration);
@@ -110,9 +107,6 @@ class Cpu {
   Time segment_start_ = 0;
   Segment segment_;
   bool dispatch_pending_ = false;
-  /// Per-name totals.  A core runs a handful of processes, so a linear
-  /// scan compares a few names where a hash map hashed one per segment.
-  std::vector<std::pair<std::string, Duration>> consumed_;
 };
 
 }  // namespace rasc::sim

@@ -25,16 +25,9 @@ struct DeviceConfig {
 
 class Device {
  public:
-  Device(Simulator& sim, DeviceConfig config)
-      : Device(sim, config, crypto::HmacSha256Key(config.attestation_key)) {}
-
-  /// `key_schedule` is attestation_key's, derived by the caller.
-  Device(Simulator& sim, DeviceConfig config, const crypto::HmacSha256Key& key_schedule)
-      : sim_(sim),
-        config_(std::move(config)),
-        key_schedule_(key_schedule),
-        memory_(config_.memory_size, config_.block_size),
-        cpu_(sim, config_.id) {
+  /// Unseated: no memory and no key until reseat().
+  explicit Device(Simulator& sim)
+      : sim_(sim), key_schedule_(support::ByteView{}), cpu_(sim) {
     // Journal the memory lock state and blocked writes under the device
     // id; both hooks are one null check until a journal is attached.
     memory_.set_lock_observer([this](std::size_t locked) {
@@ -51,6 +44,31 @@ class Device {
                   static_cast<std::uint64_t>(record.actor));
       }
     });
+  }
+
+  Device(Simulator& sim, const DeviceConfig& config)
+      : Device(sim, config, crypto::HmacSha256Key(config.attestation_key)) {}
+
+  /// `key_schedule` is attestation_key's, derived by the caller.
+  Device(Simulator& sim, const DeviceConfig& config,
+         const crypto::HmacSha256Key& key_schedule)
+      : Device(sim) {
+    reseat(config, key_schedule);
+  }
+
+  /// Start over as a device freshly built from `config` on the same
+  /// simulator: zeroed memory of the new size (DeviceMemory::reseat), the
+  /// new key and schedule, the default timing model and an idle core
+  /// named by the new id.  Strings and memory keep their storage, so a
+  /// reseat at the same sizes allocates nothing.  Only while the core is
+  /// idle (std::logic_error otherwise).
+  void reseat(const DeviceConfig& config, const crypto::HmacSha256Key& key_schedule) {
+    memory_.reseat(config.memory_size, config.block_size);
+    config_ = config;
+    key_schedule_ = key_schedule;
+    model_ = CpuModel{};
+    // After the id: the core's journal name is a view of it.
+    cpu_.reseat(config_.id);
   }
 
   // The memory observers and the Cpu keep pointers into this object.

@@ -5,15 +5,19 @@
 
 namespace rasc::sim {
 
-DeviceMemory::DeviceMemory(std::size_t size, std::size_t block_size)
-    : block_size_(block_size) {
+void DeviceMemory::reseat(std::size_t size, std::size_t block_size) {
   if (block_size == 0 || size == 0 || size % block_size != 0) {
     throw std::invalid_argument("DeviceMemory: size must be a positive multiple of block_size");
   }
-  data_.assign(size, 0);
+  block_size_ = block_size;
   block_count_ = size / block_size;
+  data_.assign(size, 0);
   lock_words_.assign((block_count_ + kBitsPerWord - 1) / kBitsPerWord, 0);
+  locked_count_ = 0;
   generations_.assign(block_count_, 0);
+  global_generation_ = 0;
+  write_log_capacity_ = kDefaultWriteLogCapacity;
+  clear_write_log();
 }
 
 void DeviceMemory::check_range(std::size_t addr, std::size_t len) const {

@@ -40,8 +40,18 @@ struct WriteRecord {
 
 class DeviceMemory {
  public:
+  /// Unseated: no blocks until reseat().
+  DeviceMemory() = default;
   /// `size` must be a positive multiple of `block_size`.
-  DeviceMemory(std::size_t size, std::size_t block_size);
+  DeviceMemory(std::size_t size, std::size_t block_size) { reseat(size, block_size); }
+
+  /// Start over as fresh memory of `size` bytes: all zero, unlocked, every
+  /// generation 0, an empty write log at the default capacity and zero
+  /// write counts.  Storage is reused, so a reseat to a size the memory
+  /// has held allocates nothing; the observers stay attached.  Throws
+  /// std::invalid_argument as the constructor does, leaving the memory
+  /// unchanged.
+  void reseat(std::size_t size, std::size_t block_size);
 
   std::size_t size() const noexcept { return data_.size(); }
   std::size_t block_size() const noexcept { return block_size_; }
@@ -144,7 +154,7 @@ class DeviceMemory {
   static constexpr std::size_t kBitsPerWord = 64;
   static constexpr std::size_t kDefaultWriteLogCapacity = 1u << 18;
 
-  std::size_t block_size_;
+  std::size_t block_size_ = 0;
   std::size_t block_count_ = 0;
   support::Bytes data_;
   /// Word-packed lock bitset (bit b of word b/64 = block b locked) with a

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace rasc::sim {
 
@@ -20,6 +21,15 @@ LinkCounters& LinkCounters::operator+=(const LinkCounters& other) noexcept {
   reordered += other.reordered;
   partition_dropped += other.partition_dropped;
   return *this;
+}
+
+void Link::reseat(const LinkConfig& config) {
+  if (in_flight_ != 0) throw std::logic_error("Link::reseat with deliveries in flight");
+  config_ = config;
+  rng_ = support::Xoshiro256(config_.seed);
+  counters_ = {};
+  next_msg_id_ = 0;
+  journal_actor_ = {};
 }
 
 void Link::restore_state(const State& s) noexcept {

@@ -67,14 +67,20 @@ class Link {
  public:
   using Handler = std::function<void(support::Bytes)>;
 
-  Link(Simulator& sim, LinkConfig config = {})
-      : sim_(sim), config_(config), rng_(config.seed) {}
+  Link(Simulator& sim, const LinkConfig& config = {}) : sim_(sim) { reseat(config); }
   /// Cancels every delivery still in flight, so no event fires into a
   /// destroyed link.  The Simulator must still be alive.
   ~Link();
   // In-flight delivery events point at this object.
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
+
+  /// Start over as a link freshly built from `config` on the same
+  /// simulator: the fault stream re-seeded, message ids from 1 again, zero
+  /// counters.  Only while nothing is in flight (std::logic_error
+  /// otherwise).  The delivery records and the name keep their storage,
+  /// so a warm reseat allocates nothing.
+  void reseat(const LinkConfig& config);
 
   /// Queue a message; the handler fires after the simulated transit time
   /// for every delivered copy (possibly twice under duplication, possibly
@@ -104,7 +110,7 @@ class Link {
   std::size_t in_flight() const noexcept { return in_flight_; }
 
   /// Serializable fault-model state: the RNG position and the message-id
-  /// counter.  Restoring a snapshot into a freshly constructed Link (same
+  /// counter.  Restoring a snapshot into a freshly seated Link (same
   /// config) resumes the fault stream exactly, so the fates of all future
   /// messages are unchanged.  counters() restart at zero.
   struct State {

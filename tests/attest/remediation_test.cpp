@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/chrome_trace.hpp"
 #include "src/support/rng.hpp"
 
 namespace rasc::attest {
@@ -86,12 +87,18 @@ TEST(Remediation, RollbackClearsStaleLocks) {
 
 TEST(Remediation, UpdateOccupiesTheCpu) {
   RemediationFixture fx;
+  obs::EventJournal journal;
+  fx.simulator.set_journal(&journal);
   (void)fx.device.memory().write(1000, to_bytes("rootkit"), 0, sim::Actor::kMalware);
   bool done = false;
   fx.service.run(1, [&](RemediationOutcome o) { done = o.reattested_ok; });
   fx.simulator.run();
   ASSERT_TRUE(done);
-  EXPECT_GT(fx.device.cpu().consumed("rom/update"), 0u);
+  sim::Duration on_core = 0;
+  for (const obs::TraceEvent& span : obs::spans_named(journal, "rom/update")) {
+    if (span.track == "cpu/dev-rem") on_core += span.duration;
+  }
+  EXPECT_GT(on_core, 0u);
 }
 
 TEST(Remediation, ReinfectionDetectedOnNextCycle) {

@@ -1,24 +1,26 @@
-/// Hibernation-tier property tests: a fleet that tears quiescent device
-/// stacks down to HibernatedDevice seed records (bounded live pool) and
-/// admits devices in shard waves must be *observably identical* to the
-/// all-resident, per-device-drip fleet — same verdicts, same filtered
-/// journal bytes, same health aggregates, same link counters — because a
-/// rebuilt stack resumes the exact rng/session/verifier/link state the
-/// torn-down stack saved.  These are the ISSUE-10 equivalence suites.
+/// Hibernation-tier property tests: a fleet that collapses quiescent
+/// devices to HibernatedDevice seed records (bounded live pool, recycled
+/// stacks) and admits devices in shard waves must be *observably
+/// identical* to the all-resident, per-device-drip fleet — same verdicts,
+/// same filtered journal bytes, same health aggregates, same link
+/// counters — because a woken device's re-seated stack resumes the exact
+/// rng/session/verifier/link state its hibernation saved.
 
 #include <gtest/gtest.h>
 
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #include <cstddef>
-// libasan's allocator statistics (sanitizer/allocator_interface.h).
+// The sanitizer allocator's statistics (sanitizer/allocator_interface.h).
 extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
 #elif defined(__GLIBC__)
 #include <malloc.h>
 #endif
 
+#include <array>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/fleet/fleet.hpp"
@@ -172,6 +174,68 @@ TEST(HibernatingFleet, SingleStackPoolStillResolvesEverything) {
   expect_equivalent(faulty_config(24, 93), 1, "flat pool=1");
 }
 
+TEST(HibernatingFleet, StacksRecycledAcrossShardsMatchPersistentRun) {
+  // One free pool serves every shard: a stack hibernated in one shard is
+  // re-seated for a device of another, with that shard's key, image,
+  // golden, K_chal and digest cache.
+  FleetConfig flat = faulty_config(48, 97);
+  flat.shards = 4;
+  expect_equivalent(flat, 3, "flat 4 shards pool=3");
+  FleetConfig tree = faulty_config(40, 98);
+  tree.shards = 5;
+  tree.use_merkle_tree = true;
+  expect_equivalent(tree, 2, "tree 5 shards pool=2");
+}
+
+TEST(HibernatingFleet, TwoFleetsOnTwoThreadsMatchTheirSequentialRuns) {
+  // fleet_scale campaigns run one FleetVerifier per worker thread, so the
+  // free pool and everything a re-seat touches must be per-verifier
+  // state.  Each threaded run must equal its sequential run, journal
+  // included (run under TSan in CI).
+  std::array<FleetConfig, 2> configs = {faulty_config(40, 99), faulty_config(36, 100)};
+  configs[0].shards = 3;
+  configs[1].use_merkle_tree = true;
+  for (FleetConfig& config : configs) config.max_live_stacks = 3;
+  const auto run = [](FleetConfig config, std::string& ndjson) {
+    obs::EventJournal journal;
+    config.journal = &journal;
+    FleetResult result = FleetVerifier(config).run();
+    ndjson = journal.to_ndjson();
+    return result;
+  };
+  std::array<std::string, 2> sequential_journals, threaded_journals;
+  std::array<FleetResult, 2> sequential, threaded;
+  for (std::size_t i = 0; i < 2; ++i) {
+    sequential[i] = run(configs[i], sequential_journals[i]);
+  }
+  std::array<std::thread, 2> threads;
+  for (std::size_t i = 0; i < 2; ++i) {
+    threads[i] = std::thread(
+        [&, i] { threaded[i] = run(configs[i], threaded_journals[i]); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE("fleet " + std::to_string(i));
+    const FleetResult& a = sequential[i];
+    const FleetResult& b = threaded[i];
+    EXPECT_TRUE(testfx::fleet_fully_resolved(b));
+    EXPECT_GT(b.wakes, 0u);
+    EXPECT_EQ(a.hibernations, b.hibernations);
+    EXPECT_EQ(a.wakes, b.wakes);
+    EXPECT_EQ(a.live_stacks_high_water, b.live_stacks_high_water);
+    EXPECT_EQ(a.misjudged_rounds, b.misjudged_rounds);
+    EXPECT_EQ(a.link_sent, b.link_sent);
+    EXPECT_EQ(a.link_delivered, b.link_delivered);
+    ASSERT_EQ(a.rounds.size(), b.rounds.size());
+    for (std::size_t r = 0; r < a.rounds.size(); ++r) {
+      EXPECT_EQ(a.rounds[r].outcome, b.rounds[r].outcome) << "round " << r;
+      EXPECT_EQ(a.rounds[r].attempts, b.rounds[r].attempts) << "round " << r;
+      EXPECT_EQ(a.rounds[r].started, b.rounds[r].started) << "round " << r;
+    }
+    EXPECT_EQ(sequential_journals[i], threaded_journals[i]);
+  }
+}
+
 TEST(HibernatingFleet, StandaloneReplayReproducesHibernatedVerdicts) {
   // Chaos cross-check: replay each device alone (persistent stack, fresh
   // simulator) against the hibernating fleet's recorded verdicts.
@@ -299,16 +363,16 @@ TEST(FleetMemory, HibernationShrinksTheEstimateAndBoundsPerDeviceCost) {
   EXPECT_EQ(full.pool_bytes, 0u);
 }
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__GLIBC__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || defined(__GLIBC__)
 TEST(FleetMemory, EstimateTracksMeasuredAllocations) {
   // Ground the estimator against the allocator: the heap growth from
   // building and running a hibernating fleet must be within a small
   // constant factor of memory_stats().  Generous bounds — the point is
   // catching order-of-magnitude lies (e.g. charging size() where the
-  // container kept capacity()), not bytes.  ASan replaces glibc's
-  // allocator, so mallinfo2() reads 0 there; ask ASan's allocator instead.
+  // container kept capacity()), not bytes.  ASan and TSan replace glibc's
+  // allocator, so mallinfo2() reads 0 there; ask theirs instead.
   const auto live_bytes = []() -> std::size_t {
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
     return __sanitizer_get_current_allocated_bytes();
 #else
     return static_cast<std::size_t>(mallinfo2().uordblks);

@@ -23,14 +23,17 @@ namespace {
 std::atomic<std::size_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements are not inlined: where make_shared allocates and frees
+// in one function, GCC would otherwise see malloc() and free() pair with
+// operator new and delete, and warn of a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rasc::sim {
 namespace {
@@ -99,13 +102,12 @@ TEST(SimAlloc, WarmCpuSegmentCycleAllocatesNothing) {
     cpu.make_ready(p);
     sim.run();
   };
-  cycle();  // first segment: the ready set and the consumed table grow
+  cycle();  // first segment: the ready set grows
   const std::size_t n = allocations_during([&] {
     for (int i = 0; i < kCycles; ++i) cycle();
   });
   EXPECT_EQ(n, 0u);
   EXPECT_EQ(p.completions(), kCycles + 1);
-  EXPECT_EQ(cpu.consumed("app/one-shot"), 5u * (kCycles + 1));
 }
 
 TEST(SimAlloc, WarmLinkDeliveryOfMovedPayloadAllocatesNothing) {
@@ -238,11 +240,13 @@ TEST(SimAlloc, ColdInterruptibleProverRoundAllocatesNothing) {
   EXPECT_EQ(prover_round_allocations(attest::ExecutionMode::kInterruptible, true), 0u);
 }
 
-TEST(SimAlloc, FleetLossyRoundStaysUnderTwenty) {
+TEST(SimAlloc, FleetLossyRoundStaysUnderSeven) {
   // perfbench's fleet_lossy cell: 20k devices, 20% drop, uniform stagger,
-  // 4096 live stacks, so most second-epoch rounds wake a hibernated stack.
-  // Counted around run() only: stack builds and wakes (about 8 a round)
-  // count, fleet construction does not.  41.65 a round while protocol
+  // 4096 live stacks, so most second-epoch rounds wake a hibernated device
+  // onto a re-seated stack.  Counted around run() only: the ~4.1k stack
+  // builds and every re-seat count, fleet construction does not.  What is
+  // left is mostly each attempt's wires and attempt record.  16.2 a round
+  // while every wake built a new stack, 41.65 while protocol
   // continuations, report codec, challenges and per-round measurements
   // allocated.
   exp::ParamGrid grid;
@@ -258,8 +262,47 @@ TEST(SimAlloc, FleetLossyRoundStaysUnderTwenty) {
   ASSERT_EQ(result.rounds_resolved, 40000u);
   const double per_round =
       static_cast<double>(n) / static_cast<double>(result.rounds_resolved);
-  EXPECT_LE(per_round, 20.0);
+  EXPECT_LE(per_round, 7.0);
   RecordProperty("allocations_per_round_x100", static_cast<int>(per_round * 100));
+}
+
+TEST(SimAlloc, ReseatOfAWarmFlatStackAllocatesNothing) {
+  // A fleet wake re-seats a pooled stack for another device, possibly of
+  // another shard: new id, key, image, golden, K_chal and seeds.  With
+  // the sizes and key length the stack already holds, every member
+  // re-seats into its own storage.
+  Simulator sim;
+  const auto seat = [](std::uint64_t n, const char* id, support::Bytes& image) {
+    image = support::random_bytes(20 + n, 4 * 64);
+    attest::StackConfig config;
+    config.device = {id, image.size(), 64, support::random_bytes(30 + n, 16)};
+    config.golden = std::make_shared<const attest::GoldenMeasurement>(
+        image, 64, crypto::HashKind::kSha256, config.device.attestation_key);
+    config.challenge_key = attest::make_challenge_key(40 + n);
+    config.challenge_domain = n;
+    config.to_prv.seed = 50 + n;
+    config.to_vrf.seed = 60 + n;
+    config.session.seed = 70 + n;
+    return config;
+  };
+  support::Bytes first_image, second_image;
+  const attest::StackConfig first = seat(1, "prv-1", first_image);
+  const attest::StackConfig second = seat(2, "prv-20000", second_image);
+  attest::Stack stack(sim, first, first_image);
+  stack.infect();
+  bool judged = false;
+  stack.session.run([&judged](attest::RoundResult result) {
+    judged = result.outcome == attest::SessionOutcome::kCompromised;
+  });
+  sim.run();
+  ASSERT_TRUE(judged);  // warm: measurement kept, delivery records pooled
+  EXPECT_EQ(allocations_during([&] { stack.reseat(second, second_image); }), 0u);
+  EXPECT_EQ(stack.device.id(), "prv-20000");
+  stack.session.run([&judged](attest::RoundResult result) {
+    judged = result.outcome == attest::SessionOutcome::kVerified;
+  });
+  sim.run();
+  EXPECT_TRUE(judged);
 }
 
 TEST(SimAlloc, RestoringAnEmptyProofBacklogAllocatesNothing) {
@@ -276,8 +319,8 @@ TEST(SimAlloc, RestoringAnEmptyProofBacklogAllocatesNothing) {
 }
 
 TEST(SimAlloc, SessionWithoutJournalBuildsNoLabel) {
-  // The fleet rebuilds a session on every wake, almost always with no
-  // journal attached: its journal label is built on first use instead.
+  // A fleet wake re-seats a session, almost always with no journal
+  // attached: its journal label is built on first use instead.
   Simulator sim;
   const support::Bytes image = support::random_bytes(7, 4 * 64);
   attest::StackConfig config;
@@ -287,6 +330,7 @@ TEST(SimAlloc, SessionWithoutJournalBuildsNoLabel) {
   const std::size_t n = allocations_during([&] {
     attest::ReliableSession session(stack.device, stack.verifier, stack.mp,
                                     stack.vrf_to_prv, stack.prv_to_vrf, {});
+    session.reseat({});
   });
   EXPECT_EQ(n, 0u);
 }

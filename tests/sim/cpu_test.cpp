@@ -2,13 +2,27 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "src/obs/chrome_trace.hpp"
 
 namespace rasc::sim {
 namespace {
+
+/// CPU time the journal's cpu.segment spans give the process `name`.
+Duration segment_time(const obs::EventJournal& journal, std::string_view name) {
+  Duration total = 0;
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    const obs::JournalEvent& e = journal.at(i);
+    if (e.kind == obs::JournalEventKind::kCpuSegment &&
+        journal.actor_name(static_cast<std::uint32_t>(e.a)) == name) {
+      total += e.b;
+    }
+  }
+  return total;
+}
 
 /// Test process executing a fixed list of segment durations.
 class ScriptedProcess final : public Process {
@@ -34,12 +48,15 @@ class ScriptedProcess final : public Process {
 
 TEST(Cpu, RunsSegmentsBackToBack) {
   Simulator sim;
+  obs::EventJournal journal;
+  sim.set_journal(&journal);
   Cpu cpu(sim);
   ScriptedProcess p("p", 1, {10, 20, 30}, sim);
   cpu.make_ready(p);
   sim.run();
   EXPECT_EQ(p.completions(), (std::vector<Time>{10, 30, 60}));
-  EXPECT_EQ(cpu.consumed("p"), 60u);
+  EXPECT_EQ(segment_time(journal, "p"), 60u);
+  EXPECT_EQ(segment_time(journal, "ghost"), 0u);
 }
 
 TEST(Cpu, HigherPriorityWinsAtDispatch) {
@@ -116,19 +133,6 @@ TEST(Cpu, MakeReadyIsIdempotentWhileQueued) {
   EXPECT_EQ(p.completions().size(), 1u);
 }
 
-TEST(Cpu, RemoveDequeues) {
-  Simulator sim;
-  Cpu cpu(sim);
-  ScriptedProcess a("a", 1, {10}, sim);
-  ScriptedProcess b("b", 2, {10}, sim);
-  cpu.make_ready(a);
-  cpu.make_ready(b);
-  cpu.remove(b);
-  sim.run();
-  EXPECT_EQ(a.completions().size(), 1u);
-  EXPECT_TRUE(b.completions().empty());
-}
-
 TEST(Cpu, BusyReflectsRunningSegment) {
   Simulator sim;
   Cpu cpu(sim);
@@ -165,37 +169,6 @@ TEST(Cpu, TraceRecordsExecutions) {
   EXPECT_EQ(journal.actor_name(records[0].actor), "cpu");
 }
 
-TEST(Cpu, ConsumedUnknownProcessIsZero) {
-  Simulator sim;
-  Cpu cpu(sim);
-  EXPECT_EQ(cpu.consumed("ghost"), 0u);
-}
-
-TEST(Cpu, ConsumedOverflowAggregatesUnderOther) {
-  Simulator sim;
-  Cpu cpu(sim);
-  const std::size_t cap = Cpu::kMaxConsumedEntries;
-  std::vector<std::unique_ptr<ScriptedProcess>> procs;
-  const auto run_once = [&](const std::string& name, Duration d) {
-    procs.push_back(std::make_unique<ScriptedProcess>(name, 1, std::vector<Duration>{d}, sim));
-    cpu.make_ready(*procs.back());
-  };
-  for (std::size_t i = 0; i < cap + 3; ++i) run_once(std::to_string(i), 1);
-  sim.run();
-  EXPECT_EQ(cpu.consumed("0"), 1u);
-  EXPECT_EQ(cpu.consumed(std::to_string(cap - 1)), 1u);
-  // The three names past the cap share one bucket.
-  EXPECT_EQ(cpu.consumed(std::to_string(cap)), 0u);
-  EXPECT_EQ(cpu.consumed("(other)"), 3u);
-  // A tracked name keeps accumulating; a new one still lands in "(other)".
-  run_once("0", 10);
-  run_once("late", 20);
-  sim.run();
-  EXPECT_EQ(cpu.consumed("0"), 11u);
-  EXPECT_EQ(cpu.consumed("late"), 0u);
-  EXPECT_EQ(cpu.consumed("(other)"), 23u);
-}
-
 TEST(Cpu, TraceCapacityEvictsOldestRecords) {
   Simulator sim;
   obs::EventJournal journal(2);
@@ -209,6 +182,28 @@ TEST(Cpu, TraceCapacityEvictsOldestRecords) {
   // The two most recent segments survive.
   EXPECT_EQ(journal.at(0).time, 20u);
   EXPECT_EQ(journal.at(1).time + journal.at(1).b, 40u);
+}
+
+TEST(Cpu, ReseatRenamesTheCoreAndRefusesWhileWorkIsPending) {
+  Simulator sim;
+  obs::EventJournal journal;
+  sim.set_journal(&journal);
+  std::string owner = "core";
+  Cpu cpu(sim, owner);
+  ScriptedProcess first("first", 1, {10}, sim);
+  cpu.make_ready(first);
+  EXPECT_THROW(cpu.reseat(owner), std::logic_error);  // dispatch pending
+  sim.run();
+  // Same storage, longer name: the core must take a view of its new length.
+  owner = "core-renamed";
+  cpu.reseat(owner);
+  ScriptedProcess second("second", 1, {5}, sim);
+  cpu.make_ready(second);
+  sim.run();
+  const auto spans = obs::spans_named(journal, "second");
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].track, "cpu/core-renamed");
+  EXPECT_EQ(spans[0].time, 10u);
 }
 
 TEST(Cpu, SegmentsReportToAttachedJournal) {
