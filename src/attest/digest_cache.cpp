@@ -36,28 +36,6 @@ void DigestCache::store(std::size_t block, std::uint64_t generation,
   ++stores_;
 }
 
-void DigestCache::invalidate_block(std::size_t block, obs::TimeNs now) {
-  if (block >= slots_.size()) return;
-  const bool flushed = slots_[block].valid;
-  slots_[block].valid = false;
-  if (journal_ != nullptr) {
-    journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheInvalidate,
-                     block, flushed ? 1 : 0);
-  }
-}
-
-void DigestCache::invalidate_all(obs::TimeNs now) {
-  std::uint64_t flushed = 0;
-  for (Slot& slot : slots_) {
-    if (slot.valid) ++flushed;
-    slot.valid = false;
-  }
-  if (journal_ != nullptr) {
-    journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheInvalidate,
-                     ~0ull, flushed);
-  }
-}
-
 std::uint64_t DigestCache::key_fingerprint(support::ByteView key) {
   crypto::Sha256 sha;
   std::uint8_t digest[crypto::Sha256::kDigestSize];

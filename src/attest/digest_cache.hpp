@@ -10,10 +10,9 @@
 /// A cache entry is keyed on (block, generation, hash kind, MAC kind, key
 /// fingerprint): a lookup hits only when the block's content generation
 /// AND the digest parameters match what produced the stored value, so a
-/// hit is bit-identical to recomputing.  Invalidation is therefore mostly
-/// implicit — any content change bumps the generation and the stale entry
-/// simply never matches again — but explicit invalidate_block()/
-/// invalidate_all() are provided for key rotation and paranoia paths.
+/// hit is bit-identical to recomputing.  Invalidation is therefore
+/// implicit: any content change bumps the generation and the stale entry
+/// simply never matches again, and a rotated key changes the fingerprint.
 /// MPU-rejected writes never bump a generation, so they (correctly) do
 /// not invalidate.
 ///
@@ -27,7 +26,6 @@
 #include "src/attest/digest.hpp"
 #include "src/attest/mac_engine.hpp"
 #include "src/crypto/hash.hpp"
-#include "src/obs/journal.hpp"
 
 namespace rasc::attest {
 
@@ -53,23 +51,9 @@ class DigestCache {
   void store(std::size_t block, std::uint64_t generation, crypto::HashKind hash,
              MacKind mac, std::uint64_t key_fp, const Digest& digest);
 
-  /// Explicit invalidation (key rotation, defensive flushes).  `now` is
-  /// the simulated time journaled with the flush when a journal is
-  /// attached; the cache itself is clock-free.
-  void invalidate_block(std::size_t block, obs::TimeNs now = 0);
-  void invalidate_all(obs::TimeNs now = 0);
-
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t stores() const noexcept { return stores_; }
-
-  /// Attach a flight-recorder journal (not owned; nullptr to detach):
-  /// explicit invalidations are then journaled under `actor`.  Hits and
-  /// misses are journaled by the Measurement (which knows the visit time).
-  void set_journal(obs::EventJournal* journal, std::uint32_t actor) noexcept {
-    journal_ = journal;
-    journal_actor_ = actor;
-  }
 
   /// Stable 64-bit fingerprint of key material (first 8 bytes of its
   /// SHA-256, big-endian) — cache keys never retain the key itself.
@@ -89,8 +73,6 @@ class DigestCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stores_ = 0;
-  obs::EventJournal* journal_ = nullptr;
-  std::uint32_t journal_actor_ = 0;
 };
 
 }  // namespace rasc::attest

@@ -215,12 +215,9 @@ void AttestationProcess::start(MeasurementContext context,
     cache.resize(device_.memory().block_count());
     measurement_->set_digest_cache(&cache, key_fp_);
     if (auto* j = device_.sim().journal()) {
-      const std::uint32_t actor = j->intern(device_.id());
-      measurement_->set_journal(j, actor);
-      cache.set_journal(j, actor);
+      measurement_->set_journal(j, j->intern(device_.id()));
     } else {
       measurement_->set_journal(nullptr, 0);
-      cache.set_journal(nullptr, 0);
     }
   }
   make_order();

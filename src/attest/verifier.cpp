@@ -176,9 +176,4 @@ VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
   return out;
 }
 
-void Verifier::set_golden_image(support::Bytes image) {
-  golden_ = std::make_shared<const GoldenMeasurement>(
-      image, golden_->block_size(), golden_->hash_kind(), golden_->key(), golden_->mac_kind());
-}
-
 }  // namespace rasc::attest

@@ -128,10 +128,6 @@ class Verifier {
   /// the counter must exceed the last accepted one.
   VerifyOutcome verify(const Report& report, bool expect_challenge = true);
 
-  /// Update the golden image (e.g. after an authorized software update).
-  /// Re-digests the image once.
-  void set_golden_image(support::Bytes image);
-
   const GoldenMeasurement& golden() const noexcept { return *golden_; }
 
   std::uint64_t last_counter() const noexcept { return last_counter_; }

@@ -77,8 +77,13 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
   }
 
   const std::size_t cells = spec.grid.size();
-  const std::size_t shards_per_cell =
-      (spec.trials_per_point + spec.shard_size - 1) / spec.shard_size;
+  // Rounded up without the wrap of (trials + shard_size - 1).
+  const std::size_t shards_per_cell = spec.trials_per_point / spec.shard_size +
+                                      (spec.trials_per_point % spec.shard_size != 0);
+  if (shards_per_cell > std::vector<detail::ShardAggregate>().max_size() / cells) {
+    throw std::invalid_argument("run_campaign: " + std::to_string(spec.trials_per_point) +
+                                " trials per point need more shards than a shard table holds");
+  }
   const std::size_t total_shards = cells * shards_per_cell;
 
   // Shard slots are written by exactly one worker each (disjoint indices

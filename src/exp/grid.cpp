@@ -76,10 +76,23 @@ ParamGrid& ParamGrid::axis(std::string name, std::vector<ParamValue> values) {
 ParamGrid& ParamGrid::set_axis(const std::string& name, std::vector<ParamValue> values) {
   if (values.empty()) throw std::invalid_argument("ParamGrid: empty axis '" + name + "'");
   for (auto& existing : axes_) {
-    if (existing.name == name) {
-      existing.values = std::move(values);
-      return *this;
+    if (existing.name != name) continue;
+    constexpr const char* kTypeNames[] = {"integer", "real", "string"};
+    const std::size_t type = existing.values.front().index();
+    for (const ParamValue& value : values) {
+      if (value.index() != type) {
+        throw std::invalid_argument("ParamGrid: axis '" + name + "' takes " +
+                                    kTypeNames[type] + " values, not '" +
+                                    param_to_string(value) + "'");
+      }
+      if (const auto* count = std::get_if<std::int64_t>(&value); count && *count < 0) {
+        throw std::invalid_argument("ParamGrid: axis '" + name +
+                                    "' takes no negative value, not '" +
+                                    param_to_string(value) + "'");
+      }
     }
+    existing.values = std::move(values);
+    return *this;
   }
   throw std::invalid_argument("ParamGrid: no axis '" + name + "' to override");
 }
@@ -148,6 +161,11 @@ std::vector<Axis> parse_grid_spec(const std::string& spec) {
     }
     if (axis.values.empty()) {
       throw std::invalid_argument("grid spec axis '" + axis.name + "': no values");
+    }
+    for (const Axis& earlier : axes) {
+      if (earlier.name == axis.name) {
+        throw std::invalid_argument("grid spec axis '" + axis.name + "' named twice");
+      }
     }
     axes.push_back(std::move(axis));
   }

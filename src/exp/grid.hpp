@@ -62,8 +62,11 @@ class ParamGrid {
   /// value list or a duplicate name.
   ParamGrid& axis(std::string name, std::vector<ParamValue> values);
   /// Replace the values of an existing axis — the campaign runner's --grid
-  /// override.  Throws std::invalid_argument on an empty value list or an
-  /// axis the grid does not have (a typo must not add a dead axis).
+  /// override.  Throws std::invalid_argument on an empty value list, an
+  /// axis the grid does not have (a typo must not add a dead axis), a
+  /// value whose type differs from the axis's first value (a trial would
+  /// read it with the wrong type) or a negative integer (every integer
+  /// axis of a campaign is a count, a size, a percentage or a 0/1 flag).
   ParamGrid& set_axis(const std::string& name, std::vector<ParamValue> values);
 
   const std::vector<Axis>& axes() const noexcept { return axes_; }
@@ -79,7 +82,8 @@ class ParamGrid {
 
 /// Parse "rounds=1,2,13;lock=nolock,wbl" into axes.  Each value is parsed
 /// as int64 if it round-trips, else double, else kept as a string.  Throws
-/// std::invalid_argument on syntax errors (missing '=', empty value list).
+/// std::invalid_argument on syntax errors (missing '=', empty value list)
+/// and on an axis named twice.
 std::vector<Axis> parse_grid_spec(const std::string& spec);
 
 }  // namespace rasc::exp

@@ -30,59 +30,8 @@ Roster Roster::with_infected_fraction(std::size_t devices, double fraction,
 
 std::size_t Roster::infected_count() const noexcept {
   std::size_t n = 0;
-  for (std::uint8_t f : flags_) n += (f & kInfected) != 0;
+  for (std::uint8_t f : infected_) n += f != 0;
   return n;
-}
-
-std::size_t Roster::removed_count() const noexcept {
-  std::size_t n = 0;
-  for (std::uint8_t f : flags_) n += (f & kRemoved) != 0;
-  return n;
-}
-
-std::set<std::size_t> Roster::infected_set() const {
-  std::set<std::size_t> ids;
-  for (std::size_t i = 0; i < flags_.size(); ++i) {
-    if (flags_[i] & kInfected) ids.insert(i);
-  }
-  return ids;
-}
-
-std::set<std::size_t> Roster::removed_set() const {
-  std::set<std::size_t> ids;
-  for (std::size_t i = 0; i < flags_.size(); ++i) {
-    if (flags_[i] & kRemoved) ids.insert(i);
-  }
-  return ids;
-}
-
-swarm::SwarmResult run_swarm_round(const Roster& roster, swarm::SwarmConfig config,
-                                   swarm::SwarmProtocol protocol) {
-  config.device_count = roster.size();
-  return swarm::run_swarm_attestation(config, protocol, roster.infected_set(),
-                                      roster.removed_set());
-}
-
-bool swarm_round_matches(const Roster& roster, const swarm::SwarmResult& result) {
-  if (!result.completed) return false;
-  const std::set<std::size_t> failed(result.failed_ids.begin(),
-                                     result.failed_ids.end());
-  const std::set<std::size_t> absent(result.absent_ids.begin(),
-                                     result.absent_ids.end());
-  for (std::size_t id : failed) {
-    // Only genuinely infected devices may be accused of failing.
-    if (id >= roster.size() || !roster.infected(id)) return false;
-  }
-  for (std::size_t id = 0; id < roster.size(); ++id) {
-    // Every removed device must be noticed (failed or absent), and every
-    // infected device must surface unless a removed ancestor hid it.
-    if (roster.removed(id) && !failed.count(id) && !absent.count(id)) return false;
-    if (roster.infected(id) && !roster.removed(id) && !failed.count(id) &&
-        !absent.count(id)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace rasc::fleet

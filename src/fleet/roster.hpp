@@ -1,30 +1,23 @@
 #pragma once
 /// \file roster.hpp
 /// Ground-truth membership table for a fleet of provers: which devices
-/// exist, which are infected and which have been physically removed.
-/// This is the single fleet abstraction the repo keeps — the swarm
-/// collective-attestation module (src/swarm) used to ask callers to
-/// maintain ad-hoc std::set<std::size_t> infected/removed sets; those now
-/// come from a Roster (run_swarm_round below), and the fleet verifier
-/// scores every per-device verdict against the same table.
+/// exist and which are infected.  The fleet verifier scores every
+/// per-device verdict against it.
 ///
-/// The representation is two bits per device, so a 100k-device roster
-/// costs ~100 kB and membership checks are O(1) — cheap enough that the
-/// FleetVerifier consults it on every resolved round.
+/// The representation is one flag byte per device, so a 100k-device
+/// roster costs ~100 kB and membership checks are O(1) — cheap enough
+/// that the FleetVerifier consults it on every resolved round.
 
 #include <cstdint>
-#include <set>
 #include <vector>
-
-#include "src/swarm/swarm.hpp"
 
 namespace rasc::fleet {
 
 class Roster {
  public:
   Roster() = default;
-  /// `devices` healthy, present devices.
-  explicit Roster(std::size_t devices) : flags_(devices, 0) {}
+  /// `devices` healthy devices.
+  explicit Roster(std::size_t devices) : infected_(devices, 0) {}
 
   /// Deterministically infect floor(devices * fraction + 0.5) devices,
   /// at least one when fraction > 0, chosen by a seeded partial
@@ -33,53 +26,19 @@ class Roster {
   static Roster with_infected_fraction(std::size_t devices, double fraction,
                                        std::uint64_t seed);
 
-  std::size_t size() const noexcept { return flags_.size(); }
-  bool infected(std::size_t device) const { return (flags_.at(device) & kInfected) != 0; }
-  bool removed(std::size_t device) const { return (flags_.at(device) & kRemoved) != 0; }
-  void set_infected(std::size_t device, bool on = true) { set(device, kInfected, on); }
-  void set_removed(std::size_t device, bool on = true) { set(device, kRemoved, on); }
+  std::size_t size() const noexcept { return infected_.size(); }
+  bool infected(std::size_t device) const { return infected_.at(device) != 0; }
+  void set_infected(std::size_t device, bool on = true) { infected_.at(device) = on; }
 
   std::size_t infected_count() const noexcept;
-  std::size_t removed_count() const noexcept;
-
-  /// Materialize the id sets in the shape src/swarm consumes.
-  std::set<std::size_t> infected_set() const;
-  std::set<std::size_t> removed_set() const;
 
   /// Bytes backing this roster (for the fleet memory accounting).
   std::size_t memory_bytes() const noexcept {
-    return sizeof(Roster) + flags_.capacity() * sizeof(std::uint8_t);
+    return sizeof(Roster) + infected_.capacity() * sizeof(std::uint8_t);
   }
 
  private:
-  static constexpr std::uint8_t kInfected = 1u << 0;
-  static constexpr std::uint8_t kRemoved = 1u << 1;
-
-  void set(std::size_t device, std::uint8_t bit, bool on) {
-    if (on) {
-      flags_.at(device) |= bit;
-    } else {
-      flags_.at(device) &= static_cast<std::uint8_t>(~bit);
-    }
-  }
-
-  std::vector<std::uint8_t> flags_;
+  std::vector<std::uint8_t> infected_;
 };
-
-/// Delegate one collective swarm attestation round to src/swarm with this
-/// roster as ground truth (config.device_count is overridden by the
-/// roster size).  The swarm protocols and the FleetVerifier thus judge
-/// the same fleet state through one table.
-swarm::SwarmResult run_swarm_round(const Roster& roster,
-                                   swarm::SwarmConfig config,
-                                   swarm::SwarmProtocol protocol);
-
-/// Did a swarm round's verdict exactly match the roster's ground truth?
-/// (failed_ids == infected-and-reachable, absent_ids == every device cut
-/// off by a removed ancestor is at least a superset of removed ones — the
-/// check here is the conservative containment the protocols guarantee:
-/// every reported-failed id is infected, every removed id is reported
-/// failed or absent, and no healthy reachable device is accused.)
-bool swarm_round_matches(const Roster& roster, const swarm::SwarmResult& result);
 
 }  // namespace rasc::fleet

@@ -134,8 +134,8 @@ class MerkleTree {
 
   /// Combine an ordered list of child roots into one parent digest with
   /// the internal-node rule (pairwise, padding with the empty-leaf hash).
-  /// Used by fleet/swarm to aggregate per-shard / per-subtree roots into
-  /// one fleet root with the same domain separation as the tree itself.
+  /// Used by the fleet to aggregate per-shard roots into one fleet root
+  /// with the same domain separation as the tree itself.
   static Digest combine_roots(const std::vector<Digest>& roots,
                               crypto::HashKind hash);
 

@@ -25,7 +25,6 @@ std::string_view journal_event_kind_name(JournalEventKind kind) {
     case JournalEventKind::kSessionResolved: return "session.resolved";
     case JournalEventKind::kCacheHit: return "cache.hit";
     case JournalEventKind::kCacheMiss: return "cache.miss";
-    case JournalEventKind::kCacheInvalidate: return "cache.invalidate";
     case JournalEventKind::kDeadlineHit: return "app.deadline_hit";
     case JournalEventKind::kDeadlineMiss: return "app.deadline_miss";
     case JournalEventKind::kAlarmRaised: return "app.alarm_raised";

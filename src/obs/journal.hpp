@@ -54,7 +54,6 @@ enum class JournalEventKind : std::uint8_t {
   // attest digest cache — a = block index, b = generation.
   kCacheHit,
   kCacheMiss,
-  kCacheInvalidate,  ///< a = block (or ~0ull for all), b = entries flushed
   // apps::FireAlarmTask — a = delay/latency ns.
   kDeadlineHit,
   kDeadlineMiss,

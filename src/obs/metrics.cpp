@@ -115,26 +115,6 @@ const Histogram* MetricsRegistry::find_histogram(const std::string& name) const 
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
-support::Table MetricsRegistry::to_table() const {
-  support::Table table({"metric", "type", "count", "value/mean", "p50", "p95", "p99",
-                        "max"});
-  for (const auto& [name, c] : counters_) {
-    table.add_row({name, "counter", std::to_string(c.value())});
-  }
-  for (const auto& [name, g] : gauges_) {
-    table.add_row({name, "gauge", "", support::fmt_double(g.value(), 4)});
-  }
-  for (const auto& [name, h] : histograms_) {
-    table.add_row({name, "histogram", std::to_string(h->count()),
-                   support::fmt_double(h->mean(), 4),
-                   support::fmt_double(h->percentile(50), 4),
-                   support::fmt_double(h->percentile(95), 4),
-                   support::fmt_double(h->percentile(99), 4),
-                   support::fmt_double(h->max(), 4)});
-  }
-  return table;
-}
-
 std::string MetricsRegistry::to_json() const {
   JsonWriter w;
   w.begin_object();

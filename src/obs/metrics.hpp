@@ -1,18 +1,16 @@
 #pragma once
 /// \file metrics.hpp
 /// Aggregated metrics: counters, gauges and fixed-bucket histograms with
-/// percentile extraction.  A MetricsRegistry renders both human-readably
-/// (support::Table) and machine-readably (JSON), so every bench can dump
-/// its results as BENCH_<name>.json (see bench_io.hpp) and every scenario
-/// can account per-phase latencies the way the paper's timelines do.
+/// percentile extraction.  A MetricsRegistry renders as JSON, so every
+/// bench can dump its results as BENCH_<name>.json (see bench_io.hpp) and
+/// every scenario can account per-phase latencies the way the paper's
+/// timelines do.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "src/support/table.hpp"
 
 namespace rasc::obs {
 
@@ -108,8 +106,6 @@ class MetricsRegistry {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }
 
-  /// One row per metric: histograms show count/mean/p50/p95/p99/max.
-  support::Table to_table() const;
   /// {"counters":{..},"gauges":{..},"histograms":{name:{count,sum,min,max,
   ///  mean,p50,p95,p99,bounds,buckets}}}
   std::string to_json() const;

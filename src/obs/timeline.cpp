@@ -66,10 +66,6 @@ std::string describe(const JournalEvent& ev, const EventJournal& journal) {
     case JournalEventKind::kCacheHit:
     case JournalEventKind::kCacheMiss:
       return "block=" + std::to_string(ev.a) + " gen=" + std::to_string(ev.b);
-    case JournalEventKind::kCacheInvalidate:
-      return (ev.a == ~0ull ? std::string("all blocks")
-                            : "block=" + std::to_string(ev.a)) +
-             ", flushed " + std::to_string(ev.b);
     case JournalEventKind::kDeadlineHit:
     case JournalEventKind::kDeadlineMiss:
       return "delay=" + ms_fixed(ev.a) + " ms";

@@ -16,7 +16,6 @@ void DeviceMemory::reseat(std::size_t size, std::size_t block_size) {
   locked_count_ = 0;
   generations_.assign(block_count_, 0);
   global_generation_ = 0;
-  write_log_capacity_ = kDefaultWriteLogCapacity;
   clear_write_log();
 }
 
@@ -47,10 +46,10 @@ void DeviceMemory::bump_generation(std::size_t first_block, std::size_t last_blo
 void DeviceMemory::append_write_record(const WriteRecord& record) {
   ++total_write_count_;
   if (record.blocked) ++blocked_write_count_;
-  if (write_log_capacity_ != 0 && write_log_.size() >= write_log_capacity_) {
+  if (write_log_.size() >= kWriteLogCapacity) {
     // Drop the oldest half in one amortized move instead of shifting the
     // whole log on every append.
-    const std::size_t drop = std::max<std::size_t>(1, write_log_capacity_ / 2);
+    constexpr std::size_t drop = kWriteLogCapacity / 2;
     write_log_.erase(write_log_.begin(),
                      write_log_.begin() + static_cast<std::ptrdiff_t>(drop));
     dropped_write_records_ += drop;
@@ -123,37 +122,11 @@ bool DeviceMemory::locked(std::size_t block) const {
   return (lock_words_[block / kBitsPerWord] >> (block % kBitsPerWord)) & 1u;
 }
 
-void DeviceMemory::lock_all() {
-  std::fill(lock_words_.begin(), lock_words_.end(), ~std::uint64_t{0});
-  // Clear padding bits past block_count_ so popcount-style invariants hold.
-  if (const std::size_t tail = block_count_ % kBitsPerWord; tail != 0) {
-    lock_words_.back() &= (std::uint64_t{1} << tail) - 1;
-  }
-  locked_count_ = block_count_;
-  notify_locks();
-}
-
-void DeviceMemory::unlock_all() {
-  std::fill(lock_words_.begin(), lock_words_.end(), 0);
-  locked_count_ = 0;
-  notify_locks();
-}
-
 void DeviceMemory::clear_write_log() {
   write_log_.clear();
   dropped_write_records_ = 0;
   blocked_write_count_ = 0;
   total_write_count_ = 0;
-}
-
-void DeviceMemory::set_write_log_capacity(std::size_t capacity) {
-  write_log_capacity_ = capacity;
-  if (capacity != 0 && write_log_.size() > capacity) {
-    const std::size_t drop = write_log_.size() - capacity;
-    write_log_.erase(write_log_.begin(),
-                     write_log_.begin() + static_cast<std::ptrdiff_t>(drop));
-    dropped_write_records_ += drop;
-  }
 }
 
 }  // namespace rasc::sim

@@ -46,8 +46,7 @@ class DeviceMemory {
   DeviceMemory(std::size_t size, std::size_t block_size) { reseat(size, block_size); }
 
   /// Start over as fresh memory of `size` bytes: all zero, unlocked, every
-  /// generation 0, an empty write log at the default capacity and zero
-  /// write counts.  Storage is reused, so a reseat to a size the memory
+  /// generation 0, an empty write log and zero write counts.  Storage is reused, so a reseat to a size the memory
   /// has held allocates nothing; the observers stay attached.  Throws
   /// std::invalid_argument as the constructor does, leaving the memory
   /// unchanged.
@@ -89,14 +88,12 @@ class DeviceMemory {
   void lock_block(std::size_t block);
   void unlock_block(std::size_t block);
   bool locked(std::size_t block) const;
-  void lock_all();
-  void unlock_all();
   /// Maintained counter — O(1), not a scan.
   std::size_t locked_block_count() const noexcept { return locked_count_; }
 
   // -- observability -----------------------------------------------------------
   /// Invoked after every lock-state change with the new locked-block
-  /// count (per-block and bulk operations alike).  The Device journals
+  /// count.  The Device journals
   /// it as a "mem.locked_blocks" counter series, making each locking
   /// policy's t_s/t_e/t_r transitions visible on the timeline.
   using LockObserver = std::function<void(std::size_t locked_blocks)>;
@@ -125,15 +122,14 @@ class DeviceMemory {
   }
 
   // -- write log ---------------------------------------------------------------
-  /// Oldest-first; bounded at write_log_capacity() records (the oldest
-  /// half is dropped on overflow so long campaigns stop growing memory).
-  /// The running counters below are NOT affected by truncation.
+  /// Records the write log retains: an append to a full log first drops
+  /// its oldest half, so long campaigns stop growing memory.
+  static constexpr std::size_t kWriteLogCapacity = std::size_t{1} << 18;
+
+  /// Oldest-first; at most kWriteLogCapacity records.  The running
+  /// counters below are NOT affected by truncation.
   const std::vector<WriteRecord>& write_log() const noexcept { return write_log_; }
   void clear_write_log();
-  /// Maximum records retained; 0 = unbounded.  Lowering the capacity
-  /// truncates an over-full log immediately (oldest records first).
-  void set_write_log_capacity(std::size_t capacity);
-  std::size_t write_log_capacity() const noexcept { return write_log_capacity_; }
   /// Records dropped from the log by the capacity bound since the last
   /// clear_write_log().
   std::size_t dropped_write_records() const noexcept { return dropped_write_records_; }
@@ -152,7 +148,6 @@ class DeviceMemory {
   void bump_generation(std::size_t first_block, std::size_t last_block);
 
   static constexpr std::size_t kBitsPerWord = 64;
-  static constexpr std::size_t kDefaultWriteLogCapacity = 1u << 18;
 
   std::size_t block_size_ = 0;
   std::size_t block_count_ = 0;
@@ -164,7 +159,6 @@ class DeviceMemory {
   std::vector<std::uint64_t> generations_;
   std::uint64_t global_generation_ = 0;
   std::vector<WriteRecord> write_log_;
-  std::size_t write_log_capacity_ = kDefaultWriteLogCapacity;
   std::size_t dropped_write_records_ = 0;
   std::size_t blocked_write_count_ = 0;
   std::size_t total_write_count_ = 0;

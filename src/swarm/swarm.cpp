@@ -355,60 +355,4 @@ SwarmResult run_swarm_attestation(const SwarmConfig& config, SwarmProtocol proto
   throw std::invalid_argument("unknown SwarmProtocol");
 }
 
-namespace {
-
-/// Stand-in for device `id`'s attested-memory Merkle root: derived from
-/// the group key and id, with an infected device's diverging.  A real
-/// deployment would plug in each device's attest-layer tree root; the
-/// aggregation above it is identical.
-mtree::Digest device_root_digest(const SwarmConfig& config, std::size_t id,
-                                 bool infected) {
-  auto engine = crypto::make_hash(kMacHash);
-  Bytes material = support::to_bytes("swarm-device-root/v1");
-  support::append(material, config.group_key);
-  support::append_u64_be(material, id);
-  material.push_back(infected ? 1 : 0);
-  engine->update(material);
-  mtree::Digest out;
-  engine->finalize_into(out.prepare(engine->digest_size()));
-  return out;
-}
-
-/// Fold [own leaf, child subtree roots...] bottom-up.
-mtree::Digest subtree_aggregate(const SwarmConfig& config, std::size_t id,
-                                const std::set<std::size_t>& infected) {
-  std::vector<mtree::Digest> parts;
-  parts.push_back(device_root_digest(config, id, infected.count(id) != 0));
-  for (std::size_t c = id * config.branching + 1;
-       c <= id * config.branching + config.branching && c < config.device_count; ++c) {
-    parts.push_back(subtree_aggregate(config, c, infected));
-  }
-  return mtree::MerkleTree::combine_roots(parts, kMacHash);
-}
-
-}  // namespace
-
-SwarmRootAggregate aggregate_swarm_roots(const SwarmConfig& config,
-                                         const std::set<std::size_t>& infected) {
-  if (config.device_count == 0 || config.branching == 0) {
-    throw std::invalid_argument("swarm needs devices and branching >= 1");
-  }
-  const std::set<std::size_t> clean;
-  SwarmRootAggregate out;
-  out.root = subtree_aggregate(config, 0, infected);
-  out.expected_root = subtree_aggregate(config, 0, clean);
-  out.matches = out.root == out.expected_root;
-  if (device_root_digest(config, 0, infected.count(0) != 0) !=
-      device_root_digest(config, 0, false)) {
-    out.suspect_subtrees.push_back(0);
-  }
-  for (std::size_t c = 1; c <= config.branching && c < config.device_count; ++c) {
-    out.child_roots.push_back(subtree_aggregate(config, c, infected));
-    if (out.child_roots.back() != subtree_aggregate(config, c, clean)) {
-      out.suspect_subtrees.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace rasc::swarm

@@ -19,9 +19,9 @@
 
 #include <functional>
 #include <set>
+#include <string>
 #include <vector>
 
-#include "src/mtree/mtree.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/bytes.hpp"
 
@@ -78,33 +78,5 @@ SwarmResult run_swarm_attestation(const SwarmConfig& config, SwarmProtocol proto
 
 /// Tree depth for a device count and branching factor (diagnostics).
 std::size_t tree_depth(std::size_t device_count, std::size_t branching);
-
-/// Merkle aggregation of per-device memory roots over the spanning tree —
-/// the swarm-scale face of the mtree subsystem.  Each device contributes
-/// one leaf digest (derived from the group key and its id; an infected
-/// device's diverges), and every subtree folds [own leaf, child subtree
-/// roots...] with MerkleTree::combine_roots, so the whole swarm condenses
-/// to one digest with the same domain separation as a device's block
-/// tree.  Comparing the root against the all-clean expectation detects
-/// any compromise, and comparing the *top-level* child subtree roots
-/// localizes which branch of the swarm holds it — the same
-/// root-then-localize structure the tree-mode verifier applies to one
-/// device's blocks, one tier up.
-struct SwarmRootAggregate {
-  mtree::Digest root;                       ///< aggregate over actual leaves
-  mtree::Digest expected_root;              ///< aggregate over all-clean leaves
-  bool matches = false;                     ///< root == expected_root
-  /// Subtree roots of device 0's direct children, child-id order.
-  std::vector<mtree::Digest> child_roots;
-  /// Child ids (of device 0) whose subtree aggregate diverges from the
-  /// clean expectation, plus the root device's own id (0) when its leaf
-  /// diverges — which top-level branches to descend into.
-  std::vector<std::size_t> suspect_subtrees;
-};
-
-/// Pure function of (config.device_count, config.branching,
-/// config.group_key, infected) — no simulation involved.
-SwarmRootAggregate aggregate_swarm_roots(const SwarmConfig& config,
-                                         const std::set<std::size_t>& infected);
 
 }  // namespace rasc::swarm

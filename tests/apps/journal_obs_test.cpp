@@ -135,7 +135,7 @@ TEST(JournalIntegration, AttachingJournalChangesNothingObservable) {
 }
 
 TEST(JournalIntegration, ParentKindsAreUnchangedByTimelineKinds) {
-  // Restricted to the 25 kinds that predate the timeline kinds (CPU,
+  // Restricted to the 24 kinds that predate the timeline kinds (CPU,
   // prover window, protocol, memory, queue, SeED/ERASMUS/SMARM), a lossy
   // infected run's NDJSON must stay byte-identical to the recording made
   // before those kinds existed: adding events may not move, drop or
@@ -145,9 +145,9 @@ TEST(JournalIntegration, ParentKindsAreUnchangedByTimelineKinds) {
       "link.duplicate", "link.corrupt", "link.reorder", "session.start",
       "session.attempt", "session.attempt_timeout", "session.backoff",
       "session.replay_rejected", "session.corrupt_report", "session.late_report",
-      "session.resolved", "cache.hit", "cache.miss", "cache.invalidate",
-      "app.deadline_hit", "app.deadline_miss", "app.alarm_raised", "mtree.rehash",
-      "mtree.proof", "fleet.hibernate", "fleet.wake"};
+      "session.resolved", "cache.hit", "cache.miss", "app.deadline_hit",
+      "app.deadline_miss", "app.alarm_raised", "mtree.rehash", "mtree.proof",
+      "fleet.hibernate", "fleet.wake"};
   obs::EventJournal journal;
   NetworkScenarioConfig config = lossy_config();
   config.infected = true;

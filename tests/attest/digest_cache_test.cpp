@@ -184,19 +184,6 @@ TEST(DigestCache, SnapshotContentBypassesCache) {
   EXPECT_EQ(cache.stores(), 1u);
 }
 
-TEST(DigestCache, InvalidateAllAndBlock) {
-  auto mem = make_memory();
-  DigestCache cache;
-  cache.resize(kBlocks);
-  measure(mem, cache, to_bytes("k"), 1);
-  cache.invalidate_block(0);
-  measure(mem, cache, to_bytes("k"), 1);
-  EXPECT_EQ(cache.hits(), kBlocks - 1);
-  cache.invalidate_all();
-  measure(mem, cache, to_bytes("k"), 1);
-  EXPECT_EQ(cache.hits(), kBlocks - 1);  // unchanged: the pass was all misses
-}
-
 TEST(DigestCache, ExportsMetrics) {
   auto mem = make_memory();
   DigestCache cache;

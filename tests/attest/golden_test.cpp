@@ -105,18 +105,5 @@ TEST(GoldenMeasurement, VerifierAcceptsGoodAndRejectsTamperedReport) {
   EXPECT_FALSE(outcome.digest_ok);
 }
 
-TEST(GoldenMeasurement, SetGoldenImageRebuilds) {
-  const auto image = make_image(1);
-  const auto updated = make_image(2);
-  const support::Bytes key = to_bytes("k");
-  Verifier verifier(crypto::HashKind::kSha256, key, image, kBlockSize);
-  const auto before = verifier.golden().expected(ctx(1));
-  verifier.set_golden_image(updated);
-  const auto after = verifier.golden().expected(ctx(1));
-  EXPECT_NE(before, after);
-  EXPECT_EQ(after, Measurement::expected(updated, kBlockSize, crypto::HashKind::kSha256,
-                                         key, ctx(1)));
-}
-
 }  // namespace
 }  // namespace rasc::attest

@@ -227,7 +227,7 @@ TEST(Prover, ZeroRegionPolicy) {
   // The verifier expects zeros in the data region.
   auto golden = fx.device.memory().snapshot();
   std::fill(golden.begin() + 8 * 256, golden.end(), 0);
-  fx.verifier.set_golden_image(golden);
+  fx.verifier = Verifier(crypto::HashKind::kSha256, to_bytes("prover-test-key"), golden, 256);
   // Scribble into the data region pre-measurement: must not matter.
   (void)fx.device.memory().write(9 * 256, to_bytes("scratch"), 0,
                                  sim::Actor::kApplication);

@@ -301,8 +301,7 @@ TreeRounds run_tree_rounds(ExecutionMode mode) {
   for (std::size_t i = 0; i < journal.size(); ++i) {
     const obs::JournalEvent& ev = journal.at(i);
     if (ev.kind == obs::JournalEventKind::kCacheHit ||
-        ev.kind == obs::JournalEventKind::kCacheMiss ||
-        ev.kind == obs::JournalEventKind::kCacheInvalidate) {
+        ev.kind == obs::JournalEventKind::kCacheMiss) {
       out.cache_events.emplace_back(ev.kind, ev.a, ev.b);
     }
   }

@@ -113,16 +113,7 @@ TEST_F(VerifierTest, ResetCounterAllowsReuse) {
   EXPECT_TRUE(verifier_.verify(r1, false).ok());
 }
 
-TEST_F(VerifierTest, GoldenImageUpdate) {
-  Bytes updated = image_;
-  updated[0] ^= 1;
-  verifier_.set_golden_image(updated);
-  const Bytes challenge = verifier_.issue_challenge();
-  EXPECT_TRUE(verifier_.verify(honest_report(updated, key_, challenge, 1)).ok());
-}
-
 TEST_F(VerifierTest, GoldenImageMustBeWholeBlocks) {
-  EXPECT_THROW(verifier_.set_golden_image(Bytes(100)), std::invalid_argument);
   EXPECT_THROW(Verifier(crypto::HashKind::kSha256, key_, Bytes(100), kBlockSize),
                std::invalid_argument);
 }

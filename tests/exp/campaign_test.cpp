@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <stdexcept>
 
 #include "src/exp/report.hpp"
@@ -139,6 +141,23 @@ TEST(Campaign, InvalidSpecsThrow) {
   spec.trials_per_point = 1;
   spec.shard_size = 0;
   EXPECT_THROW(run_campaign(spec), std::invalid_argument);
+}
+
+TEST(Campaign, OverflowingTrialCountThrowsBeforeAnyTrial) {
+  // (trials + shard_size - 1) / shard_size used to wrap to 0 shards: the
+  // campaign then ran nothing and reported every cell as passing.
+  std::atomic<std::size_t> trials{0};
+  CampaignSpec spec;
+  spec.trial = [&](const GridPoint&, TrialContext&) {
+    ++trials;
+    return TrialOutput{};
+  };
+  spec.trials_per_point = SIZE_MAX;
+  EXPECT_THROW(run_campaign(spec), std::invalid_argument);
+  spec.shard_size = 1;  // SIZE_MAX shards per cell, times two cells
+  spec.grid.axis("k", {std::int64_t{1}, std::int64_t{2}});
+  EXPECT_THROW(run_campaign(spec), std::invalid_argument);
+  EXPECT_EQ(trials.load(), 0u);
 }
 
 TEST(Campaign, TrialExceptionPropagates) {

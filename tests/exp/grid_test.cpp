@@ -70,6 +70,30 @@ TEST(Grid, SetAxisRejectsUnknownAxis) {
   EXPECT_EQ(grid.size(), 2u);
 }
 
+TEST(Grid, SetAxisRejectsValuesTheAxisCannotTake) {
+  // What --grid "rounds=-1", "rounds=1e400" and
+  // "rounds=99999999999999999999999" parse to: a trial would read each
+  // as a huge count or fail to read it as an integer at all.
+  ParamGrid grid;
+  grid.axis("rounds", {std::int64_t{1}, std::int64_t{13}})
+      .axis("stagger", {std::string("burst")});
+  for (const std::string spec : {"rounds=-1", "rounds=1e400", "rounds=99999999999999999999999",
+                                 "rounds=2,burst", "stagger=1"}) {
+    auto axes = parse_grid_spec(spec);
+    ASSERT_EQ(axes.size(), 1u) << spec;
+    try {
+      grid.set_axis(axes[0].name, std::move(axes[0].values));
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + axes[0].name + "'"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(grid.point(1).label(), "rounds=13 stagger=burst");
+  grid.set_axis("rounds", {std::int64_t{0}});  // zero is a count
+  EXPECT_EQ(grid.point(0).label(), "rounds=0 stagger=burst");
+}
+
 TEST(Grid, ParseSpecTypesAndStructure) {
   const auto axes = parse_grid_spec("rounds=1,2,13;scale=0.5,1.5;lock=No-Lock,Cpy-Lock");
   ASSERT_EQ(axes.size(), 3u);
@@ -86,6 +110,9 @@ TEST(Grid, ParseSpecEdgesAndErrors) {
   EXPECT_THROW(parse_grid_spec("noequals"), std::invalid_argument);
   EXPECT_THROW(parse_grid_spec("=1,2"), std::invalid_argument);
   EXPECT_THROW(parse_grid_spec("a=1,,2"), std::invalid_argument);
+  // An axis named twice would silently keep its last values.
+  EXPECT_THROW(parse_grid_spec("rounds=1;rounds=2"), std::invalid_argument);
+  EXPECT_THROW(parse_grid_spec("a=1;b=2;a=1"), std::invalid_argument);
 }
 
 TEST(Grid, ParamToString) {

@@ -2,46 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tests/support/fleet_fixtures.hpp"
 
 namespace rasc::fleet {
 namespace {
 
+std::vector<std::size_t> infected_ids(const Roster& roster) {
+  std::vector<std::size_t> ids;
+  for (std::size_t d = 0; d < roster.size(); ++d) {
+    if (roster.infected(d)) ids.push_back(d);
+  }
+  return ids;
+}
+
 TEST(Roster, StartsHealthyAndPresent) {
   Roster roster(10);
   EXPECT_EQ(roster.size(), 10u);
   EXPECT_EQ(roster.infected_count(), 0u);
-  EXPECT_EQ(roster.removed_count(), 0u);
-  for (std::size_t d = 0; d < roster.size(); ++d) {
-    EXPECT_FALSE(roster.infected(d));
-    EXPECT_FALSE(roster.removed(d));
-  }
+  for (std::size_t d = 0; d < roster.size(); ++d) EXPECT_FALSE(roster.infected(d));
 }
 
 TEST(Roster, FlagsRoundTripIndependently) {
   Roster roster(4);
   roster.set_infected(1);
-  roster.set_removed(1);
-  roster.set_removed(3);
-  EXPECT_TRUE(roster.infected(1));
-  EXPECT_TRUE(roster.removed(1));
-  EXPECT_FALSE(roster.infected(3));
-  EXPECT_TRUE(roster.removed(3));
-  // Clearing one bit leaves the other.
+  roster.set_infected(3);
+  EXPECT_EQ(infected_ids(roster), (std::vector<std::size_t>{1, 3}));
+  // Clearing one device's flag leaves the other's.
   roster.set_infected(1, false);
-  EXPECT_FALSE(roster.infected(1));
-  EXPECT_TRUE(roster.removed(1));
-  EXPECT_EQ(roster.infected_set(), std::set<std::size_t>{});
-  EXPECT_EQ(roster.removed_set(), (std::set<std::size_t>{1, 3}));
+  EXPECT_EQ(infected_ids(roster), std::vector<std::size_t>{3});
+  EXPECT_EQ(roster.infected_count(), 1u);
   EXPECT_THROW(roster.infected(4), std::out_of_range);
+  EXPECT_THROW(roster.set_infected(4), std::out_of_range);
 }
 
 TEST(Roster, InfectedFractionIsDeterministicInSeed) {
   const Roster a = Roster::with_infected_fraction(500, 0.1, 42);
   const Roster b = Roster::with_infected_fraction(500, 0.1, 42);
   const Roster c = Roster::with_infected_fraction(500, 0.1, 43);
-  EXPECT_EQ(a.infected_set(), b.infected_set());
-  EXPECT_NE(a.infected_set(), c.infected_set());
+  EXPECT_EQ(infected_ids(a), infected_ids(b));
+  EXPECT_NE(infected_ids(a), infected_ids(c));
   EXPECT_EQ(a.infected_count(), 50u);
 }
 
@@ -62,58 +63,15 @@ TEST(Roster, MemoryBytesScalesWithSize) {
   const Roster big(100000);
   EXPECT_GE(small.memory_bytes(), sizeof(Roster) + 100);
   EXPECT_GE(big.memory_bytes(), sizeof(Roster) + 100000);
-  // Two bits of state per device stored as one byte: ~1 B/device overhead.
+  // One flag per device stored as one byte: ~1 B/device overhead.
   EXPECT_LT(big.memory_bytes(), sizeof(Roster) + 2 * 100000);
-}
-
-TEST(Roster, SwarmRoundDelegatesRosterGroundTruth) {
-  Roster roster(15);
-  roster.set_infected(3);
-  roster.set_infected(7);
-  swarm::SwarmConfig config;
-  const swarm::SwarmResult result =
-      run_swarm_round(roster, config, swarm::SwarmProtocol::kCollectiveTree);
-  ASSERT_TRUE(result.completed);
-  // device_count in the config is overridden by the roster size.
-  EXPECT_EQ(result.devices, roster.size());
-  EXPECT_EQ(std::set<std::size_t>(result.failed_ids.begin(), result.failed_ids.end()),
-            roster.infected_set());
-  EXPECT_TRUE(swarm_round_matches(roster, result));
-}
-
-TEST(Roster, SwarmRoundMatchesAcrossProtocolsAndRemovals) {
-  Roster roster(15);
-  roster.set_infected(5);
-  roster.set_removed(6);  // subtree under 6 goes dark
-  for (swarm::SwarmProtocol protocol :
-       {swarm::SwarmProtocol::kNaiveStar, swarm::SwarmProtocol::kCollectiveTree,
-        swarm::SwarmProtocol::kForwardingTree}) {
-    const swarm::SwarmResult result = run_swarm_round(roster, {}, protocol);
-    EXPECT_TRUE(swarm_round_matches(roster, result))
-        << swarm::swarm_protocol_name(protocol);
-  }
-}
-
-TEST(Roster, SwarmRoundMismatchIsDetected) {
-  Roster roster(15);
-  roster.set_infected(5);
-  swarm::SwarmResult result =
-      run_swarm_round(roster, {}, swarm::SwarmProtocol::kForwardingTree);
-  ASSERT_TRUE(swarm_round_matches(roster, result));
-  // Accusing a healthy device must fail the match...
-  result.failed_ids.push_back(2);
-  EXPECT_FALSE(swarm_round_matches(roster, result));
-  result.failed_ids.pop_back();
-  // ...and so must silently absolving the infected one.
-  result.failed_ids.clear();
-  EXPECT_FALSE(swarm_round_matches(roster, result));
 }
 
 TEST(Roster, TestfxInfectedRosterBuilder) {
   const Roster roster = testfx::infected_roster(64, 0.25);
   EXPECT_EQ(roster.size(), 64u);
   EXPECT_EQ(roster.infected_count(), 16u);
-  EXPECT_EQ(roster.infected_set(), testfx::infected_roster(64, 0.25).infected_set());
+  EXPECT_EQ(infected_ids(roster), infected_ids(testfx::infected_roster(64, 0.25)));
 }
 
 }  // namespace

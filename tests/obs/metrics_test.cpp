@@ -164,16 +164,5 @@ TEST(MetricsRegistry, JsonContainsAllMetricKinds) {
   EXPECT_NE(json.find("\"buckets\":[0,1,0]"), std::string::npos);
 }
 
-TEST(MetricsRegistry, TableHasOneRowPerMetric) {
-  MetricsRegistry reg;
-  reg.counter("a").inc();
-  reg.gauge("b").set(2);
-  reg.histogram("c", {1.0}).record(0.5);
-  const std::string rendered = reg.to_table().render();
-  EXPECT_NE(rendered.find("counter"), std::string::npos);
-  EXPECT_NE(rendered.find("gauge"), std::string::npos);
-  EXPECT_NE(rendered.find("histogram"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rasc::obs

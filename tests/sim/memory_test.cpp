@@ -68,15 +68,6 @@ TEST(Memory, CrossBlockWriteSucceedsWhenUnlocked) {
   EXPECT_EQ(mem.read(29, 1)[0], 0xaa);
 }
 
-TEST(Memory, LockAllAndUnlockAll) {
-  DeviceMemory mem(64, 16);
-  mem.lock_all();
-  EXPECT_EQ(mem.locked_block_count(), 4u);
-  EXPECT_TRUE(mem.locked(3));
-  mem.unlock_all();
-  EXPECT_EQ(mem.locked_block_count(), 0u);
-}
-
 TEST(Memory, WriteLogRecordsSuccessAndBlocked) {
   DeviceMemory mem(64, 16);
   (void)mem.write(0, to_bytes("a"), 10, Actor::kApplication);
@@ -132,7 +123,7 @@ TEST(Memory, LoadDoesNotLog) {
 
 TEST(Memory, EmptyWriteIsNoopSuccess) {
   DeviceMemory mem(64, 16);
-  mem.lock_all();
+  mem.lock_block(0);
   EXPECT_TRUE(mem.write(0, {}, 1, Actor::kApplication));
   EXPECT_TRUE(mem.write_log().empty());
 }
@@ -201,24 +192,23 @@ TEST(MemoryLockBitset, CountMaintainedAcrossOps) {
   EXPECT_FALSE(mem.locked(128));
   mem.unlock_block(64);
   EXPECT_EQ(mem.locked_block_count(), 2u);
-  mem.lock_all();
-  EXPECT_EQ(mem.locked_block_count(), 130u);
-  mem.unlock_all();
-  EXPECT_EQ(mem.locked_block_count(), 0u);
+  mem.unlock_block(64);  // idempotent
+  EXPECT_EQ(mem.locked_block_count(), 2u);
 }
 
 TEST(MemoryWriteLog, RunningCountersSurviveTruncation) {
+  constexpr std::size_t kCapacity = DeviceMemory::kWriteLogCapacity;
   DeviceMemory mem(64, 16);
-  mem.set_write_log_capacity(8);
   mem.lock_block(3);
-  for (int i = 0; i < 20; ++i) {
+  // Two records per pass, so the last pass appends to a full log.
+  for (std::size_t i = 0; i < kCapacity / 2 + 1; ++i) {
     mem.write(0, to_bytes("a"), i, Actor::kApplication);
     mem.write(48, to_bytes("b"), i, Actor::kMalware);  // blocked
   }
-  EXPECT_LE(mem.write_log().size(), 8u);
-  EXPECT_GT(mem.dropped_write_records(), 0u);
-  EXPECT_EQ(mem.total_write_count(), 40u);
-  EXPECT_EQ(mem.blocked_write_count(), 20u);
+  EXPECT_EQ(mem.dropped_write_records(), kCapacity / 2);
+  EXPECT_EQ(mem.write_log().size(), kCapacity / 2 + 2);
+  EXPECT_EQ(mem.total_write_count(), kCapacity + 2);
+  EXPECT_EQ(mem.blocked_write_count(), kCapacity / 2 + 1);
   mem.clear_write_log();
   EXPECT_EQ(mem.total_write_count(), 0u);
   EXPECT_EQ(mem.blocked_write_count(), 0u);
@@ -226,27 +216,21 @@ TEST(MemoryWriteLog, RunningCountersSurviveTruncation) {
 }
 
 TEST(MemoryWriteLog, KeepsNewestRecordsOnOverflow) {
+  constexpr std::size_t kCapacity = DeviceMemory::kWriteLogCapacity;
   DeviceMemory mem(64, 16);
-  mem.set_write_log_capacity(4);
-  for (int i = 0; i < 10; ++i) {
+  for (std::size_t i = 0; i < kCapacity; ++i) {
     mem.write(0, to_bytes("x"), /*now=*/i, Actor::kApplication);
   }
-  ASSERT_FALSE(mem.write_log().empty());
-  // Oldest-first order is preserved and the newest write is retained.
-  EXPECT_EQ(mem.write_log().back().time, 9);
+  EXPECT_EQ(mem.write_log().size(), kCapacity);
+  EXPECT_EQ(mem.dropped_write_records(), 0u);
+  mem.write(0, to_bytes("x"), /*now=*/kCapacity, Actor::kApplication);
+  // The oldest half went; oldest-first order and the newest write stay.
+  ASSERT_EQ(mem.write_log().size(), kCapacity / 2 + 1);
+  EXPECT_EQ(mem.write_log().front().time, kCapacity / 2);
+  EXPECT_EQ(mem.write_log().back().time, kCapacity);
   for (std::size_t i = 1; i < mem.write_log().size(); ++i) {
     EXPECT_LT(mem.write_log()[i - 1].time, mem.write_log()[i].time);
   }
-}
-
-TEST(MemoryWriteLog, ZeroCapacityIsUnbounded) {
-  DeviceMemory mem(64, 16);
-  mem.set_write_log_capacity(0);
-  for (int i = 0; i < 100; ++i) {
-    mem.write(0, to_bytes("x"), i, Actor::kApplication);
-  }
-  EXPECT_EQ(mem.write_log().size(), 100u);
-  EXPECT_EQ(mem.dropped_write_records(), 0u);
 }
 
 }  // namespace
