@@ -253,6 +253,9 @@ int main() {
                                                crypto::HashKind::kBlake2s};
   std::printf("=== multi-lane digest gate ===\n");
   std::printf("sha-256 kernel: %s\n", crypto::sha256_kernel_name());
+  std::printf("digest_many split: batches of >= %zu messages, parts of %zu, %zu helper threads\n",
+              crypto::lane_detail::kSplitSize, crypto::lane_detail::kSplitPart,
+              crypto::lane_detail::helper_count());
   for (const auto kind : kinds) {
     const auto kernels = crypto::lane_detail::runnable_kernels(kind);
     std::string names;

@@ -43,6 +43,7 @@
 #include "src/attest/golden.hpp"
 #include "src/attest/measurement.hpp"
 #include "src/attest/stack.hpp"
+#include "src/crypto/lanes.hpp"
 #include "src/crypto/sha256.hpp"
 #include "src/exp/report.hpp"
 #include "src/mtree/incremental.hpp"
@@ -167,7 +168,10 @@ int main() {
   std::printf("=== measurement hot path: digest cache dirty-fraction sweep ===\n");
   std::printf("%zu blocks x %zu B, %zu measurement rounds per point\n", kBlocks,
               kBlockSize, kRounds);
-  std::printf("sha-256 kernel: %s\n\n", crypto::sha256_kernel_name());
+  std::printf("sha-256 kernel: %s\n", crypto::sha256_kernel_name());
+  std::printf("digest_many split: batches of >= %zu messages, parts of %zu, %zu helper threads\n\n",
+              crypto::lane_detail::kSplitSize, crypto::lane_detail::kSplitPart,
+              crypto::lane_detail::helper_count());
 
   const support::Bytes key = support::to_bytes("micro-measurement-key");
   obs::MetricsRegistry registry;

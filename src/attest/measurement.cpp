@@ -17,15 +17,32 @@ support::Bytes derive_block_key(support::ByteView key) {
   return support::concat({key, support::to_bytes("/block")});
 }
 
-/// Stack storage for N views that is not zero-filled: a plain array of
-/// std::span is value-initialized on every call (a 1 KiB `rep stos` for
-/// 64 of them), though only the entries a wave fills are ever read.
-/// Assigning an entry starts the array's lifetime (spans copy trivially).
-template <class View, std::size_t N>
-union ViewScratch {
-  ViewScratch() {}
-  View items[N];
+/// A miss the cache will store once it is digested.
+struct PendingStore {
+  std::size_t block;
+  std::uint64_t generation;
 };
+
+/// The views of one batch (a visit's misses, a digest_batch call's
+/// outputs), per thread rather than per measurement, so a per-device
+/// object keeps its size.  Grown to the largest batch the thread has
+/// digested and never shrunk, so a warm round allocates nothing; only
+/// growth value-initializes entries, never a call.
+struct MissSet {
+  std::vector<support::ByteView> contents;
+  std::vector<support::MutableByteView> outs;
+  std::vector<PendingStore> stores;
+};
+
+MissSet& miss_set(std::size_t capacity) {
+  thread_local MissSet set;
+  if (set.outs.size() < capacity) {
+    set.contents.resize(capacity);
+    set.outs.resize(capacity);
+    set.stores.resize(capacity);
+  }
+  return set;
+}
 
 }  // namespace
 
@@ -47,8 +64,8 @@ bool BlockDigester::batch_uses_lanes() const noexcept {
 }
 
 void BlockDigester::digest(support::ByteView block, Digest& out) {
-  Digest* const outs[] = {&out};
-  digest_batch({&block, 1}, outs);
+  const support::MutableByteView view = out.prepare(digest_size_);
+  digest_into({&block, 1}, {&view, 1});
 }
 
 void BlockDigester::digest_batch(std::span<const support::ByteView> blocks,
@@ -56,24 +73,19 @@ void BlockDigester::digest_batch(std::span<const support::ByteView> blocks,
   if (blocks.size() != outs.size()) {
     throw std::invalid_argument("digest_batch: blocks/outs size mismatch");
   }
-  if (mac_ != MacKind::kHmac) {
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      engine_->update(blocks[i]);
-      engine_->finalize_into(outs[i]->prepare(digest_size_));
-    }
-    return;
+  MissSet& scratch = miss_set(outs.size());
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    scratch.outs[i] = outs[i]->prepare(digest_size_);
   }
-  // digest_many takes views of the outputs, built here on the stack a
-  // chunk at a time.  The chunk is a multiple of every kernel's width, so
-  // the packing is the one an unchunked call would choose.
-  constexpr std::size_t kChunk = 64;
-  ViewScratch<support::MutableByteView, kChunk> views;
-  for (std::size_t at = 0; at < blocks.size(); at += kChunk) {
-    const std::size_t n = std::min(kChunk, blocks.size() - at);
-    for (std::size_t i = 0; i < n; ++i) {
-      views.items[i] = outs[at + i]->prepare(digest_size_);
-    }
-    crypto::digest_many(hash_kind_, blocks.subspan(at, n), {views.items, n});
+  digest_into(blocks, {scratch.outs.data(), outs.size()});
+}
+
+void BlockDigester::digest_into(std::span<const support::ByteView> blocks,
+                                std::span<const support::MutableByteView> outs) {
+  if (mac_ == MacKind::kHmac) return crypto::digest_many(hash_kind_, blocks, outs);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    engine_->update(blocks[i]);
+    engine_->finalize_into(outs[i]);
   }
 }
 
@@ -145,27 +157,12 @@ void Measurement::visit_blocks(std::span<const std::size_t> blocks, sim::Time no
 void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Time now,
                                     std::span<const support::ByteView> contents) {
   // Classification in caller order: bookkeeping, cache lookups and journal
-  // events happen here, block by block.  Misses are digested a wave at a
-  // time from stack buffers; blocks are distinct, so storing a wave before
-  // classifying the next changes no lookup.
-  constexpr std::size_t kWave = 64;
-  ViewScratch<support::ByteView, kWave> wave_contents;
-  Digest* wave_outs[kWave];
-  std::size_t wave_blocks[kWave];
-  std::uint64_t wave_generations[kWave];
-  bool wave_store[kWave];  ///< false for snapshot content / detached cache
-  std::size_t waiting = 0;
-  const auto digest_wave = [&] {
-    digester_.digest_batch({wave_contents.items, waiting}, {wave_outs, waiting});
-    for (std::size_t i = 0; i < waiting; ++i) {
-      if (wave_store[i]) {
-        cache_->store(wave_blocks[i], wave_generations[i], hash_, mac_, key_fp_,
-                      *wave_outs[i]);
-      }
-    }
-    waiting = 0;
-  };
-
+  // events happen here, block by block.  The misses are then digested in
+  // one batch and stored in the same order; blocks are distinct, so no
+  // lookup of this call could have seen one of its stores.
+  MissSet& misses = miss_set(blocks.size());
+  std::size_t missed = 0;
+  std::size_t stored = 0;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const std::size_t block = blocks[i];
     if (block < coverage_.first_block ||
@@ -183,9 +180,8 @@ void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Ti
     // lock policies redirect reads to their copy and bypass it here).
     const bool live = cache_ != nullptr && content.size() == memory_.block_size() &&
                       content.data() == memory_.block_view(block).data();
-    std::uint64_t generation = 0;
     if (live) {
-      generation = memory_.block_generation(block);
+      const std::uint64_t generation = memory_.block_generation(block);
       if (const Digest* hit = cache_->lookup(block, generation, hash_, mac_, key_fp_)) {
         if (journal_ != nullptr) {
           journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheHit,
@@ -198,15 +194,18 @@ void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Ti
         journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheMiss,
                          block, generation);
       }
+      misses.stores[stored++] = {block, generation};
     }
-    wave_contents.items[waiting] = content;
-    wave_outs[waiting] = &block_digests_[rel];
-    wave_blocks[waiting] = block;
-    wave_generations[waiting] = generation;
-    wave_store[waiting] = live;
-    if (++waiting == kWave) digest_wave();
+    misses.contents[missed] = content;
+    misses.outs[missed] = block_digests_[rel].prepare(digester_.digest_size());
+    ++missed;
   }
-  if (waiting != 0) digest_wave();
+  digester_.digest_into({misses.contents.data(), missed}, {misses.outs.data(), missed});
+  for (std::size_t i = 0; i < stored; ++i) {
+    const PendingStore& s = misses.stores[i];
+    cache_->store(s.block, s.generation, hash_, mac_, key_fp_,
+                  block_digests_[s.block - coverage_.first_block]);
+  }
 }
 
 support::Bytes Measurement::block_digest(MacKind mac, crypto::HashKind hash,

@@ -62,12 +62,18 @@ class BlockDigester {
   /// Digest one block's content into `out` — no heap allocation.
   void digest(support::ByteView block, Digest& out);
 
-  /// Digest many independent blocks at once (blocks[i] -> *outs[i]).
-  /// Hash-based F packs them into multi-lane waves (byte-identical to
-  /// digest(), enforced in tests); CBC-MAC F loops the scalar engine.
-  /// Allocation-free.
+  /// Digest many independent blocks at once (blocks[i] -> *outs[i]), as
+  /// digest_into() does.  Allocation-free once the calling thread has
+  /// digested a batch this large.
   void digest_batch(std::span<const support::ByteView> blocks,
                     std::span<Digest* const> outs);
+
+  /// Digest blocks[i] into outs[i], each exactly digest_size() bytes.
+  /// Hash-based F is one crypto::digest_many call over the whole batch
+  /// (multi-lane packs, split across cores when large; byte-identical to
+  /// digest(), enforced in tests); CBC-MAC F loops the scalar engine.
+  void digest_into(std::span<const support::ByteView> blocks,
+                   std::span<const support::MutableByteView> outs);
 
   std::size_t digest_size() const noexcept { return digest_size_; }
 
@@ -122,11 +128,12 @@ class Measurement {
 
   /// Batch visitation: exactly equivalent to calling visit_block(b, now)
   /// for each b in order — same cache lookups, same journal events in the
-  /// same order, same stored digests — but cache misses are digested in
-  /// multi-lane waves through BlockDigester::digest_batch.  Callers that
-  /// already know their dirty set (tree-mode collect/flush, golden
-  /// pre-digesting, fleet shard waves) use this instead of the scalar
-  /// loop.  Blocks must be distinct within one call.
+  /// same order, same stored digests — but the call's whole miss set is
+  /// digested in one BlockDigester::digest_into batch (multi-lane, split
+  /// across cores when large).  Callers that already know their visit set
+  /// (the atomic prover, tree-mode rounds) use this instead of the scalar
+  /// loop.  Blocks must be distinct within one call.  Allocation-free once
+  /// the calling thread has visited a batch this large.
   void visit_blocks(std::span<const std::size_t> blocks, sim::Time now);
 
   /// As above with per-block content redirection (contents[i] is digested

@@ -117,8 +117,7 @@ VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
                                   context, golden_->mac_kind(), &golden_->key_schedule()));
     if (out.mac_ok && out.tree_root_bound) {
       for (const auto& proof : report.proofs) {
-        if (proof.total_leaves != golden_->block_count() ||
-            !proof.verify(report.tree_root)) {
+        if (!proof.verify(report.tree_root, golden_->block_count())) {
           out.proofs_ok = false;  // tampered / mis-shaped proof: discard
           continue;
         }

@@ -6,6 +6,7 @@
 
 #include "src/crypto/blake2b.hpp"
 #include "src/crypto/blake2s.hpp"
+#include "src/crypto/lane_pool.hpp"
 #include "src/crypto/sha256.hpp"
 #include "src/crypto/sha512.hpp"
 
@@ -109,6 +110,9 @@ void sha256_x16(const support::ByteView* msgs, const support::MutableByteView* o
 }
 #endif
 
+static_assert(lane_detail::kSplitPart % 16 == 0,
+              "a split part must be whole packs of every kernel (widths 16, 8, 4, 2)");
+
 /// The runnable kernels of one hash, fastest first.
 struct KernelList {
   LaneKernel kernels[4];
@@ -183,6 +187,29 @@ const char* lane_kernel_name(HashKind kind) noexcept {
   return kernels.empty() ? "scalar" : kernels.front().name;
 }
 
+void lane_detail::digest_serial(HashKind kind, const support::ByteView* msgs,
+                                const support::MutableByteView* outs,
+                                std::size_t n) noexcept {
+  std::size_t i = 0;
+  // Full 16-packs to AVX-512 where it runs, then everything else of two
+  // or more to the next kernel (whose min_pack is 2).
+  for (const LaneKernel& kernel : lane_detail::runnable_kernels(kind)) {
+    while (n - i >= kernel.min_pack) {
+      const std::size_t pack = std::min(n - i, kernel.width);
+      kernel.digest(msgs + i, outs + i, pack);
+      i += pack;
+    }
+  }
+  // What the kernels left — a single trailing message, or every message
+  // of a kind without lanes — goes through a scalar hash.
+  switch (kind) {
+    case HashKind::kSha256: return digest_scalar<Sha256>(msgs + i, outs + i, n - i);
+    case HashKind::kSha512: return digest_scalar<Sha512>(msgs + i, outs + i, n - i);
+    case HashKind::kBlake2b: return digest_scalar<Blake2b>(msgs + i, outs + i, n - i);
+    case HashKind::kBlake2s: return digest_scalar<Blake2s>(msgs + i, outs + i, n - i);
+  }
+}
+
 void digest_many(HashKind kind, std::span<const support::ByteView> msgs,
                  std::span<const support::MutableByteView> outs) {
   if (msgs.size() != outs.size()) {
@@ -194,27 +221,10 @@ void digest_many(HashKind kind, std::span<const support::ByteView> msgs,
       throw std::invalid_argument("digest_many: output view must be digest_size bytes");
     }
   }
-  const std::size_t n = msgs.size();
-  std::size_t i = 0;
-  // Full 16-packs to AVX-512 where it runs, then everything else of two
-  // or more to the next kernel (whose min_pack is 2).
-  for (const LaneKernel& kernel : lane_detail::runnable_kernels(kind)) {
-    while (n - i >= kernel.min_pack) {
-      const std::size_t pack = std::min(n - i, kernel.width);
-      kernel.digest(msgs.data() + i, outs.data() + i, pack);
-      i += pack;
-    }
+  if (msgs.size() < lane_detail::kSplitSize || lane_detail::helper_count() == 0) {
+    return lane_detail::digest_serial(kind, msgs.data(), outs.data(), msgs.size());
   }
-  // What the kernels left — a single trailing message, or every message
-  // of a kind without lanes — goes through a scalar hash.
-  const support::ByteView* rest = msgs.data() + i;
-  const support::MutableByteView* rest_outs = outs.data() + i;
-  switch (kind) {
-    case HashKind::kSha256: return digest_scalar<Sha256>(rest, rest_outs, n - i);
-    case HashKind::kSha512: return digest_scalar<Sha512>(rest, rest_outs, n - i);
-    case HashKind::kBlake2b: return digest_scalar<Blake2b>(rest, rest_outs, n - i);
-    case HashKind::kBlake2s: return digest_scalar<Blake2s>(rest, rest_outs, n - i);
-  }
+  lane_detail::digest_split(kind, msgs.data(), outs.data(), msgs.size());
 }
 
 }  // namespace rasc::crypto

@@ -41,14 +41,36 @@ const char* lane_kernel_name(HashKind kind) noexcept;
 /// Digest any number of independent messages: each runnable kernel in
 /// turn takes every pack of at least its min_pack messages (up to its
 /// width) that the kernels before it left, and a single trailing message
-/// goes to a scalar hash on the stack.  msgs and outs must have equal
-/// sizes and outs[i] must be exactly hash_digest_size(kind) bytes, else
-/// std::invalid_argument.  Kinds without lane kernels are digested scalar,
-/// so callers need no capability check.  Allocates nothing.
+/// goes to a scalar hash on the stack.  A batch of at least
+/// lane_detail::kSplitSize messages is cut into parts of kSplitPart that
+/// the calling thread and free helper threads digest side by side (see
+/// lane_detail::helper_count); the digests are the same either way.
+/// msgs and outs must have equal sizes and outs[i] must be exactly
+/// hash_digest_size(kind) bytes, else std::invalid_argument.  Kinds
+/// without lane kernels are digested scalar, so callers need no capability
+/// check.  Allocates nothing, except that the first split starts the
+/// helpers.  Safe to call from any number of threads at once.
 void digest_many(HashKind kind, std::span<const support::ByteView> msgs,
                  std::span<const support::MutableByteView> outs);
 
 namespace lane_detail {
+
+/// The smallest batch digest_many splits across cores.  On a 4-vCPU
+/// AVX-512 + SHA-NI Xeon with 3 helpers, 128 x 4 KiB take 190 us serially
+/// and 75 us split, while 128 x 64 B take ~2 us longer split (15-17 vs
+/// 17-19 us) and gain only from ~192; DESIGN §13 has the rows.
+inline constexpr std::size_t kSplitSize = 128;
+
+/// The messages a split batch hands out at a time: two full AVX-512
+/// packs, and a multiple of every kernel's width, so each part is packed
+/// as the whole batch would be.
+inline constexpr std::size_t kSplitPart = 32;
+
+/// Helper threads a split batch may use: the size of the CPU affinity set
+/// the process started with, minus one.  They start at the first split,
+/// run on that set whatever the splitting thread's own set is by then, and
+/// stop at exit.  0 on one allowed CPU, where nothing splits.
+std::size_t helper_count() noexcept;
 
 /// One multi-buffer kernel: digests msgs[i] into outs[i] for
 /// 1 <= count <= width, with the contract of digest_many().

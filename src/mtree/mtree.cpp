@@ -199,9 +199,10 @@ Digest MerkleTree::combine_roots(const std::vector<Digest>& roots,
   return level[0];
 }
 
-bool MtreeProof::verify(support::ByteView root) const {
-  if (leaf_count == 0 || total_leaves == 0 || first_leaf > total_leaves ||
-      leaf_count > total_leaves - first_leaf || leaves.size() != leaf_count) {
+bool MtreeProof::verify(support::ByteView root, std::size_t expected_leaves) const {
+  if (total_leaves != expected_leaves || leaf_count == 0 || total_leaves == 0 ||
+      first_leaf > total_leaves || leaf_count > total_leaves - first_leaf ||
+      leaves.size() != leaf_count) {
     return false;
   }
   auto engine = crypto::make_hash(hash);

@@ -63,10 +63,13 @@ struct MtreeProof {
   std::vector<Digest> siblings;         ///< bottom-up, left before right
 
   /// Recompute the root implied by the carried leaves + siblings and
-  /// compare against `root` (constant-time compare).  False on any
-  /// structural mismatch (empty range, range outside total_leaves,
-  /// sibling count not matching the range shape).
-  bool verify(support::ByteView root) const;
+  /// compare against `root` (constant-time compare), for a tree of
+  /// `expected_leaves` leaves.  False on any structural mismatch
+  /// (total_leaves other than expected_leaves, empty range, range outside
+  /// total_leaves, sibling count not matching the range shape).  The root
+  /// binds the width only up to its padded power of two, so the caller's
+  /// width is what rejects a total_leaves edited within it.
+  bool verify(support::ByteView root, std::size_t expected_leaves) const;
 
   /// Wire encoding (fixed field order, big-endian lengths) — appended to
   /// the report body when present, so it is covered by the report MAC.

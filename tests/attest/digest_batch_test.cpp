@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
@@ -142,6 +143,74 @@ TEST(VisitBlocks, IdenticalToScalarVisitsWithCacheAndJournal) {
           << crypto::hash_name(hash) << " round " << round;
     }
   }
+}
+
+TEST(VisitBlocks, BulkRewriteMatchesScalarVisits) {
+  // A full re-digest round at perfbench device_churn's size: 80-100% of
+  // 2048 x 4 KiB blocks rewritten, so the call's miss set is one batch
+  // that digest_many splits across cores where the host has them.  It
+  // must read exactly like the per-block loop.
+  constexpr std::size_t kBulkBlocks = 2048;
+  constexpr std::size_t kBulkBlockSize = 4096;
+  const support::Bytes image = support::random_bytes(0xb0c, kBulkBlocks * kBulkBlockSize);
+  sim::DeviceMemory scalar_mem(image.size(), kBulkBlockSize);
+  sim::DeviceMemory batch_mem(image.size(), kBulkBlockSize);
+  scalar_mem.load(image);
+  batch_mem.load(image);
+  DigestCache scalar_cache(kBulkBlocks), batch_cache(kBulkBlocks);
+  obs::EventJournal scalar_journal, batch_journal;
+  const std::uint32_t scalar_actor = scalar_journal.intern("prv");
+  const std::uint32_t batch_actor = batch_journal.intern("prv");
+  const support::Bytes key = to_bytes("bulk-key");
+  support::Xoshiro256 rng(0xc4);
+  std::vector<std::size_t> order(kBulkBlocks);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+
+  // Round 1 fills both caches, round 2 follows the rewrite.
+  for (std::uint64_t round = 1; round <= 2; ++round) {
+    if (round == 2) {
+      const std::size_t dirty = kBulkBlocks * 4 / 5 + rng.below(kBulkBlocks / 5 + 1);
+      for (std::size_t i = 0; i < dirty; ++i) {
+        std::swap(order[i], order[i + rng.below(kBulkBlocks - i)]);
+      }
+      for (std::size_t i = 0; i < dirty; ++i) {
+        const support::Bytes patch = support::random_bytes(order[i], 16);
+        scalar_mem.write(order[i] * kBulkBlockSize, patch, 7, sim::Actor::kApplication);
+        batch_mem.write(order[i] * kBulkBlockSize, patch, 7, sim::Actor::kApplication);
+      }
+    }
+    const MeasurementContext context{"prv", {}, round};
+    Measurement scalar(scalar_mem, crypto::HashKind::kSha256, key, context);
+    scalar.set_digest_cache(&scalar_cache);
+    scalar.set_journal(&scalar_journal, scalar_actor);
+    Measurement batch(batch_mem, crypto::HashKind::kSha256, key, context);
+    batch.set_digest_cache(&batch_cache);
+    batch.set_journal(&batch_journal, batch_actor);
+    // The shuffled order: the batch must keep the caller's order.
+    for (const std::size_t b : order) scalar.visit_block(b, round * 10);
+    batch.visit_blocks(order, round * 10);
+
+    EXPECT_EQ(scalar.finalize(), batch.finalize()) << "round " << round;
+    EXPECT_EQ(scalar_cache.hits(), batch_cache.hits()) << "round " << round;
+    EXPECT_EQ(scalar_cache.misses(), batch_cache.misses()) << "round " << round;
+    EXPECT_EQ(scalar_cache.stores(), batch_cache.stores()) << "round " << round;
+    EXPECT_EQ(scalar_journal.to_ndjson(), batch_journal.to_ndjson()) << "round " << round;
+    // The stored digests, looked up in both caches so their counts stay
+    // in step.
+    const std::uint64_t key_fp = DigestCache::key_fingerprint(key);
+    for (std::size_t b = 0; b < kBulkBlocks; ++b) {
+      ASSERT_EQ(scalar.visited_digest(b), batch.visited_digest(b)) << "block " << b;
+      const Digest* scalar_stored = scalar_cache.lookup(
+          b, scalar_mem.block_generation(b), crypto::HashKind::kSha256, MacKind::kHmac, key_fp);
+      const Digest* batch_stored = batch_cache.lookup(
+          b, batch_mem.block_generation(b), crypto::HashKind::kSha256, MacKind::kHmac, key_fp);
+      ASSERT_NE(scalar_stored, nullptr) << "block " << b;
+      ASSERT_NE(batch_stored, nullptr) << "block " << b;
+      EXPECT_EQ(*batch_stored, *scalar_stored) << "block " << b;
+      EXPECT_EQ(*batch_stored, batch.visited_digest(b)) << "block " << b;
+    }
+  }
+  EXPECT_GE(batch_cache.misses(), kBulkBlocks + kBulkBlocks * 4 / 5);
 }
 
 TEST(VisitBlocks, ContentOverloadMatchesScalarAndBypassesCache) {

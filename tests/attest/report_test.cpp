@@ -93,7 +93,7 @@ TEST(Report, WireRoundTripsTreeTrailer) {
   EXPECT_EQ(parsed->proofs[0].siblings, r.proofs[0].siblings);
   EXPECT_EQ(parsed->proofs[1].first_leaf, 6u);
   EXPECT_TRUE(report_mac_valid(*parsed, to_bytes("key")));
-  EXPECT_TRUE(parsed->proofs[0].verify(parsed->tree_root));
+  EXPECT_TRUE(parsed->proofs[0].verify(parsed->tree_root, 8));
 }
 
 TEST(Report, FlatWireCarriesNoTrailerAndParsesBack) {

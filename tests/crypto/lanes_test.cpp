@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
+#include <thread>
 
 #include "src/crypto/hash.hpp"
 #include "src/crypto/sha256.hpp"
@@ -169,6 +171,105 @@ TEST(DigestMany, MatchesScalarForAnyCountAndKind) {
         EXPECT_EQ(actual[i], crypto::hash_oneshot(kind, messages[i]))
             << crypto::hash_name(kind) << " count=" << count << " i=" << i;
       }
+    }
+  }
+}
+
+/// `count` messages cut from one random pool, message i of lens[i % n]
+/// bytes (one length: uniform; several: staggered).
+std::vector<support::ByteView> cut_messages(const support::Bytes& pool, std::size_t count,
+                                            std::span<const std::size_t> lens) {
+  std::vector<support::ByteView> views;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t len = lens[i % lens.size()];
+    views.push_back(support::ByteView(pool).subspan(at, len));
+    at += len;
+  }
+  return views;
+}
+
+/// digest_many over `views` into fresh outputs.
+std::vector<support::Bytes> digest_all(crypto::HashKind kind,
+                                       const std::vector<support::ByteView>& views) {
+  std::vector<support::Bytes> actual(views.size(),
+                                     support::Bytes(crypto::hash_digest_size(kind)));
+  std::vector<support::MutableByteView> outs(actual.begin(), actual.end());
+  crypto::digest_many(kind, views, outs);
+  return actual;
+}
+
+TEST(DigestMany, SplitBatchesMatchOneShot) {
+  // From one below the split size to three parts above it, each part
+  // boundary +/-1: on a host with helpers every count from kSplitSize on
+  // is cut into parts, and no digest may show where.
+  using crypto::lane_detail::kSplitPart;
+  using crypto::lane_detail::kSplitSize;
+  std::vector<std::size_t> counts;
+  for (std::size_t boundary = kSplitSize; boundary <= kSplitSize + 3 * kSplitPart;
+       boundary += kSplitPart) {
+    counts.insert(counts.end(), {boundary - 1, boundary, boundary + 1});
+  }
+  const std::size_t lens[] = {0, 63, 64, 4096, 4097};
+  const support::Bytes pool = support::random_bytes(0x5b11, counts.back() * 4097);
+  std::vector<std::vector<std::size_t>> shapes;
+  for (const std::size_t len : lens) shapes.push_back({len});
+  shapes.emplace_back(std::begin(lens), std::end(lens));
+  for (const auto kind : {crypto::HashKind::kSha256, crypto::HashKind::kBlake2s,
+                          crypto::HashKind::kSha512}) {
+    for (const std::size_t count : counts) {
+      for (const auto& shape : shapes) {
+        const auto views = cut_messages(pool, count, shape);
+        const auto actual = digest_all(kind, views);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(actual[i], crypto::hash_oneshot(kind, views[i]))
+              << crypto::hash_name(kind) << " count=" << count << " i=" << i
+              << " lengths=" << (shape.size() == 1 ? "uniform" : "staggered")
+              << " len=" << views[i].size();
+        }
+      }
+    }
+  }
+}
+
+TEST(DigestMany, ConcurrentSplitBatches) {
+  // TSan payload for the helper pool: four callers split large batches at
+  // the same moment, so they compete for the helpers, and a fifth calls
+  // once they are under way, when every helper is taken: it must digest
+  // its batch itself.  Every call returns, and every digest is its
+  // one-shot.
+  constexpr std::size_t kCallers = 5;
+  const std::size_t count = crypto::lane_detail::kSplitSize + 3 * crypto::lane_detail::kSplitPart;
+  const std::size_t lens[] = {4096, 64, 4097};
+  std::vector<support::Bytes> pools;
+  std::vector<std::vector<support::ByteView>> batches;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    pools.push_back(support::random_bytes(0xc0 + c, count * 4097));
+  }
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    batches.push_back(cut_messages(pools[c], count, lens));
+  }
+  std::vector<std::vector<support::Bytes>> results(kCallers);
+  std::latch start(kCallers - 1);
+  std::latch under_way(kCallers - 1);
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c + 1 < kCallers; ++c) {
+    threads.emplace_back([&, c] {
+      start.arrive_and_wait();
+      under_way.count_down();
+      results[c] = digest_all(crypto::HashKind::kSha256, batches[c]);
+    });
+  }
+  threads.emplace_back([&] {
+    under_way.wait();
+    results.back() = digest_all(crypto::HashKind::kSha256, batches.back());
+  });
+  for (std::thread& t : threads) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    ASSERT_EQ(results[c].size(), count) << "caller " << c;
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(results[c][i], crypto::hash_oneshot(crypto::HashKind::kSha256, batches[c][i]))
+          << "caller " << c << " i=" << i;
     }
   }
 }

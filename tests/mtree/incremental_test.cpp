@@ -202,7 +202,7 @@ TEST(IncrementalTree, ProveRangeCarriesLiveGenerations) {
   fx.write_byte(2, 0xdd);
   fx.refresh_round();
   const MtreeProof proof = fx.tree.prove_range(2, 1);
-  EXPECT_TRUE(proof.verify(fx.tree.root_bytes()));
+  EXPECT_TRUE(proof.verify(fx.tree.root_bytes(), kBlocks));
   ASSERT_EQ(proof.generations.size(), 1u);
   EXPECT_EQ(proof.generations[0], fx.memory.block_generation(2));
 }

@@ -145,7 +145,7 @@ TEST(MtreeProof, VerifiesAndRoundTripsWire) {
   for (const auto& [first, count] :
        {std::pair<std::size_t, std::size_t>{0, 1}, {28, 1}, {3, 7}, {0, 29}}) {
     const MtreeProof proof = tree.prove_range(first, count);
-    EXPECT_TRUE(proof.verify(root)) << first << "+" << count;
+    EXPECT_TRUE(proof.verify(root, 29)) << first << "+" << count;
 
     const support::Bytes wire = proof.serialize();
     std::size_t pos = 0;
@@ -158,7 +158,7 @@ TEST(MtreeProof, VerifiesAndRoundTripsWire) {
     EXPECT_EQ(parsed->leaves, proof.leaves);
     EXPECT_EQ(parsed->siblings, proof.siblings);
     EXPECT_EQ(parsed->generations, proof.generations);
-    EXPECT_TRUE(parsed->verify(root));
+    EXPECT_TRUE(parsed->verify(root, 29));
   }
 }
 
@@ -176,18 +176,21 @@ TEST(MtreeProof, RejectsWrongRootAndStructuralNonsense) {
   MtreeProof proof = tree.prove_range(4, 4);
   support::Bytes other_root = tree.root_bytes();
   other_root[0] ^= 0x01;
-  EXPECT_FALSE(proof.verify(other_root));
-  EXPECT_FALSE(proof.verify(support::Bytes{}));
+  EXPECT_FALSE(proof.verify(other_root, 16));
+  EXPECT_FALSE(proof.verify(support::Bytes{}, 16));
+  EXPECT_TRUE(proof.verify(tree.root_bytes(), 16));
+  EXPECT_FALSE(proof.verify(tree.root_bytes(), 15));  // same padded width
+  EXPECT_FALSE(proof.verify(tree.root_bytes(), 32));
 
   MtreeProof empty = proof;
   empty.leaf_count = 0;
   empty.leaves.clear();
   empty.generations.clear();
-  EXPECT_FALSE(empty.verify(tree.root_bytes()));
+  EXPECT_FALSE(empty.verify(tree.root_bytes(), 16));
 
   MtreeProof outside = proof;
   outside.first_leaf = 15;  // 15 + 4 > 16
-  EXPECT_FALSE(outside.verify(tree.root_bytes()));
+  EXPECT_FALSE(outside.verify(tree.root_bytes(), 16));
 }
 
 TEST(MtreeProof, ParseRejectsTruncation) {

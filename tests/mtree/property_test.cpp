@@ -87,7 +87,7 @@ TEST(MtreeProperty, SingleBitTamperInProofFailsVerification) {
     const std::size_t count =
         1 + static_cast<std::size_t>(rng.below(leaves - first));
     const MtreeProof proof = tree.prove_range(first, count);
-    ASSERT_TRUE(proof.verify(root));
+    ASSERT_TRUE(proof.verify(root, leaves));
 
     // Flip one random bit in one random carried leaf digest.
     {
@@ -97,7 +97,7 @@ TEST(MtreeProperty, SingleBitTamperInProofFailsVerification) {
       bytes[static_cast<std::size_t>(rng.below(bytes.size()))] ^=
           static_cast<std::uint8_t>(1u << rng.below(8));
       tampered.leaves[leaf].assign(bytes);
-      EXPECT_FALSE(tampered.verify(root)) << "iteration " << iteration;
+      EXPECT_FALSE(tampered.verify(root, leaves)) << "iteration " << iteration;
     }
 
     // Flip one random bit in one random sibling hash (when any exist —
@@ -110,14 +110,14 @@ TEST(MtreeProperty, SingleBitTamperInProofFailsVerification) {
       bytes[static_cast<std::size_t>(rng.below(bytes.size()))] ^=
           static_cast<std::uint8_t>(1u << rng.below(8));
       tampered.siblings[sibling].assign(bytes);
-      EXPECT_FALSE(tampered.verify(root)) << "iteration " << iteration;
+      EXPECT_FALSE(tampered.verify(root, leaves)) << "iteration " << iteration;
     }
 
     // Shifting the claimed range must fail too (binding, not just value).
     if (first + count < leaves) {
       MtreeProof shifted = proof;
       shifted.first_leaf += 1;
-      EXPECT_FALSE(shifted.verify(root)) << "iteration " << iteration;
+      EXPECT_FALSE(shifted.verify(root, leaves)) << "iteration " << iteration;
     }
   }
 }

@@ -179,16 +179,17 @@ TEST(SimAlloc, WarmCleanSessionRoundStaysAtThree) {
   RecordProperty("allocations", static_cast<int>(n));
 }
 
-/// Allocations of the second of two measurements of a 4 x 64 B prover, no
-/// session around it.  Warm: pools filled, every block a cache hit; with
-/// `rewrite_between`, every block is rewritten before the counted round,
-/// so each one misses the cache and is digested (a cold measurement).
-std::size_t prover_round_allocations(attest::ExecutionMode mode,
-                                     bool rewrite_between = false) {
+/// Allocations of the second of two measurements of a `blocks` x
+/// `block_size` prover (4 x 64 B unless given), no session around it.
+/// Warm: pools filled, every block a cache hit; with `rewrite_between`,
+/// every block is rewritten before the counted round, so each one misses
+/// the cache and is digested (a cold measurement).
+std::size_t prover_round_allocations(attest::ExecutionMode mode, bool rewrite_between = false,
+                                     std::size_t blocks = 4, std::size_t block_size = 64) {
   Simulator sim;
-  const support::Bytes image = support::random_bytes(5, 4 * 64);
+  const support::Bytes image = support::random_bytes(5, blocks * block_size);
   attest::StackConfig config;
-  config.device = {"prv-alloc", image.size(), 64, support::to_bytes("k")};
+  config.device = {"prv-alloc", image.size(), block_size, support::to_bytes("k")};
   config.challenge_key = attest::make_challenge_key(1);
   config.prover.mode = mode;
   attest::Stack stack(sim, config, image);
@@ -197,8 +198,8 @@ std::size_t prover_round_allocations(attest::ExecutionMode mode,
   const auto round = [&] {
     bool done = false;
     stack.mp.start(attest::MeasurementContext{"prv-alloc", challenge, ++counter},
-                   [&done](const attest::AttestationResult& result) {
-                     done = result.visit_times.size() == 4 &&
+                   [&done, blocks](const attest::AttestationResult& result) {
+                     done = result.visit_times.size() == blocks &&
                             result.report.challenge.size() == 32;
                    });
     sim.run();
@@ -209,14 +210,14 @@ std::size_t prover_round_allocations(attest::ExecutionMode mode,
     DeviceMemory& memory = stack.device.memory();
     const support::Bytes patch(64, 0x5a);
     for (std::size_t b = 0; b < memory.block_count(); ++b) {
-      EXPECT_TRUE(memory.write(b * 64, patch, sim.now(), Actor::kApplication));
+      EXPECT_TRUE(memory.write(b * block_size, patch, sim.now(), Actor::kApplication));
     }
   }
   const std::size_t misses = stack.mp.digest_cache().misses();
   bool done = false;
   const std::size_t n = allocations_during([&] { done = round(); });
   EXPECT_TRUE(done);
-  EXPECT_EQ(stack.mp.digest_cache().misses() - misses, rewrite_between ? 4u : 0u);
+  EXPECT_EQ(stack.mp.digest_cache().misses() - misses, rewrite_between ? blocks : 0u);
   return n;
 }
 
@@ -238,6 +239,14 @@ TEST(SimAlloc, ColdInterruptibleProverRoundAllocatesNothing) {
   // stack buffers (13 while each round built a measurement with its own
   // batch scratch).
   EXPECT_EQ(prover_round_allocations(attest::ExecutionMode::kInterruptible, true), 0u);
+}
+
+TEST(SimAlloc, WarmAtomicBulkRoundAllocatesNothing) {
+  // perfbench device_churn's 2048 x 4 KiB, every block rewritten: the
+  // round's 2048 misses are one digest_many batch, split across the helper
+  // threads where the host has more than one CPU.  The warm-up round
+  // started the helpers and grew this thread's miss-set scratch.
+  EXPECT_EQ(prover_round_allocations(attest::ExecutionMode::kAtomic, true, 2048, 4096), 0u);
 }
 
 TEST(SimAlloc, FleetLossyRoundStaysUnderSeven) {
